@@ -43,12 +43,13 @@
 use crate::btb::{Btb, BtbConfig};
 use crate::consistency::{ConsistencyModel, MemOpKind};
 use crate::model::{ExecutionResult, ProcessorModel};
-use lookahead_isa::{Program, SyncKind, WORD_BYTES};
+use lookahead_isa::{Instruction, Program, SyncKind, WORD_BYTES};
 use lookahead_memsys::MshrFile;
 #[cfg(feature = "obs")]
 use lookahead_obs::{self as obs, EventKind};
 use lookahead_trace::{StreamError, Trace, TraceCursor, TraceOp, TraceSource};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Cache line size used for MSHR merging (the paper's 16 bytes).
 const LINE_BYTES: u64 = 16;
@@ -147,15 +148,18 @@ impl Ds {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum EKind {
+    #[default]
     Alu,
     Branch,
     /// Any memory or synchronization operation; details in `MemOp`.
     Mem,
 }
 
-#[derive(Debug)]
+/// A window entry. The default value fills slab slots that have never
+/// held one.
+#[derive(Debug, Default)]
 struct Entry {
     trace_idx: usize,
     kind: EKind,
@@ -163,13 +167,16 @@ struct Entry {
     unresolved: u32,
     /// Max over decode time and known producer completion times.
     base_ready: u64,
-    /// Operand-ready time, once all producers are known.
-    ready: Option<u64>,
     /// Completion time (ALU/branch: ready+1; load-like: set at memory
     /// issue; stores: unused, they retire into the buffer).
     completion: Option<u64>,
-    /// Entries waiting on this one's completion.
+    /// Entries waiting on this one's completion. The vector outlives
+    /// the entry: the next entry decoded into the same slab slot
+    /// reuses its allocation.
     waiters: Vec<u64>,
+    /// Register slots (0–31 integer, 32–63 FP) this entry renamed at
+    /// decode; its completion time is folded into `reg_time` there.
+    dests: [Option<u8>; 2],
     /// Index into the memop registry, for memory operations.
     mem: Option<usize>,
     /// Whether fetch is stalled waiting for this branch to resolve.
@@ -225,6 +232,83 @@ impl MemOp {
     }
 }
 
+/// The register slots (0–31 integer, 32–63 FP) one instruction reads
+/// and writes, decoded once per run so that decode does not match on
+/// its `Instruction` again for every trace entry.
+#[derive(Debug, Clone, Copy)]
+struct RegUse {
+    /// Integer then FP sources, in the order the instruction reports
+    /// them; the first `n_sources` are valid.
+    sources: [u8; 4],
+    n_sources: u8,
+    /// Integer and FP destination.
+    dests: [Option<u8>; 2],
+}
+
+impl RegUse {
+    fn of(instr: &Instruction) -> RegUse {
+        let (ints, fps) = (instr.int_sources(), instr.fp_sources());
+        let slots = ints
+            .iter()
+            .map(|r| r.index())
+            .chain(fps.iter().map(|r| 32 + r.index()));
+        let mut sources = [0; 4];
+        let mut n_sources = 0;
+        for slot in slots {
+            sources[n_sources] = slot as u8;
+            n_sources += 1;
+        }
+        RegUse {
+            sources,
+            n_sources: n_sources as u8,
+            dests: [
+                instr.int_dest().map(|r| r.index() as u8),
+                instr.fp_dest().map(|r| (32 + r.index()) as u8),
+            ],
+        }
+    }
+
+    fn sources(&self) -> &[u8] {
+        &self.sources[..self.n_sources as usize]
+    }
+}
+
+/// A window memop awaiting issue (load, acquire or barrier), with the
+/// two facts the issue loop filters on, so that a load whose operands
+/// are not ready, or which an older operation blocks, is passed over
+/// without reading its `MemOp`.
+#[derive(Debug, Clone, Copy)]
+struct PendingLoad {
+    mi: usize,
+    kind: MemOpKind,
+    /// Operand-ready time: the memop is `MState::Ready(ready)`.
+    ready: u64,
+}
+
+/// Every [`MemOpKind`]; `kind as usize` is its position here and
+/// indexes the engine's per-kind tables.
+const MEM_KINDS: [MemOpKind; 5] = [
+    MemOpKind::Read,
+    MemOpKind::Write,
+    MemOpKind::Acquire,
+    MemOpKind::Release,
+    MemOpKind::Barrier,
+];
+
+/// The kinds that issue from the window rather than the store buffer.
+const LOAD_KINDS: [MemOpKind; 3] = [MemOpKind::Read, MemOpKind::Acquire, MemOpKind::Barrier];
+
+const _: () = {
+    let mut i = 0;
+    while i < MEM_KINDS.len() {
+        assert!(
+            MEM_KINDS[i] as usize == i,
+            "MEM_KINDS must follow MemOpKind's order"
+        );
+        i += 1;
+    }
+};
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StallClass {
     Read,
@@ -235,7 +319,8 @@ enum StallClass {
 
 struct Engine<'a> {
     cfg: DsConfig,
-    program: &'a Program,
+    /// Register use of every program instruction, by pc.
+    regs: Vec<RegUse>,
     cursor: TraceCursor<'a>,
     now: u64,
     next_decode: usize,
@@ -246,20 +331,49 @@ struct Engine<'a> {
     /// Ids are dense and monotonic: the live window is exactly the id
     /// range `[head_id, next_id)`, stored in a preallocated slab ring
     /// indexed by `id & slab_mask` (capacity = window size rounded up
-    /// to a power of two, so live ids can never collide).
+    /// to a power of two, so live ids can never collide). Retired
+    /// entries stay in their slots until a decode overwrites them.
     head_id: u64,
     next_id: u64,
-    slab: Vec<Option<Entry>>,
+    slab: Vec<Entry>,
     slab_mask: u64,
-    /// All memory operations in program order; `mem_head` is the first
-    /// index that may still be unperformed.
+    /// All memory operations in program order.
     memops: Vec<MemOp>,
-    mem_head: usize,
-    /// Window memops awaiting issue (loads/acquires/barriers), in
-    /// program order.
-    pending_loads: VecDeque<usize>,
-    /// Store buffer: memop indices in FIFO order.
+    /// Per kind (indexed by `kind as usize`), the memops of that kind
+    /// that may still be unperformed, in program order. Performed ops
+    /// are popped off a queue's front before each push and whenever
+    /// the front is read, so a front that is read is the oldest
+    /// unperformed op of its kind. An op performs before it leaves
+    /// both the window and the store buffer, so after each push
+    /// everything queued is in one of them: together the queues hold
+    /// at most the window plus the store buffer.
+    unperformed: [VecDeque<usize>; 5],
+    /// `waits_for[later][earlier]`: the model's
+    /// [`ConsistencyModel::must_wait_for`], tabulated once.
+    waits_for: [[bool; 5]; 5],
+    /// Whether every load kind must wait for earlier ops of its own
+    /// kind (SC and PC without speculative loads). A pending load is
+    /// then eligible only if it is the oldest unperformed op of its
+    /// kind.
+    loads_self_ordered: bool,
+    /// Pending `MState::Ready(t)` / `MState::Issued(done)` thresholds
+    /// later than `now`, as a min-heap. A memop cannot leave
+    /// `Ready(t)` before `t` and `Issued` is final, so every entry is
+    /// a live threshold. Entries `<= now` are dropped at the start of
+    /// every cycle, so the heap holds at most one threshold per memop
+    /// in the window or the store buffer.
+    thresholds: BinaryHeap<Reverse<u64>>,
+    /// Window memops awaiting issue (loads/acquires/barriers), in the
+    /// order their operand-ready times became known. That is not
+    /// program order: a load whose producer completes late is queued
+    /// behind younger loads that were ready earlier, and the issue
+    /// phase takes the first eligible entry.
+    pending_loads: VecDeque<PendingLoad>,
+    /// Store buffer: memop indices in FIFO order. It issues in order,
+    /// so the first `sb_issued` entries are `Issued` and the rest
+    /// `InBuffer`; performed entries are popped off the front.
     store_buffer: VecDeque<usize>,
+    sb_issued: usize,
     /// Register state: ready time or producing entry.
     reg_time: [u64; 64],
     reg_producer: [Option<u64>; 64],
@@ -271,6 +385,13 @@ struct Engine<'a> {
     /// retains the original cycle-by-cycle reference stepper that the
     /// equivalence suite and `lookahead bench` compare against.
     skip: bool,
+    /// Work stack of `set_completion`, kept to reuse its allocation.
+    completions: Vec<(u64, u64)>,
+    /// Oracle state: the first memop index that may still be
+    /// unperformed. The linear scans that cross-check every indexed
+    /// answer in debug builds start here.
+    #[cfg(debug_assertions)]
+    mem_head: usize,
     result: ExecutionResult,
 }
 
@@ -289,21 +410,33 @@ impl<'a> Engine<'a> {
         let decode_exhausted = cursor.past_end(0);
         let mem_hint = cursor.mem_entries_hint();
         let pending_cap = cfg.window_size.min(cursor.loaded_len());
+        let waits_for =
+            MEM_KINDS.map(|later| MEM_KINDS.map(|earlier| cfg.model.must_wait_for(earlier, later)));
+        let loads_self_ordered = !cfg.speculative_loads
+            && LOAD_KINDS
+                .into_iter()
+                .all(|k| cfg.model.must_wait_for(k, k));
         Engine {
             cfg,
-            program,
+            regs: program.instructions().iter().map(RegUse::of).collect(),
             cursor,
             now: 0,
             next_decode: 0,
             decode_exhausted,
             head_id: 0,
             next_id: 0,
-            slab: std::iter::repeat_with(|| None).take(slab_cap).collect(),
+            slab: std::iter::repeat_with(Entry::default)
+                .take(slab_cap)
+                .collect(),
             slab_mask: (slab_cap - 1) as u64,
             memops: Vec::with_capacity(mem_hint),
-            mem_head: 0,
+            unperformed: Default::default(),
+            waits_for,
+            loads_self_ordered,
+            thresholds: BinaryHeap::with_capacity(pending_cap + cfg.store_buffer_depth),
             pending_loads: VecDeque::with_capacity(pending_cap),
             store_buffer: VecDeque::with_capacity(cfg.store_buffer_depth),
+            sb_issued: 0,
             reg_time: [0; 64],
             reg_producer: [None; 64],
             btb: Btb::new(cfg.btb),
@@ -311,6 +444,9 @@ impl<'a> Engine<'a> {
             fetch_resume: 0,
             fetch_blocked: false,
             skip,
+            completions: Vec::new(),
+            #[cfg(debug_assertions)]
+            mem_head: 0,
             result: ExecutionResult::default(),
         }
     }
@@ -320,19 +456,15 @@ impl<'a> Engine<'a> {
     }
 
     /// The live entry with id `id`. Ids outside `[head_id, next_id)`
-    /// are a logic error (the slot may hold a different live entry).
+    /// are a logic error (the slot may hold a different entry).
     fn entry(&self, id: u64) -> &Entry {
         debug_assert!(self.head_id <= id && id < self.next_id, "dead id {id}");
-        self.slab[(id & self.slab_mask) as usize]
-            .as_ref()
-            .expect("live entry")
+        &self.slab[(id & self.slab_mask) as usize]
     }
 
     fn entry_mut(&mut self, id: u64) -> &mut Entry {
         debug_assert!(self.head_id <= id && id < self.next_id, "dead id {id}");
-        self.slab[(id & self.slab_mask) as usize]
-            .as_mut()
-            .expect("live entry")
+        &mut self.slab[(id & self.slab_mask) as usize]
     }
 
     /// A hard progress bound: no trace entry can legitimately take
@@ -353,6 +485,13 @@ impl<'a> Engine<'a> {
                 && self.store_buffer_occupancy() == 0;
             if done {
                 break;
+            }
+            while self
+                .thresholds
+                .peek()
+                .is_some_and(|&Reverse(t)| t <= self.now)
+            {
+                self.thresholds.pop();
             }
             self.mshrs.retire_completed(self.now);
             let retired = self.retire_phase();
@@ -459,17 +598,15 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        // Every unperformed memop sits at an index >= mem_head; its
-        // pending thresholds are when its operands become ready and
-        // when memory responds. (These cover store-buffer drains and
+        // The earliest operand-ready or memory-completion threshold of
+        // any memop. (These cover store-buffer drains and
         // consistency-constraint expiry: both are "an earlier op
         // performs", which is that op's own Issued threshold.)
-        for m in &self.memops[self.mem_head..] {
-            match m.state {
-                MState::Ready(t) => consider(t),
-                MState::Issued(done) => consider(done),
-                MState::Waiting | MState::InBuffer => {}
-            }
+        let threshold = self.thresholds.peek().map(|&Reverse(t)| t);
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(threshold, self.threshold_scan(), "threshold heap");
+        if let Some(t) = threshold {
+            consider(t);
         }
         if let Some(t) = self.mshrs.next_completion() {
             consider(t);
@@ -541,9 +678,6 @@ impl<'a> Engine<'a> {
                     r.metrics.inc("core.ds.retired", 1);
                 });
             }
-            self.slab[(head & self.slab_mask) as usize]
-                .take()
-                .expect("head exists");
             self.head_id += 1;
             self.result.stats.instructions += 1;
             retired += 1;
@@ -564,7 +698,7 @@ impl<'a> Engine<'a> {
 
     /// Whether the store/release at `mi` (assumed at the window head)
     /// may retire into the store buffer now.
-    fn store_can_move_to_buffer(&self, mi: usize) -> bool {
+    fn store_can_move_to_buffer(&mut self, mi: usize) -> bool {
         let m = &self.memops[mi];
         let ready = match m.state {
             MState::Ready(t) => t <= self.now,
@@ -584,99 +718,87 @@ impl<'a> Engine<'a> {
 
     // ---- memory issue ----------------------------------------------------
 
+    /// The oldest unperformed memop of kind index `kind`, after popping
+    /// performed ones off the front of its queue.
+    fn oldest_unperformed(&mut self, kind: usize) -> Option<usize> {
+        let queue = &mut self.unperformed[kind];
+        while let Some(&mi) = queue.front() {
+            if !self.memops[mi].performed_by(self.now) {
+                return Some(mi);
+            }
+            queue.pop_front();
+        }
+        None
+    }
+
+    /// The oldest unperformed memop of every kind, by `kind as usize`.
+    fn fronts(&mut self) -> [Option<usize>; 5] {
+        std::array::from_fn(|kind| self.oldest_unperformed(kind))
+    }
+
+    /// The oldest op in `fronts` that an op of kind `later` must wait
+    /// for under the model: `later` at index `mi` is
+    /// consistency-eligible iff this is `None` or not before `mi`.
+    fn blocker(&self, fronts: &[Option<usize>; 5], later: MemOpKind) -> Option<usize> {
+        let waits = &self.waits_for[later as usize];
+        (0..MEM_KINDS.len())
+            .filter(|&k| waits[k])
+            .filter_map(|k| fronts[k])
+            .min()
+    }
+
     /// Every earlier not-yet-performed memop the model orders before
     /// `mi` must have performed.
-    fn consistency_eligible(&self, mi: usize) -> bool {
-        let later = self.memops[mi].kind;
-        for j in self.mem_head..mi {
-            let e = &self.memops[j];
-            if !e.performed_by(self.now) && self.cfg.model.must_wait_for(e.kind, later) {
-                return false;
-            }
-        }
-        true
+    fn consistency_eligible(&mut self, mi: usize) -> bool {
+        let fronts = self.fronts();
+        let eligible = self
+            .blocker(&fronts, self.memops[mi].kind)
+            .is_none_or(|b| b >= mi);
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(eligible, self.consistency_eligible_scan(mi), "memop {mi}");
+        eligible
     }
 
     /// For a load: the latest earlier unperformed store/release to the
-    /// same word, if any.
-    fn forwarding_source(&self, mi: usize) -> Option<usize> {
-        let addr = self.memops[mi].word_addr;
-        (self.mem_head..mi).rev().find(|&j| {
-            let e = &self.memops[j];
-            matches!(e.kind, MemOpKind::Write | MemOpKind::Release)
-                && e.word_addr == addr
-                && !e.performed_by(self.now)
-        })
+    /// same word, if any. `oldest_store` is the oldest unperformed
+    /// store or release; a load older than it has nothing to forward
+    /// from.
+    fn forwarding_source(&self, mi: usize, oldest_store: Option<usize>) -> Option<usize> {
+        let src = if oldest_store.is_none_or(|s| s > mi) {
+            None
+        } else {
+            let addr = self.memops[mi].word_addr;
+            [MemOpKind::Write, MemOpKind::Release]
+                .into_iter()
+                .filter_map(|kind| {
+                    let queue = &self.unperformed[kind as usize];
+                    let end = queue.partition_point(|&j| j < mi);
+                    queue.range(..end).rev().copied().find(|&j| {
+                        let e = &self.memops[j];
+                        e.word_addr == addr && !e.performed_by(self.now)
+                    })
+                })
+                .max()
+        };
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(src, self.forwarding_source_scan(mi), "load {mi}");
+        src
     }
 
     /// Issues at most one memory operation to the single cache port.
     /// Returns whether anything issued (if so, the cycle made progress
     /// and cannot be skipped past).
     fn issue_phase(&mut self) -> bool {
-        self.advance_mem_head();
+        self.pop_performed_stores();
+        let now = self.now;
         // Window ops (loads/acquires/barriers) have priority over the
         // store buffer on the single cache port.
-        let mut chosen: Option<(usize, u64)> = None;
-        for &mi in &self.pending_loads {
-            let m = &self.memops[mi];
-            let MState::Ready(t) = m.state else { continue };
-            if t > self.now {
-                continue;
-            }
-            // Speculative loads ([8], technique 2) bypass the
-            // consistency check entirely.
-            let speculate = self.cfg.speculative_loads && m.kind == MemOpKind::Read;
-            if !speculate && !self.consistency_eligible(mi) {
-                continue;
-            }
-            if m.kind == MemOpKind::Read {
-                if let Some(src) = self.forwarding_source(mi) {
-                    // Forward from the store buffer in one cycle once
-                    // the store's data is actually available; block
-                    // while it is unknown or still being computed
-                    // (unless dependences are being ignored, in which
-                    // case forwarding still applies — it is a latency
-                    // shortcut, not a stall).
-                    let data_available = match self.memops[src].state {
-                        MState::Waiting => false,
-                        MState::Ready(t) => t <= self.now,
-                        MState::InBuffer | MState::Issued(_) => true,
-                    };
-                    if !data_available && !self.cfg.ignore_data_dependences {
-                        continue;
-                    }
-                    chosen = Some((mi, self.now + 1));
-                    break;
-                }
-            }
-            // Non-binding prefetch ([8], technique 1): the fill began
-            // when the address became known; cycles spent blocked on
-            // consistency constraints come off the latency.
-            let latency = if self.cfg.nonbinding_prefetch && m.kind == MemOpKind::Read {
-                let covered = self.now.saturating_sub(t);
-                (m.latency as u64).saturating_sub(covered).max(1) as u32
-            } else {
-                m.latency
-            };
-            if m.is_miss {
-                let line = m.word_addr & !(LINE_BYTES - 1);
-                match self.mshrs.request(line, self.now, latency) {
-                    Some(done) => {
-                        chosen = Some((mi, done));
-                        break;
-                    }
-                    None => continue, // MSHRs full: structural stall
-                }
-            }
-            chosen = Some((mi, self.now + latency as u64));
-            break;
-        }
-        if let Some((mi, done)) = chosen {
-            self.pending_loads.retain(|&x| x != mi);
+        if let Some((pos, mi, done)) = self.select_load() {
+            self.pending_loads.remove(pos);
             #[cfg(feature = "obs")]
             {
                 let m = &self.memops[mi];
-                let (now, pc, addr) = (self.now, m.pc, m.word_addr);
+                let (pc, addr) = (m.pc, m.word_addr);
                 obs::with(|r| {
                     r.event(now, EventKind::Issue { pc, addr });
                     r.event(done, EventKind::Complete { pc, addr });
@@ -688,10 +810,11 @@ impl<'a> Engine<'a> {
                 self.result
                     .stats
                     .read_miss_issue_delays
-                    .push((self.now - m.decode_time) as u32);
+                    .push((now - m.decode_time) as u32);
             }
-            let entry_id = m.entry_id;
-            if !m.kind.acquires() {
+            let (kind, entry_id) = (m.kind, m.entry_id);
+            self.push_threshold(done);
+            if !kind.acquires() {
                 // Acquires complete at retirement (after their wait);
                 // everything else completes when memory responds.
                 self.set_completion(entry_id, done);
@@ -701,36 +824,151 @@ impl<'a> Engine<'a> {
         // Otherwise the store buffer may use the port (FIFO). Store
         // misses occupy MSHRs like loads: same-line misses merge and a
         // full file stalls the issue.
-        if let Some(&mi) = self
-            .store_buffer
-            .iter()
-            .find(|&&mi| self.memops[mi].state == MState::InBuffer)
-        {
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            self.store_buffer.get(self.sb_issued),
+            self.store_buffer
+                .iter()
+                .find(|&&mi| self.memops[mi].state == MState::InBuffer),
+            "issued prefix of the store buffer"
+        );
+        if let Some(&mi) = self.store_buffer.get(self.sb_issued) {
             let m = &self.memops[mi];
             let done = if m.is_miss {
                 let line = m.word_addr & !(LINE_BYTES - 1);
-                match self.mshrs.request(line, self.now, m.latency) {
+                match self.mshrs.request(line, now, m.latency) {
                     Some(done) => done,
                     None => return false, // MSHRs full: retry next cycle
                 }
             } else {
-                self.now + m.latency as u64
+                now + m.latency as u64
             };
             #[cfg(feature = "obs")]
             {
-                let (now, pc, addr) = (self.now, m.pc, m.word_addr);
+                let (pc, addr) = (m.pc, m.word_addr);
                 obs::with(|r| {
                     r.event(now, EventKind::Issue { pc, addr });
                     r.event(done, EventKind::Complete { pc, addr });
                 });
             }
             self.memops[mi].state = MState::Issued(done);
+            self.sb_issued += 1;
+            self.push_threshold(done);
             return true;
         }
         false
     }
 
-    fn advance_mem_head(&mut self) {
+    /// The first pending load that may issue now, as (its position in
+    /// `pending_loads`, its memop, its completion time), having taken
+    /// an MSHR for it if it misses.
+    fn select_load(&mut self) -> Option<(usize, usize, u64)> {
+        let now = self.now;
+        let first = self.pending_loads.iter().position(|p| p.ready <= now)?;
+        // The op blocking each load kind, computed once: a pending
+        // load at `mi` is consistency-eligible iff its kind's blocker
+        // is absent or not older than `mi`. Nothing performs during
+        // the issue phase, so the answers hold for the whole loop.
+        let fronts = self.fronts();
+        let mut blocker = [None; 5];
+        for later in LOAD_KINDS {
+            blocker[later as usize] = self.blocker(&fronts, later);
+        }
+        if self.cfg.speculative_loads {
+            // Speculative loads ([8], technique 2) bypass the
+            // consistency check entirely.
+            blocker[MemOpKind::Read as usize] = None;
+        }
+        if self.loads_self_ordered {
+            // Only a queue front can be eligible: skip the walk when no
+            // front is a ready load that nothing blocks. (A load, acquire
+            // or barrier in state `Ready` is always in `pending_loads`.)
+            let front_eligible = LOAD_KINDS.into_iter().any(|kind| {
+                fronts[kind as usize].is_some_and(|f| {
+                    blocker[kind as usize] == Some(f)
+                        && matches!(self.memops[f].state, MState::Ready(t) if t <= now)
+                })
+            });
+            if !front_eligible {
+                #[cfg(debug_assertions)]
+                debug_assert!(
+                    self.pending_loads
+                        .iter()
+                        .all(|p| p.ready > now || !self.consistency_eligible_scan(p.mi)),
+                    "the queue fronts missed an eligible pending load"
+                );
+                return None;
+            }
+        }
+        let oldest_store = [MemOpKind::Write, MemOpKind::Release]
+            .into_iter()
+            .filter_map(|kind| fronts[kind as usize])
+            .min();
+        for (pos, p) in self.pending_loads.iter().enumerate().skip(first) {
+            if p.ready > now {
+                continue;
+            }
+            let eligible = blocker[p.kind as usize].is_none_or(|b| b >= p.mi);
+            #[cfg(debug_assertions)]
+            {
+                debug_assert_eq!(self.memops[p.mi].state, MState::Ready(p.ready));
+                let speculate = self.cfg.speculative_loads && p.kind == MemOpKind::Read;
+                debug_assert_eq!(
+                    eligible,
+                    speculate || self.consistency_eligible_scan(p.mi),
+                    "pending memop {}",
+                    p.mi
+                );
+            }
+            if !eligible {
+                continue;
+            }
+            let m = &self.memops[p.mi];
+            if p.kind == MemOpKind::Read {
+                if let Some(src) = self.forwarding_source(p.mi, oldest_store) {
+                    // Forward from the store buffer in one cycle once
+                    // the store's data is actually available; block
+                    // while it is unknown or still being computed
+                    // (unless dependences are being ignored, in which
+                    // case forwarding still applies — it is a latency
+                    // shortcut, not a stall).
+                    let data_available = match self.memops[src].state {
+                        MState::Waiting => false,
+                        MState::Ready(t) => t <= now,
+                        MState::InBuffer | MState::Issued(_) => true,
+                    };
+                    if !data_available && !self.cfg.ignore_data_dependences {
+                        continue;
+                    }
+                    return Some((pos, p.mi, now + 1));
+                }
+            }
+            // Non-binding prefetch ([8], technique 1): the fill began
+            // when the address became known; cycles spent blocked on
+            // consistency constraints come off the latency.
+            let latency = if self.cfg.nonbinding_prefetch && p.kind == MemOpKind::Read {
+                let covered = now.saturating_sub(p.ready);
+                (m.latency as u64).saturating_sub(covered).max(1) as u32
+            } else {
+                m.latency
+            };
+            if m.is_miss {
+                let line = m.word_addr & !(LINE_BYTES - 1);
+                match self.mshrs.request(line, now, latency) {
+                    Some(done) => return Some((pos, p.mi, done)),
+                    None => continue, // MSHRs full: structural stall
+                }
+            }
+            return Some((pos, p.mi, now + latency as u64));
+        }
+        None
+    }
+
+    /// Pops performed memops off the front of the store buffer (and,
+    /// in debug builds, advances the oracle's `mem_head` past every
+    /// performed memop).
+    fn pop_performed_stores(&mut self) {
+        #[cfg(debug_assertions)]
         while self.mem_head < self.memops.len() && self.memops[self.mem_head].performed_by(self.now)
         {
             self.mem_head += 1;
@@ -741,6 +979,15 @@ impl<'a> Engine<'a> {
             .is_some_and(|&mi| self.memops[mi].performed_by(self.now))
         {
             self.store_buffer.pop_front();
+            self.sb_issued -= 1;
+        }
+    }
+
+    /// Records a memop's pending state threshold for `next_event_time`
+    /// (a time already reached can wake nothing).
+    fn push_threshold(&mut self, t: u64) {
+        if t > self.now {
+            self.thresholds.push(Reverse(t));
         }
     }
 
@@ -852,19 +1099,30 @@ impl<'a> Engine<'a> {
             }
         };
 
+        let mem_kind = mem.as_ref().map(|m| m.kind);
         let mem_idx = mem.map(|m| {
+            let (mi, kind) = (self.memops.len(), m.kind as usize);
+            // Popping before each push bounds the queue by the window
+            // and the store buffer even if its front is never read.
+            self.oldest_unperformed(kind);
+            self.unperformed[kind].push_back(mi);
             self.memops.push(m);
-            self.memops.len() - 1
+            mi
         });
 
+        // The slot's previous occupant retired: reuse its (drained)
+        // waiter vector.
+        let slot = (id & self.slab_mask) as usize;
+        let mut waiters = std::mem::take(&mut self.slab[slot].waiters);
+        waiters.clear();
         let mut entry = Entry {
             trace_idx: idx,
             kind,
             unresolved: 0,
             base_ready: self.now,
-            ready: None,
             completion: None,
-            waiters: Vec::new(),
+            waiters,
+            dests: [None; 2],
             mem: mem_idx,
             fetch_blocker: false,
         };
@@ -874,12 +1132,9 @@ impl<'a> Engine<'a> {
         // they must not claim destination registers — with a matched
         // program/trace they have none, but a mismatched pair (user
         // error) must degrade to wrong timing, not a silent hang.
-        let store_like = matches!(
-            mem_idx.map(|mi| self.memops[mi].kind),
-            Some(MemOpKind::Write) | Some(MemOpKind::Release)
-        );
+        let store_like = matches!(mem_kind, Some(MemOpKind::Write) | Some(MemOpKind::Release));
         if !self.cfg.ignore_data_dependences {
-            if let Some(instr) = self.program.fetch(te.pc as usize) {
+            if let Some(&regs) = self.regs.get(te.pc as usize) {
                 let wait_on = |engine: &mut Engine<'a>, entry: &mut Entry, slot: usize| {
                     match engine.reg_producer[slot] {
                         // A producer id below head_id has retired: its
@@ -900,19 +1155,14 @@ impl<'a> Engine<'a> {
                         }
                     }
                 };
-                for r in instr.int_sources().iter() {
-                    wait_on(self, &mut entry, r.index());
-                }
-                for r in instr.fp_sources().iter() {
-                    wait_on(self, &mut entry, 32 + r.index());
+                for &slot in regs.sources() {
+                    wait_on(self, &mut entry, slot as usize);
                 }
                 if !store_like {
-                    if let Some(r) = instr.int_dest() {
-                        self.reg_producer[r.index()] = Some(id);
+                    for slot in regs.dests.into_iter().flatten() {
+                        self.reg_producer[slot as usize] = Some(id);
                     }
-                    if let Some(r) = instr.fp_dest() {
-                        self.reg_producer[32 + r.index()] = Some(id);
-                    }
+                    entry.dests = regs.dests;
                 }
             }
         }
@@ -937,9 +1187,7 @@ impl<'a> Engine<'a> {
             entry.fetch_blocker = true;
             self.fetch_blocked = true;
         }
-        let slot = (id & self.slab_mask) as usize;
-        debug_assert!(self.slab[slot].is_none(), "slab slot still live");
-        self.slab[slot] = Some(entry);
+        self.slab[slot] = entry;
         if resolved {
             self.set_ready(id, base);
         }
@@ -949,8 +1197,7 @@ impl<'a> Engine<'a> {
     /// All producers of `id` are known: fix its ready time and, for
     /// single-cycle units, its completion.
     fn set_ready(&mut self, id: u64, ready: u64) {
-        let e = self.entry_mut(id);
-        e.ready = Some(ready);
+        let e = self.entry(id);
         match e.kind {
             EKind::Alu | EKind::Branch => {
                 let c = ready.max(e.base_ready) + 1;
@@ -960,9 +1207,12 @@ impl<'a> Engine<'a> {
                 let mi = e.mem.expect("mem entry");
                 let m = &mut self.memops[mi];
                 m.state = MState::Ready(ready);
-                if !matches!(m.kind, MemOpKind::Write | MemOpKind::Release) {
-                    self.pending_loads.push_back(mi);
+                let kind = m.kind;
+                if !matches!(kind, MemOpKind::Write | MemOpKind::Release) {
+                    self.pending_loads
+                        .push_back(PendingLoad { mi, kind, ready });
                 }
+                self.push_threshold(ready);
             }
         }
     }
@@ -970,34 +1220,28 @@ impl<'a> Engine<'a> {
     /// Propagate a known completion time to dependents (iteratively,
     /// to keep long ALU chains off the call stack).
     fn set_completion(&mut self, id: u64, time: u64) {
-        let mut work = vec![(id, time)];
+        let mut work = std::mem::take(&mut self.completions);
+        work.push((id, time));
         while let Some((id, time)) = work.pop() {
             let e = self.entry_mut(id);
             e.completion = Some(time);
+            let dests = e.dests;
+            let mut waiters = std::mem::take(&mut e.waiters);
             if e.fetch_blocker {
                 e.fetch_blocker = false;
                 self.fetch_blocked = false;
                 self.fetch_resume = self.fetch_resume.max(time + 1);
             }
-            let waiters = std::mem::take(&mut self.entry_mut(id).waiters);
             // Fold into the register file view for consumers that
             // decode after this entry retires.
-            let pc = self.cursor.pc(self.entry(id).trace_idx);
-            if let Some(instr) = self.program.fetch(pc as usize) {
-                if let Some(r) = instr.int_dest() {
-                    if self.reg_producer[r.index()] == Some(id) {
-                        self.reg_producer[r.index()] = None;
-                        self.reg_time[r.index()] = time;
-                    }
-                }
-                if let Some(r) = instr.fp_dest() {
-                    if self.reg_producer[32 + r.index()] == Some(id) {
-                        self.reg_producer[32 + r.index()] = None;
-                        self.reg_time[32 + r.index()] = time;
-                    }
+            for slot in dests.into_iter().flatten() {
+                let slot = slot as usize;
+                if self.reg_producer[slot] == Some(id) {
+                    self.reg_producer[slot] = None;
+                    self.reg_time[slot] = time;
                 }
             }
-            for w in waiters {
+            for &w in &waiters {
                 let we = self.entry_mut(w);
                 we.base_ready = we.base_ready.max(time);
                 we.unresolved -= 1;
@@ -1010,12 +1254,15 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
+            waiters.clear();
+            self.entry_mut(id).waiters = waiters;
         }
+        self.completions = work;
     }
 
     // ---- stall attribution ------------------------------------------------
 
-    fn stall_class(&self) -> StallClass {
+    fn stall_class(&mut self) -> StallClass {
         let head_class = (self.head_id < self.next_id).then(|| {
             let e = self.entry(self.head_id);
             match e.kind {
@@ -1028,19 +1275,18 @@ impl<'a> Engine<'a> {
         });
         match head_class {
             Some(Some(c)) => c,
-            Some(None) => {
-                // ALU/branch at head: blame the oldest unperformed
-                // memory operation, the usual producer of the wait.
-                self.oldest_unperformed_class().unwrap_or(StallClass::Fetch)
-            }
-            None => self.oldest_unperformed_class().unwrap_or(StallClass::Fetch),
+            // ALU/branch at head (or an empty window): blame the
+            // oldest unperformed memory operation, the usual producer
+            // of the wait.
+            _ => self.oldest_unperformed_class().unwrap_or(StallClass::Fetch),
         }
     }
 
-    fn oldest_unperformed_class(&self) -> Option<StallClass> {
-        (self.mem_head..self.memops.len())
-            .find(|&j| !self.memops[j].performed_by(self.now))
-            .map(|j| class_of(self.memops[j].kind))
+    fn oldest_unperformed_class(&mut self) -> Option<StallClass> {
+        let oldest = self.fronts().into_iter().flatten().min();
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(oldest, self.oldest_unperformed_scan());
+        oldest.map(|j| class_of(self.memops[j].kind))
     }
 
     /// Refines a coarse stall class into the blamed pc and fine cause.
@@ -1093,6 +1339,51 @@ impl<'a> Engine<'a> {
             };
             (pc, cause)
         }
+    }
+}
+
+/// The linear scans the indexed structures replaced, kept as oracles:
+/// debug builds (and so every tier-1 test) check each indexed answer
+/// against them.
+#[cfg(debug_assertions)]
+impl Engine<'_> {
+    /// [`consistency_eligible`](Self::consistency_eligible) by walking
+    /// every earlier memop that may be unperformed.
+    fn consistency_eligible_scan(&self, mi: usize) -> bool {
+        let later = self.memops[mi].kind;
+        (self.mem_head..mi).all(|j| {
+            let e = &self.memops[j];
+            e.performed_by(self.now) || !self.cfg.model.must_wait_for(e.kind, later)
+        })
+    }
+
+    /// [`forwarding_source`](Self::forwarding_source) by the same walk.
+    fn forwarding_source_scan(&self, mi: usize) -> Option<usize> {
+        let addr = self.memops[mi].word_addr;
+        (self.mem_head..mi).rev().find(|&j| {
+            let e = &self.memops[j];
+            matches!(e.kind, MemOpKind::Write | MemOpKind::Release)
+                && e.word_addr == addr
+                && !e.performed_by(self.now)
+        })
+    }
+
+    /// The oldest unperformed memop, by the same walk.
+    fn oldest_unperformed_scan(&self) -> Option<usize> {
+        (self.mem_head..self.memops.len()).find(|&j| !self.memops[j].performed_by(self.now))
+    }
+
+    /// The earliest `Ready`/`Issued` threshold after `now` over every
+    /// memop that may be unperformed.
+    fn threshold_scan(&self) -> Option<u64> {
+        self.memops[self.mem_head..]
+            .iter()
+            .filter_map(|m| match m.state {
+                MState::Ready(t) | MState::Issued(t) => Some(t),
+                MState::Waiting | MState::InBuffer => None,
+            })
+            .filter(|&t| t > self.now)
+            .min()
     }
 }
 
@@ -1502,6 +1793,48 @@ mod tests {
         .run(&p, &t)
         .cycles();
         assert!(boosted.abs_diff(plain) <= 2, "{boosted} vs {plain}");
+    }
+
+    #[test]
+    fn ready_loads_issue_in_readiness_order() {
+        // Lock (wait 20); P: a hit; A: a miss whose base register is
+        // P's destination; B: an independent miss. Under RC the lock
+        // blocks all three until it retires at cycle 21. P issues
+        // then, which makes A ready at 22, after B has waited since
+        // decode: B (decoded at 3) issues at 22, A (decoded at 2) at 23.
+        let mut a = Assembler::new();
+        a.lock(IntReg::G1, 0);
+        a.load(IntReg::T1, IntReg::G0, 0);
+        a.load(IntReg::T2, IntReg::T1, 0);
+        a.load(IntReg::T3, IntReg::G0, 64);
+        a.halt();
+        let p = a.assemble().unwrap();
+        let t = Trace::from_entries(vec![
+            TraceEntry {
+                pc: 0,
+                op: TraceOp::Sync(lookahead_trace::SyncAccess {
+                    kind: SyncKind::Lock,
+                    addr: 8,
+                    wait: 20,
+                    access: 1,
+                }),
+            },
+            TraceEntry {
+                pc: 1,
+                op: TraceOp::Load(MemAccess::hit(0)),
+            },
+            TraceEntry {
+                pc: 2,
+                op: TraceOp::Load(MemAccess::miss(128, 50)),
+            },
+            TraceEntry {
+                pc: 3,
+                op: TraceOp::Load(MemAccess::miss(64, 60)),
+            },
+        ]);
+        let r = ds(16).run(&p, &t);
+        assert_eq!(r.stats.read_miss_issue_delays, vec![22 - 3, 23 - 2]);
+        assert_eq!(r, ds(16).run_reference(&p, &t));
     }
 
     #[test]

@@ -148,10 +148,13 @@ impl ModelSpec {
 
     /// Coarse cost estimate for DAG scheduling, calibrated from the
     /// `BENCH_retiming` shape: the in-order models cost about the
-    /// same per cell, while a DS cell grows with its window (the slab
-    /// scan and the dependence bookkeeping scale with it) — DS.256 is
-    /// the cell a rank-ordered schedule must start first. Refined at
-    /// runtime by the learned [`dag::cost_model`] via
+    /// same per cell, and a DS cell costs more with a larger window.
+    /// The DS engine's per-cycle work no longer walks the in-flight
+    /// memory operations, so the measured growth with window size is
+    /// now much flatter than this slope; the constants are kept
+    /// because they set the DAG's shape (DS.256 remains the cell a
+    /// rank-ordered schedule starts first), and the learned
+    /// [`dag::cost_model`] refines them at runtime via
     /// [`kind`](Self::kind).
     #[must_use]
     pub fn cost(&self) -> u64 {

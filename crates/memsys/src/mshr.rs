@@ -38,6 +38,10 @@ pub struct MshrFile {
     capacity: Option<usize>,
     /// line address -> completion cycle
     outstanding: BTreeMap<u64, u64>,
+    /// The minimum completion cycle in `outstanding`, kept current so
+    /// that reading it, and retiring when nothing has completed, cost
+    /// no walk of the map.
+    earliest: Option<u64>,
     /// Peak simultaneously outstanding entries (for stats).
     peak: usize,
 }
@@ -49,6 +53,7 @@ impl MshrFile {
         MshrFile {
             capacity,
             outstanding: BTreeMap::new(),
+            earliest: None,
             peak: 0,
         }
     }
@@ -78,6 +83,7 @@ impl MshrFile {
         }
         let done = now + latency as u64;
         self.outstanding.insert(line_addr, done);
+        self.earliest = Some(self.earliest.map_or(done, |t| t.min(done)));
         self.peak = self.peak.max(self.outstanding.len());
         #[cfg(feature = "obs")]
         lookahead_obs::with(|r| {
@@ -89,14 +95,14 @@ impl MshrFile {
         Some(done)
     }
 
-    /// Completion time of the outstanding miss on `line_addr`, if any.
-    pub fn completion_of(&self, line_addr: u64) -> Option<u64> {
-        self.outstanding.get(&line_addr).copied()
-    }
-
-    /// Drops all entries whose completion time is `<= now`.
+    /// Drops all entries whose completion time is `<= now`. Until the
+    /// earliest outstanding miss completes this is a single comparison,
+    /// so callers may call it every cycle.
     pub fn retire_completed(&mut self, now: u64) {
-        self.outstanding.retain(|_, &mut done| done > now);
+        if self.earliest.is_some_and(|t| t <= now) {
+            self.outstanding.retain(|_, &mut done| done > now);
+            self.earliest = self.outstanding.values().min().copied();
+        }
     }
 
     /// Number of outstanding misses.
@@ -117,32 +123,12 @@ impl MshrFile {
 
     /// The earliest completion time among outstanding misses.
     pub fn next_completion(&self) -> Option<u64> {
-        self.outstanding.values().min().copied()
-    }
-
-    /// The next cycle strictly after `now` at which an outstanding miss
-    /// retires. `None` when nothing is outstanding or only entries
-    /// already retirable at `now` remain (a `retire_completed(now)`
-    /// would free them immediately). Discrete-event schedulers use
-    /// this to decide when an MSHR-limited unit is next worth
-    /// visiting.
-    pub fn next_progress_time(&self, now: u64) -> Option<u64> {
-        self.outstanding
-            .values()
-            .filter(|&&t| t > now)
-            .min()
-            .copied()
+        self.earliest
     }
 
     /// Peak number of simultaneously outstanding misses observed.
     pub fn peak(&self) -> usize {
         self.peak
-    }
-
-    /// Clears all entries (e.g. between re-timed runs).
-    pub fn reset(&mut self) {
-        self.outstanding.clear();
-        self.peak = 0;
     }
 }
 
@@ -196,23 +182,12 @@ mod tests {
     }
 
     #[test]
-    fn next_progress_skips_already_retirable_entries() {
-        let mut m = MshrFile::new(None);
-        m.request(0x40, 0, 50); // completes at 50
-        m.request(0x80, 10, 50); // completes at 60
-        assert_eq!(m.next_progress_time(0), Some(50));
-        assert_eq!(m.next_progress_time(50), Some(60), "50 is retirable now");
-        assert_eq!(m.next_progress_time(60), None);
-    }
-
-    #[test]
     fn peak_tracks_high_water_mark() {
         let mut m = MshrFile::new(None);
         m.request(0x40, 0, 50);
         m.request(0x80, 0, 50);
         m.retire_completed(1000);
         assert_eq!(m.peak(), 2);
-        m.reset();
-        assert_eq!(m.peak(), 0);
+        assert!(m.is_empty());
     }
 }

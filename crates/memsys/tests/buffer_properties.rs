@@ -97,7 +97,9 @@ fn capacity_is_respected() {
 }
 
 /// MSHR merging: requests to the same line always return the same
-/// completion while outstanding; distinct lines respect capacity.
+/// completion while outstanding; distinct lines respect capacity; the
+/// file's earliest completion is always the minimum over the misses
+/// still outstanding.
 #[test]
 fn mshr_merge_and_capacity() {
     let mut rng = XorShift64::seed_from_u64(0xB4);
@@ -132,6 +134,45 @@ fn mshr_merge_and_capacity() {
                 }
             }
             assert!(m.len() <= cap);
+            assert_eq!(
+                m.next_completion(),
+                outstanding.values().min().copied(),
+                "case {case}: earliest completion"
+            );
+        }
+    }
+}
+
+/// The earliest completion stays the minimum over outstanding misses
+/// while misses of mixed latency complete out of order and retire in
+/// bursts (`mshr_merge_and_capacity` uses one latency, so its misses
+/// complete in order and never retire within a case).
+#[test]
+fn mshr_earliest_completion_under_out_of_order_retirement() {
+    let mut rng = XorShift64::seed_from_u64(0xB5);
+    for case in 0..256 {
+        let mut m = MshrFile::new(None);
+        let mut outstanding: std::collections::HashMap<u64, u64> = Default::default();
+        let mut now = 0u64;
+        for _ in 0..rng.range_usize(79) + 1 {
+            now += rng.next_below(30);
+            if rng.next_bool() {
+                m.retire_completed(now);
+                outstanding.retain(|_, &mut t| t > now);
+            }
+            let line = rng.next_below(16) * 16;
+            let latency = rng.range_i64(1, 100) as u32;
+            let done = m.request(line, now, latency).expect("unbounded file");
+            assert_eq!(
+                done,
+                *outstanding.entry(line).or_insert(now + latency as u64),
+                "case {case}: merge or allocate"
+            );
+            assert_eq!(
+                m.next_completion(),
+                outstanding.values().min().copied(),
+                "case {case}: earliest completion"
+            );
         }
     }
 }

@@ -11,7 +11,11 @@
 //!   behaviour).
 //! * **streamed** — the default: re-timing pulls chunks straight from
 //!   the archive; resident memory is bounded by the engine's live
-//!   window, not the trace length.
+//!   window, not the trace length. The cursor drops each chunk once
+//!   the window has retired past it, and the DS engine keeps its
+//!   memory operations in a ring sized for the window and the store
+//!   buffer, reusing an operation's slot once it has retired and
+//!   performed.
 //!
 //! Both probes also report an FNV-1a digest of the report text they
 //! produced, so the run doubles as an end-to-end check that the two

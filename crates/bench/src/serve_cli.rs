@@ -10,6 +10,7 @@
 use crate::{cache_from_env_or, config_from_env, fail_fast};
 use lookahead_harness::cache::TraceCache;
 use lookahead_harness::dag::Scheduler;
+use lookahead_harness::experiments::RetimeMode;
 use lookahead_harness::parallel;
 use lookahead_harness::SizeTier;
 use lookahead_serve::{
@@ -206,6 +207,10 @@ fn build_service(opts: &Options) -> (Arc<ExperimentService>, usize) {
         .or_else(|| fail_fast(Scheduler::from_env()))
         .unwrap_or(Scheduler::Dag);
     let prewarm = opts.prewarm || fail_fast(prewarm_from_env());
+    // The service reads the re-timing path through
+    // `RetimeMode::default_mode`, which falls back to gang on a
+    // malformed value; reject one here, as the report driver does.
+    fail_fast(RetimeMode::from_env());
     let service = ExperimentService::new(
         ServiceConfig {
             default_tier: SizeTier::from_env(),

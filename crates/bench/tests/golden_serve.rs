@@ -220,6 +220,22 @@ fn malformed_serve_knobs_exit_2() {
 }
 
 #[test]
+fn malformed_retime_knob_exits_2_in_query() {
+    let out = lookahead_cmd(&["query", "/v1/figure3?app=lu", "--no-cache"])
+        .env("LOOKAHEAD_APPS", "LU")
+        .env("LOOKAHEAD_RETIME", "bogus")
+        .output()
+        .expect("query runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(r#"error: LOOKAHEAD_RETIME must be "gang" or "per-cell", got "bogus""#),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no body before the knob is checked");
+}
+
+#[test]
 fn query_rejects_bad_targets_but_still_prints_the_error_body() {
     let out = lookahead_cmd(&["query", "/v1/experiments?app=doom", "--no-cache"])
         .output()

@@ -50,6 +50,7 @@ use lookahead_obs::{self as obs, EventKind};
 use lookahead_trace::{StreamError, Trace, TraceCursor, TraceOp, TraceSource};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::{Index, IndexMut};
 
 /// Cache line size used for MSHR merging (the paper's 16 bytes).
 const LINE_BYTES: u64 = 16;
@@ -177,7 +178,7 @@ struct Entry {
     /// Register slots (0–31 integer, 32–63 FP) this entry renamed at
     /// decode; its completion time is folded into `reg_time` there.
     dests: [Option<u8>; 2],
-    /// Index into the memop registry, for memory operations.
+    /// The memop's global index in `memops`, for memory operations.
     mem: Option<usize>,
     /// Whether fetch is stalled waiting for this branch to resolve.
     fetch_blocker: bool,
@@ -211,7 +212,7 @@ struct MemOp {
     decode_time: u64,
     entry_id: u64,
     state: MState,
-    /// Trace pc, kept past retirement for event labelling.
+    /// Trace pc, for labelling the issue and completion events.
     #[cfg(feature = "obs")]
     pc: u32,
     /// First cycle the operation was observed at the window head.
@@ -229,6 +230,136 @@ impl MemOp {
         } else {
             matches!(self.state, MState::Issued(done) if done <= now)
         }
+    }
+}
+
+/// Fills ring slots that hold no memop; never read as one.
+impl Default for MemOp {
+    fn default() -> MemOp {
+        MemOp {
+            kind: MemOpKind::Read,
+            word_addr: 0,
+            latency: 0,
+            wait: 0,
+            is_miss: false,
+            decode_time: 0,
+            entry_id: 0,
+            state: MState::Waiting,
+            #[cfg(feature = "obs")]
+            pc: 0,
+            head_since: None,
+            acquire_done: None,
+        }
+    }
+}
+
+/// Values addressed by a dense, increasing global index (for memops,
+/// their position in program order), kept in a power-of-two ring of
+/// slots at `index & mask`. The ring holds the indices `[low, next)`.
+/// A push into a full ring reuses the slot of `low` if the caller
+/// declares that value dead, and otherwise doubles the ring. Reuse is
+/// decided at push time only, so reads and steady-state pushes do no
+/// extra work; an index below `low` (the reuse watermark) reads as
+/// absent. `low` rather than `next - capacity` marks the reused
+/// indices: after a growth, indices reused before it map onto the new
+/// ring's empty slots.
+#[derive(Debug)]
+struct Ring<T> {
+    slots: Vec<T>,
+    mask: usize,
+    /// The lowest index whose slot has not been reused.
+    low: usize,
+    /// The index the next push takes.
+    next: usize,
+}
+
+impl<T: Default> Ring<T> {
+    /// An empty ring of `capacity` rounded up to a power of two.
+    fn with_capacity(capacity: usize) -> Ring<T> {
+        let capacity = capacity.next_power_of_two();
+        Ring {
+            slots: std::iter::repeat_with(T::default).take(capacity).collect(),
+            mask: capacity - 1,
+            low: 0,
+            next: 0,
+        }
+    }
+
+    /// Appends `value` and returns its index. If the ring is full,
+    /// `dead` is asked about the value at `low`, the one whose slot
+    /// the new index maps to.
+    #[inline]
+    fn push(&mut self, value: T, dead: impl FnOnce(&T) -> bool) -> usize {
+        let index = self.next;
+        if index - self.low == self.slots.len() {
+            if dead(&self.slots[index & self.mask]) {
+                self.low += 1;
+            } else {
+                self.grow();
+            }
+        }
+        self.slots[index & self.mask] = value;
+        self.next = index + 1;
+        index
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        let capacity = 2 * self.slots.len();
+        let mut slots: Vec<T> = std::iter::repeat_with(T::default).take(capacity).collect();
+        for index in self.low..self.next {
+            slots[index & (capacity - 1)] = std::mem::take(&mut self.slots[index & self.mask]);
+        }
+        self.slots = slots;
+        self.mask = capacity - 1;
+    }
+}
+
+impl<T> Ring<T> {
+    /// The value at `index`, or `None` if its slot was reused.
+    #[inline]
+    fn get(&self, index: usize) -> Option<&T> {
+        debug_assert!(index < self.next, "index {index} not pushed yet");
+        (index >= self.low).then(|| &self.slots[index & self.mask])
+    }
+}
+
+impl Ring<MemOp> {
+    /// Whether the memop at `mi` has performed by `now`. A reused slot
+    /// held a memop that had performed, and performing is final.
+    #[inline]
+    fn performed(&self, mi: usize, now: u64) -> bool {
+        self.get(mi).is_none_or(|m| m.performed_by(now))
+    }
+}
+
+/// Indexing requires a live index: one in `[low, next)`.
+impl<T> Index<usize> for Ring<T> {
+    type Output = T;
+
+    #[inline]
+    fn index(&self, index: usize) -> &T {
+        debug_assert!(
+            self.low <= index && index < self.next,
+            "index {index} outside the ring's live range [{}, {})",
+            self.low,
+            self.next
+        );
+        &self.slots[index & self.mask]
+    }
+}
+
+impl<T> IndexMut<usize> for Ring<T> {
+    #[inline]
+    fn index_mut(&mut self, index: usize) -> &mut T {
+        debug_assert!(
+            self.low <= index && index < self.next,
+            "index {index} outside the ring's live range [{}, {})",
+            self.low,
+            self.next
+        );
+        &mut self.slots[index & self.mask]
     }
 }
 
@@ -337,8 +468,14 @@ struct Engine<'a> {
     next_id: u64,
     slab: Vec<Entry>,
     slab_mask: u64,
-    /// All memory operations in program order.
-    memops: Vec<MemOp>,
+    /// The memory operations, addressed by their global index (their
+    /// position in program order), in a ring sized for the window plus
+    /// the store buffer. Decode reuses a memop's slot once the memop
+    /// has retired and performed, and grows the ring otherwise, so
+    /// every memop in the window or the store buffer is live. A reused
+    /// index reads as performed ([`Ring::performed`]); such indices can
+    /// still sit in `unperformed` and the store buffer.
+    memops: Ring<MemOp>,
     /// Per kind (indexed by `kind as usize`), the memops of that kind
     /// that may still be unperformed, in program order. Performed ops
     /// are popped off a queue's front before each push and whenever
@@ -408,7 +545,6 @@ impl<'a> Engine<'a> {
     ) -> Engine<'a> {
         let slab_cap = cfg.window_size.next_power_of_two();
         let decode_exhausted = cursor.past_end(0);
-        let mem_hint = cursor.mem_entries_hint();
         let pending_cap = cfg.window_size.min(cursor.loaded_len());
         let waits_for =
             MEM_KINDS.map(|later| MEM_KINDS.map(|earlier| cfg.model.must_wait_for(earlier, later)));
@@ -429,7 +565,7 @@ impl<'a> Engine<'a> {
                 .take(slab_cap)
                 .collect(),
             slab_mask: (slab_cap - 1) as u64,
-            memops: Vec::with_capacity(mem_hint),
+            memops: Ring::with_capacity(cfg.window_size + cfg.store_buffer_depth),
             unperformed: Default::default(),
             waits_for,
             loads_self_ordered,
@@ -477,7 +613,7 @@ impl<'a> Engine<'a> {
         100_000 + (self.cursor.loaded_len() as u64) * (1 << 14)
     }
 
-    fn run(mut self) -> Result<ExecutionResult, StreamError> {
+    fn run(&mut self) -> Result<ExecutionResult, StreamError> {
         loop {
             let bound = self.progress_bound();
             let done = self.decode_exhausted
@@ -565,7 +701,7 @@ impl<'a> Engine<'a> {
             return Err(e);
         }
         self.result.stats.peak_outstanding_misses = self.mshrs.peak();
-        Ok(self.result)
+        Ok(std::mem::take(&mut self.result))
     }
 
     /// The earliest future cycle at which the frozen machine state can
@@ -712,7 +848,7 @@ impl<'a> Engine<'a> {
     fn store_buffer_occupancy(&self) -> usize {
         self.store_buffer
             .iter()
-            .filter(|&&mi| !self.memops[mi].performed_by(self.now))
+            .filter(|&&mi| !self.memops.performed(mi, self.now))
             .count()
     }
 
@@ -723,7 +859,7 @@ impl<'a> Engine<'a> {
     fn oldest_unperformed(&mut self, kind: usize) -> Option<usize> {
         let queue = &mut self.unperformed[kind];
         while let Some(&mi) = queue.front() {
-            if !self.memops[mi].performed_by(self.now) {
+            if !self.memops.performed(mi, self.now) {
                 return Some(mi);
             }
             queue.pop_front();
@@ -774,8 +910,9 @@ impl<'a> Engine<'a> {
                     let queue = &self.unperformed[kind as usize];
                     let end = queue.partition_point(|&j| j < mi);
                     queue.range(..end).rev().copied().find(|&j| {
-                        let e = &self.memops[j];
-                        e.word_addr == addr && !e.performed_by(self.now)
+                        self.memops
+                            .get(j)
+                            .is_some_and(|e| e.word_addr == addr && !e.performed_by(self.now))
                     })
                 })
                 .max()
@@ -827,9 +964,10 @@ impl<'a> Engine<'a> {
         #[cfg(debug_assertions)]
         debug_assert_eq!(
             self.store_buffer.get(self.sb_issued),
-            self.store_buffer
-                .iter()
-                .find(|&&mi| self.memops[mi].state == MState::InBuffer),
+            self.store_buffer.iter().find(|&&mi| {
+                let m = self.memops.get(mi);
+                m.is_some_and(|m| m.state == MState::InBuffer)
+            }),
             "issued prefix of the store buffer"
         );
         if let Some(&mi) = self.store_buffer.get(self.sb_issued) {
@@ -969,14 +1107,14 @@ impl<'a> Engine<'a> {
     /// performed memop).
     fn pop_performed_stores(&mut self) {
         #[cfg(debug_assertions)]
-        while self.mem_head < self.memops.len() && self.memops[self.mem_head].performed_by(self.now)
+        while self.mem_head < self.memops.next && self.memops[self.mem_head].performed_by(self.now)
         {
             self.mem_head += 1;
         }
         while self
             .store_buffer
             .front()
-            .is_some_and(|&mi| self.memops[mi].performed_by(self.now))
+            .is_some_and(|&mi| self.memops.performed(mi, self.now))
         {
             self.store_buffer.pop_front();
             self.sb_issued -= 1;
@@ -1029,42 +1167,17 @@ impl<'a> Engine<'a> {
             obs::with(|r| r.event(now, EventKind::Fetch { pc }));
         }
 
+        // A memory operation's kind, address, latency, wait and miss.
         let (kind, mem) = match te.op {
             TraceOp::Compute | TraceOp::Jump { .. } => (EKind::Alu, None),
             TraceOp::Branch { .. } => (EKind::Branch, None),
             TraceOp::Load(m) => (
                 EKind::Mem,
-                Some(MemOp {
-                    kind: MemOpKind::Read,
-                    word_addr: m.addr & !(WORD_BYTES - 1),
-                    latency: m.latency,
-                    wait: 0,
-                    is_miss: m.miss,
-                    decode_time: self.now,
-                    entry_id: id,
-                    state: MState::Waiting,
-                    #[cfg(feature = "obs")]
-                    pc: te.pc,
-                    head_since: None,
-                    acquire_done: None,
-                }),
+                Some((MemOpKind::Read, m.addr, m.latency, 0, m.miss)),
             ),
             TraceOp::Store(m) => (
                 EKind::Mem,
-                Some(MemOp {
-                    kind: MemOpKind::Write,
-                    word_addr: m.addr & !(WORD_BYTES - 1),
-                    latency: m.latency,
-                    wait: 0,
-                    is_miss: m.miss,
-                    decode_time: self.now,
-                    entry_id: id,
-                    state: MState::Waiting,
-                    #[cfg(feature = "obs")]
-                    pc: te.pc,
-                    head_since: None,
-                    acquire_done: None,
-                }),
+                Some((MemOpKind::Write, m.addr, m.latency, 0, m.miss)),
             ),
             TraceOp::Sync(s) => {
                 let kind = match s.kind {
@@ -1079,34 +1192,40 @@ impl<'a> Engine<'a> {
                 } else {
                     (s.wait + s.access, 0)
                 };
-                (
-                    EKind::Mem,
-                    Some(MemOp {
-                        kind,
-                        word_addr: s.addr & !(WORD_BYTES - 1),
-                        latency,
-                        wait,
-                        is_miss: false,
-                        decode_time: self.now,
-                        entry_id: id,
-                        state: MState::Waiting,
-                        #[cfg(feature = "obs")]
-                        pc: te.pc,
-                        head_since: None,
-                        acquire_done: None,
-                    }),
-                )
+                (EKind::Mem, Some((kind, s.addr, latency, wait, false)))
             }
         };
 
-        let mem_kind = mem.as_ref().map(|m| m.kind);
-        let mem_idx = mem.map(|m| {
-            let (mi, kind) = (self.memops.len(), m.kind as usize);
+        let mem_kind = mem.map(|(kind, ..)| kind);
+        let mem_idx = mem.map(|(kind, addr, latency, wait, is_miss)| {
+            let m = MemOp {
+                kind,
+                word_addr: addr & !(WORD_BYTES - 1),
+                latency,
+                wait,
+                is_miss,
+                decode_time: self.now,
+                entry_id: id,
+                state: MState::Waiting,
+                #[cfg(feature = "obs")]
+                pc: te.pc,
+                head_since: None,
+                acquire_done: None,
+            };
             // Popping before each push bounds the queue by the window
             // and the store buffer even if its front is never read.
-            self.oldest_unperformed(kind);
-            self.unperformed[kind].push_back(mi);
-            self.memops.push(m);
+            self.oldest_unperformed(kind as usize);
+            let (head_id, now) = (self.head_id, self.now);
+            let mi = self
+                .memops
+                .push(m, |old| old.entry_id < head_id && old.performed_by(now));
+            self.unperformed[kind as usize].push_back(mi);
+            // Every reused index had performed: the oracle scans start
+            // at the ring's watermark at the earliest.
+            #[cfg(debug_assertions)]
+            {
+                self.mem_head = self.mem_head.max(self.memops.low);
+            }
             mi
         });
 
@@ -1370,15 +1489,14 @@ impl Engine<'_> {
 
     /// The oldest unperformed memop, by the same walk.
     fn oldest_unperformed_scan(&self) -> Option<usize> {
-        (self.mem_head..self.memops.len()).find(|&j| !self.memops[j].performed_by(self.now))
+        (self.mem_head..self.memops.next).find(|&j| !self.memops[j].performed_by(self.now))
     }
 
     /// The earliest `Ready`/`Issued` threshold after `now` over every
     /// memop that may be unperformed.
     fn threshold_scan(&self) -> Option<u64> {
-        self.memops[self.mem_head..]
-            .iter()
-            .filter_map(|m| match m.state {
+        (self.mem_head..self.memops.next)
+            .filter_map(|j| match self.memops[j].state {
                 MState::Ready(t) | MState::Issued(t) => Some(t),
                 MState::Waiting | MState::InBuffer => None,
             })
@@ -1460,8 +1578,9 @@ impl Ds {
 mod tests {
     use super::*;
     use crate::base::Base;
+    use lookahead_isa::rng::XorShift64;
     use lookahead_isa::{Assembler, BranchCond, IntReg};
-    use lookahead_trace::{MemAccess, TraceEntry};
+    use lookahead_trace::{fnv1a, MemAccess, TraceEntry};
 
     /// `n` independent load misses, each followed by `gap` independent
     /// compute instructions.
@@ -1835,6 +1954,229 @@ mod tests {
         let r = ds(16).run(&p, &t);
         assert_eq!(r.stats.read_miss_issue_delays, vec![22 - 3, 23 - 2]);
         assert_eq!(r, ds(16).run_reference(&p, &t));
+    }
+
+    #[test]
+    fn ring_reads_exactly_the_unreused_indices() {
+        let mut rng = XorShift64::seed_from_u64(0x21A6_0001);
+        // Rings that grew after reusing a slot: their early reused
+        // indices would map onto the grown ring's empty slots.
+        let mut grew_after_reuse = 0;
+        for _ in 0..200 {
+            // Values are (index, payload), so `dead` knows what it is
+            // asked about.
+            let mut ring: Ring<(usize, u64)> = Ring::with_capacity(1 + rng.range_usize(8));
+            let mut model: Vec<u64> = Vec::new();
+            let mut reused: Vec<bool> = Vec::new();
+            let dead_odds = 1 + rng.next_below(8);
+            let mut reuses = 0;
+            for _ in 0..rng.range_usize(300) {
+                let index = model.len();
+                let payload = rng.next_u64();
+                let (full, capacity) = (ring.next - reuses == ring.slots.len(), ring.slots.len());
+                let mut asked = None;
+                let pushed = ring.push((index, payload), |&(old, old_payload)| {
+                    let dead = rng.next_below(dead_odds) != 0;
+                    asked = Some((old, old_payload, dead));
+                    dead
+                });
+                assert_eq!(pushed, index);
+                model.push(payload);
+                reused.push(false);
+                // Only a full ring asks, and only about a live index.
+                assert_eq!(asked.is_some(), full, "push {index}");
+                if let Some((old, old_payload, dead)) = asked {
+                    assert!(old < index && !reused[old], "asked about {old}");
+                    assert_eq!(old_payload, model[old]);
+                    if dead {
+                        reused[old] = true;
+                        reuses += 1;
+                    } else {
+                        assert!(
+                            ring.slots.len() > capacity,
+                            "a live value must grow the ring"
+                        );
+                        grew_after_reuse += usize::from(reuses > 0);
+                    }
+                }
+                for (i, (&value, &gone)) in model.iter().zip(&reused).enumerate() {
+                    let got = ring.get(i);
+                    if gone {
+                        assert_eq!(got, None, "index {i} was reused");
+                    } else {
+                        assert_eq!(got, Some(&(i, value)), "index {i}");
+                        assert_eq!(ring[i], (i, value));
+                    }
+                }
+            }
+        }
+        assert!(grew_after_reuse > 0);
+    }
+
+    /// A store miss far longer than any window, then 400–600 random
+    /// entries. The first part is loads and compute only, so every
+    /// relaxed model retires hits behind the unperformed store; the
+    /// rest adds store hits and misses, load misses and lock/unlock
+    /// pairs. With one MSHR the later store misses cannot issue until
+    /// the first performs, so the store buffer fills behind it.
+    fn store_miss_backlog(rng: &mut XorShift64) -> (Program, Trace) {
+        let regs = [IntReg::T1, IntReg::T2, IntReg::T3, IntReg::T4];
+        let mut a = Assembler::new();
+        let mut entries = Vec::new();
+        let mut push = |op| {
+            entries.push(TraceEntry {
+                pc: entries.len() as u32,
+                op,
+            })
+        };
+        a.store(IntReg::T0, IntReg::G0, 0);
+        let latency = 3000 + rng.next_below(1000) as u32;
+        push(TraceOp::Store(MemAccess::miss(0, latency)));
+        let mut held_lock = false;
+        for step in 0..400 + rng.range_usize(200) {
+            let addr = 16 + rng.next_below(256) * 8;
+            let r = *rng.choose(&regs);
+            let op = rng.next_below(if step < 200 { 5 } else { 11 });
+            match op {
+                0 | 1 => {
+                    a.load(r, IntReg::G0, addr as i64);
+                    push(TraceOp::Load(MemAccess::hit(addr)));
+                }
+                2 => {
+                    a.addi(r, r, 1);
+                    push(TraceOp::Compute);
+                }
+                3 | 4 => {
+                    // The address comes from an earlier load's result.
+                    a.load(r, *rng.choose(&regs), 0);
+                    push(TraceOp::Load(MemAccess::hit(addr)));
+                }
+                5 => {
+                    a.load(r, IntReg::G0, addr as i64);
+                    let latency = 20 + rng.next_below(80) as u32;
+                    push(TraceOp::Load(MemAccess::miss(addr, latency)));
+                }
+                6 | 7 => {
+                    a.store(r, IntReg::G0, addr as i64);
+                    push(TraceOp::Store(MemAccess::hit(addr)));
+                }
+                8 | 9 => {
+                    a.store(r, IntReg::G0, addr as i64);
+                    let latency = 100 + rng.next_below(300) as u32;
+                    push(TraceOp::Store(MemAccess::miss(addr, latency)));
+                }
+                _ => {
+                    let kind = if held_lock {
+                        a.unlock(IntReg::G1, 0);
+                        SyncKind::Unlock
+                    } else {
+                        a.lock(IntReg::G1, 0);
+                        SyncKind::Lock
+                    };
+                    held_lock = !held_lock;
+                    push(TraceOp::Sync(lookahead_trace::SyncAccess {
+                        kind,
+                        addr: 8,
+                        wait: rng.next_below(40) as u32,
+                        access: 1,
+                    }));
+                }
+            }
+        }
+        if held_lock {
+            a.unlock(IntReg::G1, 0);
+            push(TraceOp::Sync(lookahead_trace::SyncAccess {
+                kind: SyncKind::Unlock,
+                addr: 8,
+                wait: 0,
+                access: 1,
+            }));
+        }
+        a.halt();
+        (a.assemble().unwrap(), Trace::from_entries(entries))
+    }
+
+    /// Appends every field of `r` to `bytes` in a fixed order.
+    fn encode(r: &ExecutionResult, bytes: &mut Vec<u8>) {
+        let (b, s) = (&r.breakdown, &r.stats);
+        let words = [
+            b.busy,
+            b.sync,
+            b.read,
+            b.write,
+            s.instructions,
+            s.branches,
+            s.mispredictions,
+            s.fetch_stall_cycles,
+            s.write_buffer_full_stalls,
+            s.peak_outstanding_misses as u64,
+            s.context_switches,
+            s.switch_overhead_cycles,
+            s.read_miss_issue_delays.len() as u64,
+        ];
+        for w in words {
+            bytes.extend_from_slice(&w.to_le_bytes());
+        }
+        for &d in &s.read_miss_issue_delays {
+            bytes.extend_from_slice(&d.to_le_bytes());
+        }
+    }
+
+    #[test]
+    fn store_miss_backlog_results_match_pinned_digests() {
+        const MODELS: [ConsistencyModel; 4] = [
+            ConsistencyModel::Sc,
+            ConsistencyModel::Pc,
+            ConsistencyModel::Wo,
+            ConsistencyModel::Rc,
+        ];
+        const WINDOWS: [usize; 2] = [16, 64];
+        /// `[model][window]`, taken before the memop ring replaced the
+        /// trace-long memop vector. Do not edit to make a change pass.
+        const EXPECTED: [[u64; 2]; 4] = [
+            [0x41d6673633c863c3, 0x9aa9757db296a421],
+            [0xd97038f8ab215869, 0x208418c3f601b8d3],
+            [0xb2429dcaee131f07, 0xab3dd05bb424be24],
+            [0xfdc805f66352621c, 0x13fb05c7c7c8e190],
+        ];
+        let workloads: Vec<(Program, Trace)> = {
+            let mut rng = XorShift64::seed_from_u64(0x5B0F_F111);
+            (0..3).map(|_| store_miss_backlog(&mut rng)).collect()
+        };
+        let mut actual = [[0u64; 2]; 4];
+        for (row, model) in actual.iter_mut().zip(MODELS) {
+            for (digest, window) in row.iter_mut().zip(WINDOWS) {
+                let cfg = DsConfig {
+                    store_buffer_depth: 16,
+                    mshr_limit: Some(1),
+                    ..DsConfig::with_model(model).window(window)
+                };
+                let mut bytes = Vec::new();
+                for (p, t) in &workloads {
+                    let mut engine = Engine::new(cfg, p, t, true);
+                    let r = engine.run().unwrap();
+                    assert_eq!(r, Ds::new(cfg).run_reference(p, t), "{model} W={window}");
+                    // SC holds every load behind the store miss; the
+                    // relaxed models retire hits past it.
+                    if model != ConsistencyModel::Sc {
+                        assert!(
+                            engine.memops.slots.len() > (window + 16).next_power_of_two(),
+                            "{model} W={window}: the memop ring never grew"
+                        );
+                    }
+                    encode(&r, &mut bytes);
+                }
+                *digest = fnv1a(&bytes);
+            }
+        }
+        let table: String = actual
+            .iter()
+            .map(|row| format!("    [0x{:016x}, 0x{:016x}],\n", row[0], row[1]))
+            .collect();
+        assert_eq!(
+            actual, EXPECTED,
+            "DS results changed; digests now read:\n[\n{table}]"
+        );
     }
 
     #[test]

@@ -777,10 +777,7 @@ pub struct TraceCursor<'a> {
 }
 
 enum Inner<'a> {
-    Slice {
-        entries: &'a [TraceEntry],
-        mem_entries: usize,
-    },
+    Slice(&'a [TraceEntry]),
     Stream {
         source: Box<dyn TraceSource + 'a>,
         chunks: VecDeque<Arc<TraceChunk>>,
@@ -796,7 +793,7 @@ enum Inner<'a> {
 impl fmt::Debug for Inner<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Inner::Slice { entries, .. } => f
+            Inner::Slice(entries) => f
                 .debug_struct("Slice")
                 .field("len", &entries.len())
                 .finish(),
@@ -822,10 +819,7 @@ impl<'a> TraceCursor<'a> {
     /// path; entry access compiles to a bounds-checked index).
     pub fn slice(trace: &'a Trace) -> TraceCursor<'a> {
         TraceCursor {
-            inner: Inner::Slice {
-                entries: trace.entries(),
-                mem_entries: trace.mem_entries(),
-            },
+            inner: Inner::Slice(trace.entries()),
         }
     }
 
@@ -849,7 +843,7 @@ impl<'a> TraceCursor<'a> {
     #[inline]
     pub fn past_end(&mut self, idx: usize) -> bool {
         match &mut self.inner {
-            Inner::Slice { entries, .. } => idx >= entries.len(),
+            Inner::Slice(entries) => idx >= entries.len(),
             Inner::Stream {
                 source,
                 chunks,
@@ -915,7 +909,7 @@ impl<'a> TraceCursor<'a> {
     #[inline]
     pub fn entry(&self, idx: usize) -> TraceEntry {
         match &self.inner {
-            Inner::Slice { entries, .. } => entries[idx],
+            Inner::Slice(entries) => entries[idx],
             Inner::Stream {
                 chunks,
                 base,
@@ -934,7 +928,7 @@ impl<'a> TraceCursor<'a> {
     #[inline]
     pub fn pc(&self, idx: usize) -> u32 {
         match &self.inner {
-            Inner::Slice { entries, .. } => entries[idx].pc,
+            Inner::Slice(entries) => entries[idx].pc,
             Inner::Stream {
                 chunks,
                 base,
@@ -952,7 +946,7 @@ impl<'a> TraceCursor<'a> {
     /// stream, a monotonically growing lower bound on the length.
     pub fn loaded_len(&self) -> usize {
         match &self.inner {
-            Inner::Slice { entries, .. } => entries.len(),
+            Inner::Slice(entries) => entries.len(),
             Inner::Stream { loaded, .. } => *loaded as usize,
         }
     }
@@ -973,21 +967,12 @@ impl<'a> TraceCursor<'a> {
         }
     }
 
-    /// Memory-entry count for pre-sizing: exact for slices, the
-    /// source's hint (or 0) for streams.
-    pub fn mem_entries_hint(&self) -> usize {
-        match &self.inner {
-            Inner::Slice { mem_entries, .. } => *mem_entries,
-            Inner::Stream { source, .. } => source.mem_entries_hint().unwrap_or(0) as usize,
-        }
-    }
-
     /// The deferred source error, if the stream failed mid-run. A run
     /// whose cursor carries an error is truncated and must be
     /// discarded.
     pub fn take_error(&mut self) -> Option<StreamError> {
         match &mut self.inner {
-            Inner::Slice { .. } => None,
+            Inner::Slice(_) => None,
             Inner::Stream { error, .. } => error.take(),
         }
     }

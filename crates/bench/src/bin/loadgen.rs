@@ -297,7 +297,7 @@ fn main() -> ExitCode {
     // Either an in-process server (cold cache, free port) or a remote.
     let mut spawned: Option<(lookahead_serve::ShutdownHandle, std::thread::JoinHandle<_>)> = None;
     let addr = if opts.spawn {
-        let jobs = parallel::default_workers();
+        let jobs = fail_fast(parallel::workers_from_env());
         let service = Arc::new(ExperimentService::new(
             ServiceConfig {
                 default_tier: SizeTier::from_env(),

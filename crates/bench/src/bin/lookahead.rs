@@ -34,10 +34,9 @@
 //! `LOOKAHEAD_PROCS=n`, `LOOKAHEAD_APPS=LU,MP3D`,
 //! `LOOKAHEAD_CACHE=DIR|off`, `LOOKAHEAD_JOBS=n`.
 
-use lookahead_bench::{cache_from_env_or, config_from_env, reports, Runner, SizeTier};
+use lookahead_bench::{cache_from_env_or, config_from_env, fail_fast, reports, Runner, SizeTier};
 use lookahead_harness::cache::TraceCache;
 use lookahead_harness::dag::Scheduler;
-use lookahead_harness::experiments::{RetimeMode, RETIME_ENV};
 use lookahead_harness::parallel;
 use lookahead_harness::pipeline::AppRun;
 use std::collections::HashMap;
@@ -73,7 +72,6 @@ const USAGE: &str = "usage: lookahead [OPTIONS] REPORT [REPORT ...]
        lookahead bench memory       compare streamed vs materialized peak RSS
        lookahead bench obs          measure request-tracing overhead
        lookahead bench dag          compare DAG vs flat sweep scheduling
-       lookahead bench sweep        compare gang vs per-cell re-timing
        lookahead bench serve        compare reactor vs legacy transports
 
 Regenerates the requested tables and figures, generating or
@@ -95,12 +93,6 @@ options:
                    overlapped with re-timing; the default) or flat (the
                    plain worker pool). Output is byte-identical either
                    way; the flag wins over LOOKAHEAD_SCHEDULER.
-  --retime M       sweep re-timing path: gang (one streamed traversal
-                   per application feeds every unique cell; the
-                   default, degrading to per-cell on runs that cannot
-                   stream) or per-cell (one traversal per cell). Output
-                   is byte-identical either way; the flag wins over
-                   LOOKAHEAD_RETIME.
   --tier NAME      workload size tier: small, default, paper or large
                    (default: from the environment, see below)
   --obs-out DIR    write per-run observability artifacts under DIR
@@ -108,8 +100,7 @@ options:
 
 environment: LOOKAHEAD_SMALL=1, LOOKAHEAD_PAPER=1, LOOKAHEAD_LARGE=1,
 LOOKAHEAD_PROCS=n, LOOKAHEAD_APPS=LU,MP3D, LOOKAHEAD_CACHE=DIR|off,
-LOOKAHEAD_JOBS=n, LOOKAHEAD_SCHEDULER=dag|flat,
-LOOKAHEAD_RETIME=gang|per-cell";
+LOOKAHEAD_JOBS=n, LOOKAHEAD_SCHEDULER=dag|flat";
 
 struct Options {
     reports: Vec<String>,
@@ -118,7 +109,6 @@ struct Options {
     jobs: Option<usize>,
     tier: Option<SizeTier>,
     scheduler: Option<Scheduler>,
-    retime: Option<RetimeMode>,
 }
 
 fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
@@ -129,7 +119,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         jobs: None,
         tier: None,
         scheduler: None,
-        retime: None,
     };
     let known: Vec<&str> = SHARED.iter().chain(STANDALONE).copied().collect();
     let mut it = args.iter();
@@ -144,16 +133,13 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--no-cache" => opts.no_cache = true,
             "--cache-dir" => opts.cache_dir = Some(value(&mut it, "--cache-dir")?),
             "--jobs" => {
-                opts.jobs = Some(parallel::parse_jobs(&value(&mut it, "--jobs")?)?);
+                opts.jobs = Some(parallel::parse_jobs("--jobs", &value(&mut it, "--jobs")?)?);
             }
             "--tier" => {
                 opts.tier = Some(parse_tier(&value(&mut it, "--tier")?)?);
             }
             "--scheduler" => {
                 opts.scheduler = Some(parse_scheduler(&value(&mut it, "--scheduler")?)?);
-            }
-            "--retime" => {
-                opts.retime = Some(parse_retime(&value(&mut it, "--retime")?)?);
             }
             "--obs-out" => {
                 // Consumed here, parsed by obs_out_dir() from argv.
@@ -163,13 +149,11 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 if let Some(v) = a.strip_prefix("--cache-dir=") {
                     opts.cache_dir = Some(v.to_string());
                 } else if let Some(v) = a.strip_prefix("--jobs=") {
-                    opts.jobs = Some(parallel::parse_jobs(v)?);
+                    opts.jobs = Some(parallel::parse_jobs("--jobs", v)?);
                 } else if let Some(v) = a.strip_prefix("--tier=") {
                     opts.tier = Some(parse_tier(v)?);
                 } else if let Some(v) = a.strip_prefix("--scheduler=") {
                     opts.scheduler = Some(parse_scheduler(v)?);
-                } else if let Some(v) = a.strip_prefix("--retime=") {
-                    opts.retime = Some(parse_retime(v)?);
                 } else if a.strip_prefix("--obs-out=").is_some() {
                     // Parsed by obs_out_dir().
                 } else if a == "all" {
@@ -204,11 +188,6 @@ fn parse_scheduler(name: &str) -> Result<Scheduler, String> {
         .ok_or_else(|| format!("unknown scheduler {name:?}; valid schedulers: flat, dag"))
 }
 
-fn parse_retime(name: &str) -> Result<RetimeMode, String> {
-    RetimeMode::from_name(name)
-        .ok_or_else(|| format!("unknown re-timing mode {name:?}; valid modes: gang, per-cell"))
-}
-
 fn cache_for(opts: &Options) -> Option<TraceCache> {
     if opts.no_cache {
         return None;
@@ -230,7 +209,6 @@ fn main() -> ExitCode {
                 Some("memory") => lookahead_bench::memprobe::memory_main(&args[2..]),
                 Some("obs") => lookahead_bench::obsbench::obs_main(&args[2..]),
                 Some("dag") => lookahead_bench::dagbench::dag_main(&args[2..]),
-                Some("sweep") => lookahead_bench::sweepbench::sweep_main(&args[2..]),
                 Some("serve") => lookahead_bench::servebench::serve_bench_main(&args[2..]),
                 _ => lookahead_bench::retiming::bench_main(&args[1..]),
             }
@@ -261,20 +239,9 @@ fn main() -> ExitCode {
             }
         },
     };
-    // The re-timing path: the flag wins and is published through the
-    // environment, so every downstream default-mode callsite (sweep
-    // helpers, serve) picks the same path. A malformed environment
-    // value fails fast like every other knob.
-    match opts.retime {
-        Some(mode) => std::env::set_var(RETIME_ENV, mode.name()),
-        None => {
-            if let Err(e) = RetimeMode::from_env() {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let workers = opts.jobs.unwrap_or_else(parallel::default_workers);
+    let workers = opts
+        .jobs
+        .unwrap_or_else(|| fail_fast(parallel::workers_from_env()));
     let runner = Runner::new(
         config_from_env(),
         opts.tier.unwrap_or_else(SizeTier::from_env),
@@ -283,14 +250,13 @@ fn main() -> ExitCode {
     );
     eprintln!(
         "lookahead: {} processors, {}-cycle miss penalty, tier {}, {} workers, cache {}, \
-         scheduler {}, retime {}",
+         scheduler {}",
         runner.config().num_procs,
         runner.config().mem.miss_penalty,
         runner.tier().name(),
         runner.workers(),
         if runner.cache_enabled() { "on" } else { "off" },
         scheduler.name(),
-        RetimeMode::default_mode().name(),
     );
 
     let total = Instant::now();
@@ -300,8 +266,8 @@ fn main() -> ExitCode {
 
     // Under the DAG scheduler, the figure3/figure4/summary sweeps and
     // trace generation merge into one task graph: generation nodes
-    // overlap re-timing cells across applications and the per-report
-    // barriers disappear. Texts come out byte-identical to the flat
+    // overlap other applications' gangs and the per-report barriers
+    // disappear. Texts come out byte-identical to the flat
     // path and the generated runs seed every other report.
     let mut dag_texts: HashMap<String, String> = HashMap::new();
     if scheduler == Scheduler::Dag {

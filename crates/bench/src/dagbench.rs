@@ -8,10 +8,10 @@
 //!   (one barrier), then render each report with its own
 //!   per-application re-timing pool (a barrier per report per app);
 //! * **dag** — [`reports::dag_sweep`]: one costed task graph where
-//!   generation nodes feed re-timing cells directly, ready work
-//!   executes in upward-rank (critical-path) order, and the BASE
-//!   reference cell is computed once per application and shared by
-//!   all three reports.
+//!   each generation node feeds its application's gang node directly,
+//!   ready work executes in upward-rank (critical-path) order, and
+//!   each cell the three reports share (BASE, the summary's RC sweep)
+//!   is computed once per application.
 //!
 //! The three report texts are asserted byte-identical between the two
 //! schedules before any number is reported — a speedup over different
@@ -21,6 +21,7 @@
 //! small tier where the sweep is too short for scheduling to matter.
 
 use crate::{config_from_env, reports, Runner, SizeTier};
+use lookahead_harness::experiments::{figure3_cells, figure4_cells, summary_cells, PAPER_WINDOWS};
 use lookahead_harness::parallel;
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -93,10 +94,13 @@ fn render_json(
             0.0
         }
     };
-    // The flat schedule re-times the BASE reference once per report
-    // per application; the DAG shares it, so flat runs two extra
-    // cells per application.
-    let flat_cells = cells + 2 * runner.apps().len();
+    // The flat schedule re-times every report's cells on their own;
+    // the DAG computes the cells the reports share once per
+    // application.
+    let report_cells = figure3_cells(&PAPER_WINDOWS).len()
+        + figure4_cells(&PAPER_WINDOWS).len()
+        + summary_cells(&PAPER_WINDOWS).len();
+    let flat_cells = report_cells * runner.apps().len();
     let speedup = if dag.seconds > 0.0 {
         flat.seconds / dag.seconds
     } else {
@@ -199,7 +203,7 @@ pub fn dag_main(args: &[String]) -> ExitCode {
         }
     }
 
-    let workers = jobs.unwrap_or_else(parallel::default_workers);
+    let workers = jobs.unwrap_or_else(|| crate::fail_fast(parallel::workers_from_env()));
     // Cold cache on both sides: the point of the comparison is the
     // schedule, not disk reuse, and each side gets its own Runner so
     // hit/miss accounting stays per-side.

@@ -39,7 +39,6 @@ pub mod reports;
 pub mod retiming;
 pub mod serve_cli;
 pub mod servebench;
-pub mod sweepbench;
 
 use lookahead_harness::cache::{load_or_generate, CacheOutcome, TraceCache};
 use lookahead_harness::parallel;
@@ -243,7 +242,7 @@ impl Runner {
             config_from_env(),
             SizeTier::from_env(),
             cache_from_env_or(None),
-            parallel::default_workers(),
+            fail_fast(parallel::workers_from_env()),
         )
     }
 
@@ -390,7 +389,7 @@ pub fn generate_all_runs(config: &SimConfig) -> Vec<AppRun> {
         *config,
         SizeTier::from_env(),
         cache_from_env_or(None),
-        parallel::default_workers(),
+        fail_fast(parallel::workers_from_env()),
     )
     .run_all()
 }
@@ -406,7 +405,7 @@ pub fn generate_run(app: App, config: &SimConfig) -> AppRun {
         *config,
         SizeTier::from_env(),
         cache_from_env_or(None),
-        parallel::default_workers(),
+        fail_fast(parallel::workers_from_env()),
     )
     .run_app(app)
 }

@@ -285,7 +285,7 @@ pub fn memory_main(args: &[String]) -> ExitCode {
         config_from_env(),
         opts.tier,
         Some(TraceCache::new(opts.cache_dir.clone())),
-        lookahead_harness::parallel::default_workers(),
+        crate::fail_fast(lookahead_harness::parallel::workers_from_env()),
     );
     eprintln!(
         "bench memory: priming {} cache under {}",

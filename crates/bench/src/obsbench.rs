@@ -132,7 +132,7 @@ pub fn obs_main(args: &[String]) -> ExitCode {
         config_from_env(),
         SizeTier::from_env(),
         cache_dir.map(TraceCache::new),
-        lookahead_harness::parallel::default_workers(),
+        crate::fail_fast(lookahead_harness::parallel::workers_from_env()),
     );
     eprintln!(
         "bench obs: tier {}, {} processors, best of {iters} sweeps per side",

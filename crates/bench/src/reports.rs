@@ -20,8 +20,8 @@ use lookahead_core::ConsistencyModel;
 use lookahead_harness::dag::{self, DagStats, Scheduler, TaskDag};
 use lookahead_harness::experiments::{
     columns_from_results, figure3_cells, figure3_with, figure4_cells, figure4_with, hidden_row,
-    miss_delay, multi_issue_sched, rc_sweep_columns, read_latency_hidden_matrix, retime_gang,
-    summary_cells, table1, table2, table3, CellSpec, ModelSpec, RetimeMode, PAPER_WINDOWS,
+    miss_delay, multi_issue_sched, rc_sweep_columns, read_latency_hidden_matrix, retime_run,
+    summary_cells, table1, table2, table3, CellSpec, PAPER_WINDOWS,
 };
 use lookahead_harness::format::{count_with_rate, render_figure, render_table};
 use lookahead_harness::parallel::run_ordered;
@@ -728,7 +728,8 @@ pub struct DagSweep {
     pub texts: Vec<(String, String)>,
     /// What the DAG executor observed.
     pub stats: DagStats,
-    /// Re-timing cells executed (generation nodes excluded).
+    /// Unique re-timing cells the gangs computed: applications times
+    /// the merged reports' deduplicated cells.
     pub cells: usize,
 }
 
@@ -738,56 +739,24 @@ pub struct DagSweep {
 /// so generation nodes carry the critical path and are started first.
 const COST_GENERATE: u64 = 600;
 
-enum NodeKind {
-    Gen(usize),
-    Cell {
-        app: usize,
-        slot: usize,
-        model: ModelSpec,
-    },
-    /// One gang node per application: a single streamed traversal
-    /// feeds every unique cell of the merged reports; results land in
-    /// slots `base..base + union.len()`.
-    Gang {
-        app: usize,
-        base: usize,
-    },
-}
-
 /// Runs the requested subset of [`DAG_REPORTS`] as **one** task graph:
 /// per application a generation node (collapsed to near-zero cost when
-/// the trace cache already holds it) feeding one shared BASE cell and
-/// every report cell of that application. Ready nodes execute in
-/// upward-rank order, so app A's expensive DS cells overlap app B's
-/// still-running generation instead of waiting behind the old
-/// generate-everything barrier — and there is no per-report barrier at
-/// all.
+/// the trace cache already holds it) feeding one *gang node*, which
+/// computes the union of every merged report's unique cells off a
+/// single streamed traversal ([`retime_run`]). Ready nodes execute in
+/// upward-rank order, so app A's gang overlaps app B's still-running
+/// generation instead of waiting behind a generate-everything barrier
+/// — and there is no per-report barrier at all.
 ///
-/// The BASE reference cell is identical across the merged reports
-/// (the same deterministic simulation), so it runs once per app and
-/// its result is shared — the cache/memo collapse of the DAG model.
+/// The merged reports repeat cells (every report starts with BASE, and
+/// the summary rows repeat figure 3's RC sweep); the union computes
+/// each once per app and shares its result.
 ///
 /// # Panics
 ///
 /// Panics if `wanted` contains a report outside [`DAG_REPORTS`], or if
 /// a workload fails to simulate or verify.
 pub fn dag_sweep(runner: &Runner, wanted: &[&str], workers: usize) -> DagSweep {
-    dag_sweep_mode(runner, wanted, workers, RetimeMode::default_mode())
-}
-
-/// [`dag_sweep`] with an explicit [`RetimeMode`]. Under
-/// [`RetimeMode::Gang`] with a trace cache (so runs are
-/// archive-backed and can stream), each application contributes one
-/// *gang node* computing the union of every merged report's unique
-/// cells off a single streamed traversal, instead of one node per
-/// cell; without a cache the per-cell shape is kept. Rendered texts
-/// are byte-identical in either mode.
-pub fn dag_sweep_mode(
-    runner: &Runner,
-    wanted: &[&str],
-    workers: usize,
-    mode: RetimeMode,
-) -> DagSweep {
     let apps = runner.apps();
     let windows = &PAPER_WINDOWS;
     let report_specs: Vec<(&str, Vec<CellSpec>)> = wanted
@@ -803,9 +772,9 @@ pub fn dag_sweep_mode(
         })
         .collect();
 
-    // The union of the merged reports' cells, deduplicated by model
-    // (the summary rows repeat figure 3's RC cells): the gang node per
-    // application computes each unique cell exactly once.
+    // The union of the merged reports' cells, deduplicated by model:
+    // the gang node per application computes each unique cell exactly
+    // once.
     let mut union: Vec<CellSpec> = Vec::new();
     let mut report_to_union: Vec<Vec<usize>> = Vec::new();
     for (_, specs) in &report_specs {
@@ -822,100 +791,42 @@ pub fn dag_sweep_mode(
         }
         report_to_union.push(map);
     }
-    let gang = mode == RetimeMode::Gang && runner.cache_enabled();
 
+    // Node 2·ai generates app ai; node 2·ai + 1 is its gang.
     let mut task_dag = TaskDag::new();
-    let mut kinds: Vec<NodeKind> = Vec::new();
-    let mut slots = 0usize;
-    // [app][report] -> result slot per spec index (0 = shared BASE).
-    let mut report_slots: Vec<Vec<Vec<usize>>> = Vec::new();
-    for (ai, &app) in apps.iter().enumerate() {
+    let gang_cost = union.iter().map(|c| c.model.cost()).sum();
+    for &app in &apps {
         let gen = if runner.trace_cached(app) {
             task_dag.add_collapsed(&[])
         } else {
             task_dag.add_task_kind(COST_GENERATE, &[], "generate")
         };
-        kinds.push(NodeKind::Gen(ai));
-        if gang {
-            let base = slots;
-            let cost = union.iter().map(|c| c.model.cost()).sum();
-            task_dag.add_task_kind(cost, &[gen], "gang");
-            kinds.push(NodeKind::Gang { app: ai, base });
-            slots += union.len();
-            report_slots.push(
-                report_to_union
-                    .iter()
-                    .map(|map| map.iter().map(|&u| base + u).collect())
-                    .collect(),
-            );
-            continue;
-        }
-        let base_slot = slots;
-        task_dag.add_task_kind(ModelSpec::Base.cost(), &[gen], &ModelSpec::Base.kind());
-        kinds.push(NodeKind::Cell {
-            app: ai,
-            slot: base_slot,
-            model: ModelSpec::Base,
-        });
-        slots += 1;
-        let mut per_report = Vec::new();
-        for (_, specs) in &report_specs {
-            let mut cell_slots = vec![base_slot];
-            for spec in &specs[1..] {
-                task_dag.add_task_kind(spec.model.cost(), &[gen], &spec.model.kind());
-                kinds.push(NodeKind::Cell {
-                    app: ai,
-                    slot: slots,
-                    model: spec.model,
-                });
-                cell_slots.push(slots);
-                slots += 1;
-            }
-            per_report.push(cell_slots);
-        }
-        report_slots.push(per_report);
+        task_dag.add_task_kind(gang_cost, &[gen], "gang");
     }
 
     let gen_slots: Vec<OnceLock<AppRun>> = apps.iter().map(|_| OnceLock::new()).collect();
-    let cell_results: Vec<OnceLock<ExecutionResult>> =
-        (0..slots).map(|_| OnceLock::new()).collect();
-    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = kinds
+    let gang_slots: Vec<OnceLock<Vec<ExecutionResult>>> =
+        apps.iter().map(|_| OnceLock::new()).collect();
+    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = apps
         .iter()
-        .map(|kind| -> Box<dyn FnOnce() + Send + '_> {
-            match *kind {
-                NodeKind::Gen(ai) => {
-                    let app = apps[ai];
-                    let gen_slots = &gen_slots;
-                    Box::new(move || {
-                        assert!(
-                            gen_slots[ai].set(runner.run_app(app)).is_ok(),
-                            "generation node ran twice"
-                        );
-                    })
-                }
-                NodeKind::Cell { app, slot, model } => {
-                    let (gen_slots, cell_results) = (&gen_slots, &cell_results);
-                    Box::new(move || {
-                        let run = gen_slots[app]
-                            .get()
-                            .expect("scheduler ran a cell before its generation node");
-                        assert!(cell_results[slot].set(model.retime(run)).is_ok());
-                    })
-                }
-                NodeKind::Gang { app, base } => {
-                    let (gen_slots, cell_results, union) = (&gen_slots, &cell_results, &union);
-                    Box::new(move || {
-                        let run = gen_slots[app]
-                            .get()
-                            .expect("scheduler ran a gang before its generation node");
-                        let results = retime_gang(run, union)
-                            .unwrap_or_else(|| union.iter().map(|c| c.model.retime(run)).collect());
-                        for (u, r) in results.into_iter().enumerate() {
-                            assert!(cell_results[base + u].set(r).is_ok());
-                        }
-                    })
-                }
-            }
+        .enumerate()
+        .flat_map(|(ai, &app)| -> [Box<dyn FnOnce() + Send + '_>; 2] {
+            let (gen_slots, gang_slots, union) = (&gen_slots, &gang_slots, &union);
+            [
+                Box::new(move || {
+                    assert!(
+                        gen_slots[ai].set(runner.run_app(app)).is_ok(),
+                        "generation node ran twice"
+                    );
+                }),
+                Box::new(move || {
+                    let run = gen_slots[ai]
+                        .get()
+                        .expect("scheduler ran a gang before its generation node");
+                    let results = retime_run(run, union, &|_, _| {});
+                    assert!(gang_slots[ai].set(results).is_ok(), "gang node ran twice");
+                }),
+            ]
         })
         .collect();
     let (_, stats) = dag::run_dag_with_stats(&task_dag, jobs, workers);
@@ -924,10 +835,14 @@ pub fn dag_sweep_mode(
         .into_iter()
         .map(|s| s.into_inner().expect("every generation node completed"))
         .collect();
+    let gangs: Vec<Vec<ExecutionResult>> = gang_slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("every gang node completed"))
+        .collect();
     let results = |ai: usize, ri: usize| -> Vec<ExecutionResult> {
-        report_slots[ai][ri]
+        report_to_union[ri]
             .iter()
-            .map(|&s| cell_results[s].get().expect("every cell completed").clone())
+            .map(|&u| gangs[ai][u].clone())
             .collect()
     };
     let texts = report_specs
@@ -961,9 +876,9 @@ pub fn dag_sweep_mode(
         })
         .collect();
     DagSweep {
+        cells: runs.len() * union.len(),
         runs,
         texts,
         stats,
-        cells: slots,
     }
 }

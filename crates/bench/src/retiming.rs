@@ -285,7 +285,7 @@ pub fn bench_main(args: &[String]) -> ExitCode {
         config_from_env(),
         SizeTier::from_env(),
         cache_dir.map(TraceCache::new),
-        lookahead_harness::parallel::default_workers(),
+        crate::fail_fast(lookahead_harness::parallel::workers_from_env()),
     );
     eprintln!(
         "bench: tier {}, {} processors, best of {iters} runs per cell",

@@ -10,7 +10,6 @@
 use crate::{cache_from_env_or, config_from_env, fail_fast};
 use lookahead_harness::cache::TraceCache;
 use lookahead_harness::dag::Scheduler;
-use lookahead_harness::experiments::RetimeMode;
 use lookahead_harness::parallel;
 use lookahead_harness::SizeTier;
 use lookahead_serve::{
@@ -143,7 +142,9 @@ fn parse(args: &[String], usage: &'static str) -> Result<Option<Options>, String
             "--threads" => opts.threads = Some(value(&mut it, "--threads")?),
             "--cache-dir" => opts.cache_dir = Some(value(&mut it, "--cache-dir")?),
             "--span-log" => opts.span_log = Some(value(&mut it, "--span-log")?),
-            "--jobs" => opts.jobs = Some(parallel::parse_jobs(&value(&mut it, "--jobs")?)?),
+            "--jobs" => {
+                opts.jobs = Some(parallel::parse_jobs("--jobs", &value(&mut it, "--jobs")?)?);
+            }
             _ => {
                 if let Some(v) = a.strip_prefix("--addr=") {
                     opts.addr = Some(v.to_string());
@@ -156,7 +157,7 @@ fn parse(args: &[String], usage: &'static str) -> Result<Option<Options>, String
                 } else if let Some(v) = a.strip_prefix("--span-log=") {
                     opts.span_log = Some(v.to_string());
                 } else if let Some(v) = a.strip_prefix("--jobs=") {
-                    opts.jobs = Some(parallel::parse_jobs(v)?);
+                    opts.jobs = Some(parallel::parse_jobs("--jobs", v)?);
                 } else if let Some(v) = a.strip_prefix("--scheduler=") {
                     opts.scheduler = Some(parse_scheduler(v)?);
                 } else if let Some(v) = a.strip_prefix("--max-connections=") {
@@ -201,16 +202,14 @@ fn prewarm_from_env() -> Result<bool, String> {
 /// tier and simulation config from the environment, plus the cache,
 /// scheduler and worker knobs (flags win over environment variables).
 fn build_service(opts: &Options) -> (Arc<ExperimentService>, usize) {
-    let jobs = opts.jobs.unwrap_or_else(parallel::default_workers);
+    let jobs = opts
+        .jobs
+        .unwrap_or_else(|| fail_fast(parallel::workers_from_env()));
     let scheduler = opts
         .scheduler
         .or_else(|| fail_fast(Scheduler::from_env()))
         .unwrap_or(Scheduler::Dag);
     let prewarm = opts.prewarm || fail_fast(prewarm_from_env());
-    // The service reads the re-timing path through
-    // `RetimeMode::default_mode`, which falls back to gang on a
-    // malformed value; reject one here, as the report driver does.
-    fail_fast(RetimeMode::from_env());
     let service = ExperimentService::new(
         ServiceConfig {
             default_tier: SizeTier::from_env(),

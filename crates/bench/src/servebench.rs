@@ -816,7 +816,7 @@ pub fn serve_bench_main(args: &[String]) -> ExitCode {
     }
 
     let tier = SizeTier::from_env();
-    let jobs = parallel::default_workers();
+    let jobs = crate::fail_fast(parallel::workers_from_env());
     let service = Arc::new(ExperimentService::new(
         ServiceConfig {
             default_tier: tier,

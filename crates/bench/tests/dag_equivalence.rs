@@ -67,11 +67,13 @@ fn dag_sweep_matches_flat_reports_warm_and_collapses_generation() {
     assert!(warm.stats.critical_path < cold.stats.critical_path);
     assert_eq!(cold.texts, warm.texts);
 
-    let flat = flat_texts(
-        &Runner::new(SimConfig::default(), SizeTier::Small, None, workers),
-        workers,
-    );
+    let no_cache = Runner::new(SimConfig::default(), SizeTier::Small, None, workers);
+    let flat = flat_texts(&no_cache, workers);
     assert_eq!(flat, warm.texts);
+    // With or without a cache, each app is one gang over the same
+    // union of cells.
+    let uncached = reports::dag_sweep(&no_cache, reports::DAG_REPORTS, workers);
+    assert_eq!(uncached.cells, warm.cells);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

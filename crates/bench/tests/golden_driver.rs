@@ -10,18 +10,6 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-/// Environment a test run starts from: every harness knob cleared, so
-/// the ambient shell can't leak configuration into the goldens.
-const KNOBS: [&str; 7] = [
-    "LOOKAHEAD_SMALL",
-    "LOOKAHEAD_PAPER",
-    "LOOKAHEAD_PROCS",
-    "LOOKAHEAD_APPS",
-    "LOOKAHEAD_CACHE",
-    "LOOKAHEAD_JOBS",
-    "LOOKAHEAD_OBS_OUT",
-];
-
 /// The fast configuration shared by every test: small tier, four
 /// processors, two applications.
 const FAST: [(&str, &str); 3] = [
@@ -33,8 +21,12 @@ const FAST: [(&str, &str); 3] = [
 fn run(bin: &str, args: &[&str], envs: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(bin);
     cmd.args(args);
-    for knob in KNOBS {
-        cmd.env_remove(knob);
+    // Every harness knob cleared, so the ambient shell can't leak
+    // configuration into the goldens.
+    for (key, _) in std::env::vars_os() {
+        if key.to_string_lossy().starts_with("LOOKAHEAD_") {
+            cmd.env_remove(key);
+        }
     }
     cmd.envs(FAST.iter().copied());
     cmd.envs(envs.iter().copied());
@@ -154,6 +146,31 @@ fn unparsable_procs_knob_fails_fast() {
         stderr.contains("LOOKAHEAD_PROCS"),
         "the error must name the knob: {stderr}"
     );
+}
+
+#[test]
+fn malformed_jobs_fails_fast_naming_the_knob() {
+    let driver = env!("CARGO_BIN_EXE_lookahead");
+    for (out, knob) in [
+        (
+            run(driver, &["summary"], &[("LOOKAHEAD_JOBS", "abc")]),
+            "LOOKAHEAD_JOBS",
+        ),
+        (run(driver, &["--jobs", "0", "summary"], &[]), "--jobs"),
+        // The flag wins over a valid environment value.
+        (
+            run(driver, &["--jobs=x", "summary"], &[("LOOKAHEAD_JOBS", "2")]),
+            "--jobs",
+        ),
+    ] {
+        assert_eq!(out.status.code(), Some(2), "{knob}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("error: {knob} must be a positive integer")),
+            "the error must name {knob}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
 }
 
 #[test]

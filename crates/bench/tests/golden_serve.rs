@@ -11,18 +11,6 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-const KNOBS: [&str; 9] = [
-    "LOOKAHEAD_SMALL",
-    "LOOKAHEAD_PAPER",
-    "LOOKAHEAD_PROCS",
-    "LOOKAHEAD_APPS",
-    "LOOKAHEAD_CACHE",
-    "LOOKAHEAD_JOBS",
-    "LOOKAHEAD_OBS_OUT",
-    "LOOKAHEAD_SERVE_ADDR",
-    "LOOKAHEAD_SERVE_THREADS",
-];
-
 const FAST: [(&str, &str); 3] = [
     ("LOOKAHEAD_SMALL", "1"),
     ("LOOKAHEAD_PROCS", "4"),
@@ -32,8 +20,12 @@ const FAST: [(&str, &str); 3] = [
 fn lookahead_cmd(args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_lookahead"));
     cmd.args(args);
-    for knob in KNOBS {
-        cmd.env_remove(knob);
+    // Every harness knob cleared, so the ambient shell can't leak
+    // configuration into the goldens.
+    for (key, _) in std::env::vars_os() {
+        if key.to_string_lossy().starts_with("LOOKAHEAD_") {
+            cmd.env_remove(key);
+        }
     }
     cmd.envs(FAST.iter().copied());
     cmd
@@ -208,6 +200,7 @@ fn malformed_serve_knobs_exit_2() {
     for (knob, value) in [
         ("LOOKAHEAD_SERVE_ADDR", "localhost:banana"),
         ("LOOKAHEAD_SERVE_THREADS", "-3"),
+        ("LOOKAHEAD_JOBS", "abc"),
     ] {
         let out = lookahead_cmd(&["serve"])
             .env(knob, value)
@@ -220,19 +213,25 @@ fn malformed_serve_knobs_exit_2() {
 }
 
 #[test]
-fn malformed_retime_knob_exits_2_in_query() {
-    let out = lookahead_cmd(&["query", "/v1/figure3?app=lu", "--no-cache"])
-        .env("LOOKAHEAD_APPS", "LU")
-        .env("LOOKAHEAD_RETIME", "bogus")
+fn malformed_jobs_knob_exits_2_in_query() {
+    let target = "/v1/figure3?app=lu";
+    let from_env = lookahead_cmd(&["query", target, "--no-cache"])
+        .env("LOOKAHEAD_JOBS", "abc")
         .output()
         .expect("query runs");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains(r#"error: LOOKAHEAD_RETIME must be "gang" or "per-cell", got "bogus""#),
-        "{stderr}"
-    );
-    assert!(out.stdout.is_empty(), "no body before the knob is checked");
+    let from_flag = lookahead_cmd(&["query", target, "--no-cache", "--jobs", "0"])
+        .output()
+        .expect("query runs");
+    for (out, knob) in [(from_env, "LOOKAHEAD_JOBS"), (from_flag, "--jobs")] {
+        assert_eq!(out.status.code(), Some(2), "{knob}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("error: {knob} must be a positive integer")),
+            "the error must name {knob}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(out.stdout.is_empty(), "no body before the knob is checked");
+    }
 }
 
 #[test]

@@ -2,10 +2,12 @@
 //! table or figure of the paper needs.
 //!
 //! Every sweep here is assembled from independent *cells* — one
-//! deterministic processor-model simulation each — and executed on the
-//! [`parallel`](crate::parallel) worker pool. Results are collected in
-//! submission order, so the output is byte-for-byte identical whether
-//! the pool has one worker (`LOOKAHEAD_JOBS=1`) or one per core.
+//! deterministic processor-model simulation each — and re-timed as a
+//! gang by [`retime_run`]: one streamed traversal of the run's trace
+//! feeds every unique cell's engine. A sweep over several runs
+//! schedules one gang per run. Results are collected in spec order, so
+//! the output is byte-for-byte identical whether the scheduler has one
+//! worker (`LOOKAHEAD_JOBS=1`) or one per core.
 
 use crate::dag::{self, DagStats, Scheduler, TaskDag};
 use crate::parallel;
@@ -25,10 +27,6 @@ use std::sync::OnceLock;
 /// The window sizes of the paper's sweeps.
 pub const PAPER_WINDOWS: [usize; 5] = [16, 32, 64, 128, 256];
 
-/// Environment knob selecting the sweep re-timing path (`gang` or
-/// `per-cell`); the driver's `--retime` flag wins over it.
-pub const RETIME_ENV: &str = "LOOKAHEAD_RETIME";
-
 /// How many chunks the fastest gang member may run ahead of the
 /// slowest before it blocks. Bounds a gang's shared-ring memory to
 /// `GANG_MAX_LEAD` decoded chunks (each engine's own lookback window
@@ -37,62 +35,6 @@ pub const RETIME_ENV: &str = "LOOKAHEAD_RETIME";
 /// cores that means fewer condvar round-trips per traversal — at the
 /// price of a few hundred KiB of extra decoded columns in flight.
 const GANG_MAX_LEAD: usize = 8;
-
-/// How a sweep re-times its cells over a generated run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetimeMode {
-    /// Each cell streams (or materializes) the trace independently —
-    /// the historical path, one archive traversal per cell.
-    PerCell,
-    /// Same-trace cells share one streamed traversal through a
-    /// [`GangCursor`]: the archive is read and decoded once and every
-    /// engine consumes the same refcounted chunks. Runs that cannot
-    /// stream fall back to the per-cell path automatically.
-    Gang,
-}
-
-impl RetimeMode {
-    /// Parses a mode name as used by `--retime` and [`RETIME_ENV`].
-    pub fn from_name(name: &str) -> Option<RetimeMode> {
-        match name.trim() {
-            "gang" => Some(RetimeMode::Gang),
-            "per-cell" => Some(RetimeMode::PerCell),
-            _ => None,
-        }
-    }
-
-    /// The canonical name (`gang` / `per-cell`).
-    pub fn name(self) -> &'static str {
-        match self {
-            RetimeMode::PerCell => "per-cell",
-            RetimeMode::Gang => "gang",
-        }
-    }
-
-    /// Reads [`RETIME_ENV`], failing fast on a malformed value.
-    ///
-    /// # Errors
-    ///
-    /// Returns a descriptive message when the variable is set to
-    /// anything other than `gang` or `per-cell`.
-    pub fn from_env() -> Result<Option<RetimeMode>, String> {
-        match std::env::var(RETIME_ENV) {
-            Ok(v) => RetimeMode::from_name(&v)
-                .map(Some)
-                .ok_or_else(|| format!("{RETIME_ENV} must be \"gang\" or \"per-cell\", got {v:?}")),
-            Err(_) => Ok(None),
-        }
-    }
-
-    /// The mode used when a caller does not pick one explicitly:
-    /// [`RETIME_ENV`] if set and valid, otherwise gang (which degrades
-    /// to per-cell on runs that cannot stream).
-    pub fn default_mode() -> RetimeMode {
-        RetimeMode::from_env()
-            .unwrap_or(None)
-            .unwrap_or(RetimeMode::Gang)
-    }
-}
 
 /// One stacked bar of Figure 3 or the latency/issue-width variants.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,16 +88,15 @@ impl ModelSpec {
         }
     }
 
-    /// Coarse cost estimate for DAG scheduling, calibrated from the
+    /// Coarse cost estimate of one cell, calibrated from the
     /// `BENCH_retiming` shape: the in-order models cost about the
     /// same per cell, and a DS cell costs more with a larger window.
-    /// The DS engine's per-cycle work no longer walks the in-flight
-    /// memory operations, so the measured growth with window size is
-    /// now much flatter than this slope; the constants are kept
-    /// because they set the DAG's shape (DS.256 remains the cell a
-    /// rank-ordered schedule starts first), and the learned
-    /// [`dag::cost_model`] refines them at runtime via
-    /// [`kind`](Self::kind).
+    /// A gang node's DAG cost is the sum over its unique cells; the
+    /// learned [`dag::cost_model`] refines that sum at runtime under
+    /// the `gang` kind. The DS engine's per-cycle work no longer walks
+    /// the in-flight memory operations, so the measured growth with
+    /// window size is much flatter than this slope; the constants are
+    /// kept because they set the DAG's planned shape.
     #[must_use]
     pub fn cost(&self) -> u64 {
         match *self {
@@ -165,9 +106,10 @@ impl ModelSpec {
         }
     }
 
-    /// The cost-model kind key grouping cells with similar runtime
-    /// (consistency model and ablation flags barely move a cell's
-    /// cost; engine type and window size dominate).
+    /// The engine label of this cell (`BASE`, `SSBR`, `SS`, `DS.64`):
+    /// the consistency model and ablation flags are left out, since
+    /// engine type and window size dominate a cell's runtime. Names
+    /// the cell in diagnostics and per-model measurements.
     #[must_use]
     pub fn kind(&self) -> String {
         match *self {
@@ -293,20 +235,6 @@ pub fn summary_cells(windows: &[usize]) -> Vec<CellSpec> {
     rc_sweep_cells(windows, 1, "RC")
 }
 
-/// Re-times every cell of `specs` over `run` — on the flat pool or as
-/// a rank-ordered DAG — returning results in spec order.
-#[must_use]
-pub fn retime_cells(
-    run: &AppRun,
-    specs: &[CellSpec],
-    workers: usize,
-    scheduler: Scheduler,
-) -> Vec<ExecutionResult> {
-    retime_matrix(&[run], specs, workers, scheduler)
-        .pop()
-        .unwrap_or_default()
-}
-
 /// The DAG cost of a gang node: the unique cells run concurrently off
 /// one traversal, but they still occupy the node's worker for about
 /// the sum of their individual costs worth of work.
@@ -322,17 +250,10 @@ fn gang_cost(specs: &[CellSpec]) -> u64 {
     total
 }
 
-/// Re-times every spec over `run` in **one streamed pass**: identical
-/// specs are deduplicated (a sweep's summary row repeats figure 3's RC
-/// cells), one engine thread runs per unique spec, and a
-/// [`GangCursor`] fans each decoded chunk out to all of them. Returns
-/// `None` when the run cannot stream or any engine fails mid-stream —
-/// callers fall back to the per-cell path.
-///
-/// `observe` fires with `(spec index, result)` for every spec as its
-/// engine finishes (from the engine's thread), letting streaming
-/// consumers emit cells before the whole gang completes.
-pub fn retime_gang_observed(
+/// [`retime_gang`], with `observe` firing `(spec index, result)` for
+/// every spec as its engine finishes (from the engine's thread), so
+/// streaming consumers can emit cells before the whole gang completes.
+fn retime_gang_observed(
     run: &AppRun,
     specs: &[CellSpec],
     observe: &(dyn Fn(usize, &ExecutionResult) + Sync),
@@ -405,24 +326,72 @@ pub fn retime_gang_observed(
     Some(canon.iter().map(|&u| unique_results[u].clone()).collect())
 }
 
-/// [`retime_gang_observed`] without a streaming consumer.
+/// Re-times every spec over `run` in **one streamed pass**: identical
+/// specs are deduplicated (a sweep's summary row repeats figure 3's RC
+/// cells), one engine thread runs per unique spec, and a
+/// [`GangCursor`] fans each decoded chunk out to all of them. Returns
+/// `None` when the run's archive cannot be opened or any engine fails
+/// mid-stream; [`retime_run`] then re-times cell by cell.
 pub fn retime_gang(run: &AppRun, specs: &[CellSpec]) -> Option<Vec<ExecutionResult>> {
     retime_gang_observed(run, specs, &|_, _| {})
 }
 
-/// Whether the gang path applies to this (run, specs, mode) triple:
-/// more than one cell to share a traversal across, and a run that can
-/// stream it.
-fn gang_applies(run: &AppRun, specs: &[CellSpec], mode: RetimeMode) -> bool {
-    mode == RetimeMode::Gang && specs.len() > 1 && run.gang_ready()
+/// Re-times every spec over `run`, returning results in spec order:
+/// one gang ([`retime_gang`]), or cell by cell through
+/// [`ModelSpec::retime`] when the gang cannot finish. Every sweep
+/// reaches the engines through here.
+///
+/// `observe` fires with `(spec index, result)` as each result is
+/// ready, on both branches. After a mid-stream gang failure it may
+/// therefore fire twice for one cell, with equal results.
+pub fn retime_run(
+    run: &AppRun,
+    specs: &[CellSpec],
+    observe: &(dyn Fn(usize, &ExecutionResult) + Sync),
+) -> Vec<ExecutionResult> {
+    retime_gang_observed(run, specs, observe).unwrap_or_else(|| {
+        specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let result = spec.model.retime(run);
+                observe(i, &result);
+                result
+            })
+            .collect()
+    })
+}
+
+/// One [`retime_run`] job per run, on the flat pool or as one gang
+/// node per run in a rank-ordered DAG; rows in `runs` order, plus the
+/// DAG execution stats (None under the flat scheduler).
+fn retime_rows(
+    runs: &[&AppRun],
+    specs: &[CellSpec],
+    workers: usize,
+    scheduler: Scheduler,
+) -> (Vec<Vec<ExecutionResult>>, Option<DagStats>) {
+    let jobs: Vec<_> = runs
+        .iter()
+        .map(|&run| move || retime_run(run, specs, &|_, _| {}))
+        .collect();
+    match scheduler {
+        Scheduler::Flat => (parallel::run_ordered(jobs, workers), None),
+        Scheduler::Dag => {
+            let mut dag = TaskDag::new();
+            for _ in runs {
+                dag.add_task_kind(gang_cost(specs), &[], "gang");
+            }
+            let (rows, stats) = dag::run_dag_with_stats(&dag, jobs, workers);
+            (rows, Some(stats))
+        }
+    }
 }
 
 /// Re-times the same cell list over several runs in one scheduler
 /// pass; returns one result row per run, each in spec order. Under
-/// [`Scheduler::Dag`] the (run × cell) nodes share a single
-/// rank-ordered ready heap, so the expensive DS cells of every run
-/// start before any cheap cell straggles the makespan. The re-timing
-/// mode follows [`RetimeMode::default_mode`].
+/// [`Scheduler::Dag`] each run is one gang node, and the nodes share a
+/// single rank-ordered ready heap.
 #[must_use]
 pub fn retime_matrix(
     runs: &[&AppRun],
@@ -430,58 +399,7 @@ pub fn retime_matrix(
     workers: usize,
     scheduler: Scheduler,
 ) -> Vec<Vec<ExecutionResult>> {
-    retime_matrix_mode(runs, specs, workers, scheduler, RetimeMode::default_mode())
-}
-
-/// [`retime_matrix`] with an explicit [`RetimeMode`]. Under
-/// [`RetimeMode::Gang`], each streamable run contributes a single
-/// *gang node* (one traversal feeding every unique cell on its own
-/// member threads) instead of `specs.len()` per-cell nodes; runs that
-/// cannot stream keep their per-cell nodes. Results are identical in
-/// either mode — only the execution shape changes.
-#[must_use]
-pub fn retime_matrix_mode(
-    runs: &[&AppRun],
-    specs: &[CellSpec],
-    workers: usize,
-    scheduler: Scheduler,
-    mode: RetimeMode,
-) -> Vec<Vec<ExecutionResult>> {
-    type Job<'a> = Box<dyn FnOnce() -> Vec<ExecutionResult> + Send + 'a>;
-    let mut jobs: Vec<Job> = Vec::new();
-    let mut dag = TaskDag::new();
-    let mut jobs_per_run: Vec<usize> = Vec::with_capacity(runs.len());
-    for &run in runs {
-        if gang_applies(run, specs, mode) {
-            jobs_per_run.push(1);
-            dag.add_task_kind(gang_cost(specs), &[], "gang");
-            jobs.push(Box::new(move || {
-                retime_gang(run, specs)
-                    .unwrap_or_else(|| specs.iter().map(|s| s.model.retime(run)).collect())
-            }));
-        } else {
-            jobs_per_run.push(specs.len());
-            for spec in specs {
-                let model = spec.model;
-                dag.add_task_kind(model.cost(), &[], &model.kind());
-                jobs.push(Box::new(move || vec![model.retime(run)]));
-            }
-        }
-    }
-    let results = match scheduler {
-        Scheduler::Flat => parallel::run_ordered(jobs, workers),
-        Scheduler::Dag => dag::run_dag(&dag, jobs, workers),
-    };
-    let mut rows: Vec<Vec<ExecutionResult>> = Vec::with_capacity(runs.len());
-    let mut it = results.into_iter();
-    for &n in &jobs_per_run {
-        let mut row: Vec<ExecutionResult> = Vec::with_capacity(specs.len());
-        for group in it.by_ref().take(n) {
-            row.extend(group);
-        }
-        rows.push(row);
-    }
-    rows
+    retime_rows(runs, specs, workers, scheduler).0
 }
 
 /// Normalizes spec-ordered results to the first (BASE) cell, yielding
@@ -506,8 +424,7 @@ pub fn run_cell_specs(
     workers: usize,
     scheduler: Scheduler,
 ) -> Vec<Figure3Column> {
-    let results = retime_cells(run, specs, workers, scheduler);
-    columns_from_results(specs, &results)
+    run_cell_specs_with_stats(run, specs, workers, scheduler).0
 }
 
 /// [`run_cell_specs`] also returning the DAG execution stats (None
@@ -519,37 +436,8 @@ pub fn run_cell_specs_with_stats(
     workers: usize,
     scheduler: Scheduler,
 ) -> (Vec<Figure3Column>, Option<DagStats>) {
-    match scheduler {
-        Scheduler::Flat => (run_cell_specs(run, specs, workers, scheduler), None),
-        Scheduler::Dag => {
-            if gang_applies(run, specs, RetimeMode::default_mode()) {
-                // One gang node: a single traversal feeds every cell,
-                // timed and fed back under the "gang" cost kind.
-                let mut dag = TaskDag::new();
-                dag.add_task_kind(gang_cost(specs), &[], "gang");
-                let job = move || {
-                    retime_gang(run, specs)
-                        .unwrap_or_else(|| specs.iter().map(|s| s.model.retime(run)).collect())
-                };
-                let (mut rows, stats) = dag::run_dag_with_stats(&dag, vec![job], workers);
-                let results = rows.pop().expect("one gang node");
-                return (columns_from_results(specs, &results), Some(stats));
-            }
-            let jobs: Vec<_> = specs
-                .iter()
-                .map(|spec| {
-                    let model = spec.model;
-                    move || model.retime(run)
-                })
-                .collect();
-            let mut dag = TaskDag::new();
-            for spec in specs {
-                dag.add_task_kind(spec.model.cost(), &[], &spec.model.kind());
-            }
-            let (results, stats) = dag::run_dag_with_stats(&dag, jobs, workers);
-            (columns_from_results(specs, &results), Some(stats))
-        }
-    }
+    let (rows, stats) = retime_rows(&[run], specs, workers, scheduler);
+    (columns_from_results(specs, &rows[0]), stats)
 }
 
 /// Figure 3: BASE, then {SSBR, SS, DS} under SC, PC and RC, with the

@@ -24,29 +24,40 @@ use std::sync::Mutex;
 /// environment variable if set, otherwise the machine's available
 /// parallelism.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics with a clear message if `LOOKAHEAD_JOBS` is set but is not a
-/// positive integer — a misspelled knob must fail fast, not silently
-/// run serial (see `parse_jobs`).
-pub fn default_workers() -> usize {
+/// Returns a descriptive message if `LOOKAHEAD_JOBS` is set but is not
+/// a positive integer — a misspelled knob must fail fast, not silently
+/// run serial. Binaries report it and exit with code 2.
+pub fn workers_from_env() -> Result<usize, String> {
     match std::env::var("LOOKAHEAD_JOBS") {
-        Ok(v) => parse_jobs(&v).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        Ok(v) => parse_jobs("LOOKAHEAD_JOBS", &v),
+        Err(_) => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
     }
 }
 
-/// Parses a `LOOKAHEAD_JOBS` value.
+/// [`workers_from_env`] for library callers.
+///
+/// # Panics
+///
+/// Panics with [`workers_from_env`]'s message on a malformed
+/// `LOOKAHEAD_JOBS`.
+pub fn default_workers() -> usize {
+    workers_from_env().unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Parses a worker count given through `knob` (`--jobs` or
+/// `LOOKAHEAD_JOBS`), naming the knob in the error.
 ///
 /// # Errors
 ///
 /// Returns a descriptive message when the value is not a positive
 /// integer.
-pub fn parse_jobs(v: &str) -> Result<usize, String> {
+pub fn parse_jobs(knob: &str, v: &str) -> Result<usize, String> {
     match v.trim().parse::<usize>() {
         Ok(n) if n >= 1 => Ok(n),
         _ => Err(format!(
-            "LOOKAHEAD_JOBS must be a positive integer (worker count), got {v:?}"
+            "{knob} must be a positive integer (worker count), got {v:?}"
         )),
     }
 }
@@ -165,11 +176,13 @@ mod tests {
 
     #[test]
     fn parse_jobs_validates() {
-        assert_eq!(parse_jobs("4"), Ok(4));
-        assert_eq!(parse_jobs(" 1 "), Ok(1));
-        assert!(parse_jobs("0").is_err());
-        assert!(parse_jobs("four").is_err());
-        assert!(parse_jobs("").is_err());
-        assert!(parse_jobs("-2").is_err());
+        assert_eq!(parse_jobs("LOOKAHEAD_JOBS", "4"), Ok(4));
+        assert_eq!(parse_jobs("--jobs", " 1 "), Ok(1));
+        assert!(parse_jobs("--jobs", "0")
+            .unwrap_err()
+            .starts_with("--jobs must be"));
+        assert!(parse_jobs("LOOKAHEAD_JOBS", "four").is_err());
+        assert!(parse_jobs("LOOKAHEAD_JOBS", "").is_err());
+        assert!(parse_jobs("LOOKAHEAD_JOBS", "-2").is_err());
     }
 }

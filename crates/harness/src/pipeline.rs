@@ -6,7 +6,7 @@ use lookahead_isa::Program;
 use lookahead_multiproc::{SimConfig, SimError, SimOutcome, Simulator};
 use lookahead_obs::span;
 use lookahead_trace::storage::{ArchiveInfo, ChunkReader};
-use lookahead_trace::{collect_source, Breakdown, StreamError, Trace, TraceSource};
+use lookahead_trace::{collect_source, Breakdown, SliceSource, StreamError, Trace, TraceSource};
 use lookahead_workloads::Workload;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -311,41 +311,25 @@ impl AppRun {
         (0..self.num_procs()).map(|p| self.trace_for(p)).collect()
     }
 
-    /// A streaming source over the representative trace, when the run
-    /// is archive-backed and streaming is not disabled.
-    fn open_source(&self) -> Option<Result<impl TraceSource, StreamError>> {
+    /// The archive to stream the representative trace from, when the
+    /// run is archive-backed and streaming is not disabled. Once the
+    /// trace is materialized anyway, slicing it is strictly cheaper
+    /// than re-reading the file.
+    fn streaming_archive(&self) -> Option<&ArchiveStore> {
         match &self.store {
-            TraceStore::Memory { .. } => None,
-            TraceStore::Archive(a) => {
-                // Once the trace is materialized anyway, slicing it is
-                // strictly cheaper than re-reading the file.
-                if a.rep.get().is_some() || force_materialize() {
-                    return None;
-                }
-                Some(a.open_reader(self.proc))
-            }
+            TraceStore::Archive(a) if a.rep.get().is_none() && !force_materialize() => Some(a),
+            _ => None,
         }
     }
 
-    /// Whether the gang re-timing path can stream this run: it must be
-    /// archive-backed with streaming neither disabled nor already
-    /// bypassed by a materialized representative trace.
-    pub fn gang_ready(&self) -> bool {
-        match &self.store {
-            TraceStore::Memory { .. } => false,
-            TraceStore::Archive(a) => a.rep.get().is_none() && !force_materialize(),
-        }
-    }
-
-    /// A sendable streaming source over the representative trace for
-    /// the gang re-timing path, or `None` when the run cannot (or
-    /// should not) stream — callers fall back to per-cell re-timing.
-    pub fn gang_source(&self) -> Option<Box<dyn TraceSource + Send>> {
-        if !self.gang_ready() {
-            return None;
-        }
-        let TraceStore::Archive(a) = &self.store else {
-            return None;
+    /// A sendable source over the representative trace for gang
+    /// re-timing: the archive reader while the trace is not
+    /// materialized, otherwise a [`SliceSource`] over the in-memory
+    /// trace. `None` only when the archive cannot be opened — callers
+    /// then re-time cell by cell.
+    pub fn gang_source(&self) -> Option<Box<dyn TraceSource + Send + '_>> {
+        let Some(a) = self.streaming_archive() else {
+            return Some(Box::new(SliceSource::new(self.trace())));
         };
         match a.open_reader(self.proc) {
             Ok(r) => Some(Box::new(r)),
@@ -371,8 +355,8 @@ impl AppRun {
     /// path served them.
     pub fn retime(&self, model: &dyn ProcessorModel) -> ExecutionResult {
         span::record_current("retime.cell", || {
-            if let Some(source) = self.open_source() {
-                match source {
+            if let Some(a) = self.streaming_archive() {
+                match a.open_reader(self.proc) {
                     Ok(mut source) => match model.run_source(&self.program, &mut source) {
                         Ok(result) => return result,
                         Err(e) => eprintln!(

@@ -1,12 +1,11 @@
 //! Gang-vs-per-cell equivalence: one streamed traversal fanned out to
 //! every cell's engine must produce results identical to re-timing
-//! each cell over its own traversal, at any worker count — the
-//! in-process twin of the CI byte-identity gate on the driver output.
+//! each cell alone through `ModelSpec::retime`, whatever backs the run
+//! and at any worker count — the in-process twin of the CI golden
+//! compares on the driver output.
 
 use lookahead_harness::dag::Scheduler;
-use lookahead_harness::experiments::{
-    figure3_cells, retime_gang, retime_matrix_mode, summary_cells, RetimeMode,
-};
+use lookahead_harness::experiments::{figure3_cells, retime_gang, retime_matrix, summary_cells};
 use lookahead_harness::{load_or_generate, AppRun, TraceCache};
 use lookahead_multiproc::SimConfig;
 use lookahead_workloads::lu::Lu;
@@ -18,35 +17,40 @@ fn small_config() -> SimConfig {
     }
 }
 
-/// An archive-backed run (generated through a throwaway cache), which
-/// is what makes the gang path real: it can open streamed readers.
-fn archived_run(tag: &str) -> (AppRun, std::path::PathBuf) {
+/// The three backings a gang sources from: the archive reader (a run
+/// loaded through a throwaway cache), and a slice over a trace either
+/// materialized from the archive or generated in memory. Returns the
+/// cache directory for the caller to remove.
+fn runs_of_every_backing(tag: &str) -> ([AppRun; 3], std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("lktr-gang-test-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cache = TraceCache::new(dir.clone());
-    let (run, _) = load_or_generate(Some(&cache), &Lu { n: 12 }, "small", &small_config()).unwrap();
-    (run, dir)
+    let archived = || load_or_generate(Some(&cache), &Lu { n: 12 }, "small", &small_config());
+    let (streamed, _) = archived().unwrap();
+    let (materialized, _) = archived().unwrap();
+    assert!(!materialized.trace().is_empty());
+    let generated = AppRun::generate(&Lu { n: 12 }, &small_config()).unwrap();
+    ([streamed, materialized, generated], dir)
 }
 
 #[test]
 fn gang_matches_per_cell_at_any_worker_count() {
-    let (run, dir) = archived_run("matrix");
-    assert!(
-        run.gang_ready(),
-        "a cache-generated run must be able to stream a gang"
-    );
+    let (runs, dir) = runs_of_every_backing("matrix");
+    let runs: Vec<&AppRun> = runs.iter().collect();
     // figure3 cells plus the summary cells that repeat its RC sweep:
     // the union exercises dedup (summary rows canonicalize onto the
     // figure3 RC results) alongside every engine family.
     let mut specs = figure3_cells(&[16, 32]);
     specs.extend(summary_cells(&[16, 32]));
-    let runs = [&run];
+    let per_cell: Vec<Vec<_>> = runs
+        .iter()
+        .map(|run| specs.iter().map(|s| s.model.retime(run)).collect())
+        .collect();
     for scheduler in [Scheduler::Flat, Scheduler::Dag] {
-        let per_cell = retime_matrix_mode(&runs, &specs, 1, scheduler, RetimeMode::PerCell);
         for workers in [1, 2, 3] {
-            let gang = retime_matrix_mode(&runs, &specs, workers, scheduler, RetimeMode::Gang);
             assert_eq!(
-                per_cell, gang,
+                retime_matrix(&runs, &specs, workers, scheduler),
+                per_cell,
                 "gang must reproduce per-cell results ({scheduler:?}, {workers} workers)"
             );
         }
@@ -56,16 +60,14 @@ fn gang_matches_per_cell_at_any_worker_count() {
 
 #[test]
 fn gang_direct_path_matches_and_memory_runs_fall_back() {
-    let (run, dir) = archived_run("direct");
+    let (runs, dir) = runs_of_every_backing("direct");
     let specs = summary_cells(&[16, 32]);
-    let gang = retime_gang(&run, &specs).expect("archived run streams a gang");
-    let per_cell: Vec<_> = specs.iter().map(|s| s.model.retime(&run)).collect();
-    assert_eq!(gang, per_cell);
-
-    // A memory-backed run has no archive to stream: the gang path
-    // must decline (callers then run per cell) rather than guess.
-    let memory = AppRun::generate(&Lu { n: 12 }, &small_config()).unwrap();
-    assert!(!memory.gang_ready());
-    assert!(retime_gang(&memory, &specs).is_none());
+    // A run with no archive to stream falls back to a slice source
+    // over its in-memory trace: the gang still runs, and agrees.
+    for run in &runs {
+        let per_cell: Vec<_> = specs.iter().map(|s| s.model.retime(run)).collect();
+        let gang = retime_gang(run, &specs).expect("every run backing streams a gang");
+        assert_eq!(gang, per_cell);
+    }
     let _ = std::fs::remove_dir_all(dir);
 }

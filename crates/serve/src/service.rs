@@ -19,9 +19,10 @@
 //!    content-addressed on-disk trace cache — so each distinct trace
 //!    generation runs **exactly once per process** no matter how many
 //!    clients ask;
-//! 4. re-timing runs on the harness worker pool
-//!    ([`run_ordered`]), deterministic and submission-ordered, so the
-//!    body is byte-identical under any concurrency.
+//! 4. re-timing runs as one gang per application run ([`retime_run`]:
+//!    a single streamed traversal feeds every cell's engine), with
+//!    results in spec order, so the body is byte-identical under any
+//!    concurrency.
 //!
 //! Everything the paper's philosophy says about overlap applies here:
 //! distinct cold queries overlap their simulations on separate
@@ -33,12 +34,11 @@ use lookahead_core::ds::{Ds, DsConfig};
 use lookahead_core::inorder::InOrder;
 use lookahead_core::model::ExecutionResult;
 use lookahead_core::ConsistencyModel;
-use lookahead_harness::dag::{self, DagStats, Scheduler, TaskDag};
+use lookahead_harness::dag::{DagStats, Scheduler};
 use lookahead_harness::experiments::{
-    columns_from_results, figure3_cells, figure4_cells, hidden_row, retime_gang_observed,
-    retime_matrix, run_cell_specs_with_stats, summary_cells, CellSpec, RetimeMode, PAPER_WINDOWS,
+    columns_from_results, figure3_cells, figure4_cells, hidden_row, retime_matrix, retime_run,
+    run_cell_specs_with_stats, summary_cells, CellSpec, PAPER_WINDOWS,
 };
-use lookahead_harness::parallel::run_ordered;
 use lookahead_harness::pipeline::AppRun;
 use lookahead_harness::singleflight::{FlightOutcome, SharedRuns, SingleFlight};
 use lookahead_harness::tier::SizeTier;
@@ -77,10 +77,10 @@ pub struct ServiceConfig {
     /// line) to this file; `None` disables the sink. The in-memory
     /// `/v1/debug/trace/<id>` ring works either way.
     pub span_log: Option<PathBuf>,
-    /// How sweep bodies schedule their re-timing cells: `Dag` (the
-    /// default) runs them in critical-path rank order, `Flat` keeps
-    /// the submission-ordered pool. Bodies are byte-identical either
-    /// way.
+    /// How sweep bodies schedule their gangs, one per application
+    /// run: `Dag` (the default) runs them in critical-path rank order,
+    /// `Flat` keeps the submission-ordered pool. Bodies are
+    /// byte-identical either way.
     pub scheduler: Scheduler,
     /// Speculatively pre-compute likely-next report bodies (remaining
     /// apps of a figure sweep, adjacent windows of an experiment
@@ -850,8 +850,7 @@ impl ExperimentService {
 
     /// `stream=1` figure sweeps: the response body is produced
     /// incrementally — the JSON prefix as soon as the run is resolved,
-    /// then each column the moment its re-timing cell (scheduled
-    /// through the same flat/DAG policy as the buffered path) has
+    /// then each column the moment its engine in the run's gang has
     /// finished and every earlier column is out. The concatenated
     /// fragments are byte-identical to the buffered body; the trade is
     /// that a streamed response bypasses the body memo (its cost is
@@ -869,8 +868,6 @@ impl ExperimentService {
         let route = if N == 3 { "figure3" } else { "figure4" };
         self.count("serve.stream.responses", 1);
         self.count("serve.stream.cells", specs.len() as u64);
-        let workers = self.config.retime_workers;
-        let scheduler = self.config.scheduler;
         let prefix = figure_prefix(route, app, tier);
         Ok(Response::json_stream(move |sink| {
             sink.write_all(prefix.as_bytes())?;
@@ -878,48 +875,20 @@ impl ExperimentService {
             std::thread::scope(|scope| -> std::io::Result<()> {
                 let (run, specs) = (&run, &specs);
                 scope.spawn(move || {
-                    if RetimeMode::default_mode() == RetimeMode::Gang {
-                        // One streamed traversal feeds every unique
-                        // cell; each cell's column is sent the moment
-                        // its engine finishes. Falls through to the
-                        // per-cell path when the run cannot stream
-                        // (results are deterministic, so a duplicate
-                        // send after a mid-stream failure is benign).
-                        let gang_tx = std::sync::Mutex::new(tx.clone());
-                        let sent = retime_gang_observed(run, specs, &|i, r| {
-                            // A vanished receiver just means the
-                            // client hung up mid-stream.
-                            let _ = gang_tx.lock().unwrap().send((i, r.clone()));
-                        });
-                        if sent.is_some() {
-                            return;
-                        }
-                    }
-                    let jobs: Vec<_> = specs
-                        .iter()
-                        .enumerate()
-                        .map(|(i, spec)| {
-                            let model = spec.model;
-                            let tx = tx.clone();
-                            move || {
-                                // A vanished receiver just means the
-                                // client hung up mid-stream.
-                                let _ = tx.send((i, model.retime(run)));
-                            }
-                        })
-                        .collect();
-                    match scheduler {
-                        Scheduler::Flat => {
-                            run_ordered(jobs, workers);
-                        }
-                        Scheduler::Dag => {
-                            let mut cell_dag = TaskDag::new();
-                            for spec in specs.iter() {
-                                cell_dag.add_task(spec.model.cost(), &[]);
-                            }
-                            dag::run_dag(&cell_dag, jobs, workers);
-                        }
-                    }
+                    // One streamed traversal feeds every unique cell;
+                    // each cell's column is sent the moment its engine
+                    // finishes. After a mid-stream gang failure the
+                    // per-cell fallback sends every cell again (results
+                    // are deterministic, so a duplicate send is benign).
+                    let tx = std::sync::Mutex::new(tx);
+                    retime_run(run, specs, &|i, r| {
+                        // A vanished receiver just means the client
+                        // hung up mid-stream.
+                        let _ = tx
+                            .lock()
+                            .expect("a gang engine panicked while sending")
+                            .send((i, r.clone()));
+                    });
                 });
                 let mut slots: Vec<Option<ExecutionResult>> = vec![None; specs.len()];
                 let mut done: Vec<ExecutionResult> = Vec::new();

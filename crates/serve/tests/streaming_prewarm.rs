@@ -11,7 +11,7 @@
 //!
 //! Everything runs at the small tier so cold sweeps are fast.
 
-use lookahead_harness::SizeTier;
+use lookahead_harness::{SizeTier, TraceCache};
 use lookahead_multiproc::SimConfig;
 use lookahead_serve::http::{decode_chunked, write_response};
 use lookahead_serve::{handle_target, ExperimentService, ServiceConfig};
@@ -78,23 +78,39 @@ fn split_chunks(body: &[u8]) -> Vec<Vec<u8>> {
 
 #[test]
 fn streamed_figure_body_is_byte_identical_to_buffered() {
-    let service = small_service();
-    let buffered = handle_target(&service, "/v1/figure3?app=lu");
-    assert_eq!(buffered.status, 200, "{}", buffered.body);
+    // Without a cache the gang slices the in-memory trace; with one it
+    // streams the archive. Both must stream the buffered bytes.
+    let dir = std::env::temp_dir().join(format!("lktr-stream-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cached = Arc::new(ExperimentService::new(
+        small_config(),
+        Some(TraceCache::new(dir.clone())),
+    ));
+    let mut bodies = Vec::new();
+    for service in [small_service(), cached] {
+        let buffered = handle_target(&service, "/v1/figure3?app=lu");
+        assert_eq!(buffered.status, 200, "{}", buffered.body);
 
-    let streamed = handle_target(&service, "/v1/figure3?app=lu&stream=1");
-    assert_eq!(streamed.status, 200);
+        let streamed = handle_target(&service, "/v1/figure3?app=lu&stream=1");
+        assert_eq!(streamed.status, 200);
+        assert_eq!(
+            streamed.full_body(),
+            buffered.body,
+            "drained stream must equal the buffered body byte-for-byte"
+        );
+
+        // figure4 streams too.
+        let b4 = handle_target(&service, "/v1/figure4?app=lu");
+        let s4 = handle_target(&service, "/v1/figure4?app=lu&stream=1");
+        assert_eq!((b4.status, s4.status), (200, 200));
+        assert_eq!(s4.full_body(), b4.body);
+        bodies.push((buffered.body, b4.body));
+    }
     assert_eq!(
-        streamed.full_body(),
-        buffered.body,
-        "drained stream must equal the buffered body byte-for-byte"
+        bodies[0], bodies[1],
+        "the trace source must not change a byte"
     );
-
-    // figure4 streams too.
-    let b4 = handle_target(&service, "/v1/figure4?app=lu");
-    let s4 = handle_target(&service, "/v1/figure4?app=lu&stream=1");
-    assert_eq!((b4.status, s4.status), (200, 200));
-    assert_eq!(s4.full_body(), b4.body);
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]

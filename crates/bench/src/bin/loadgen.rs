@@ -6,17 +6,21 @@
 //!
 //! ```text
 //! # Against an in-process server (cold cache, small tier):
-//! LOOKAHEAD_SMALL=1 cargo run --release --bin loadgen -- --spawn --clients 32
+//! LOOKAHEAD_SMALL=1 cargo run --release --bin loadgen -- --spawn --connections 32
 //!
 //! # Against an already-running server:
 //! cargo run --release --bin loadgen -- --addr 127.0.0.1:7417
 //! ```
 //!
-//! Traffic model: every client thread issues `--requests` GETs; odd
+//! Every connection is a nonblocking socket on one epoll thread (the
+//! engine in `lookahead_bench::servebench`), so thousands of
+//! concurrent connections cost descriptors, not threads.
+//!
+//! Traffic model: every connection slot issues `--requests` GETs; odd
 //! request indices hit the *hot* target (the first of the pool), even
 //! ones walk the pool round-robin, so the mix exercises both the body
-//! memo (hot) and cold-key coalescing (the pool, hit by many clients
-//! at once). The assignment is deterministic — a run is reproducible.
+//! memo (hot) and cold-key coalescing (the pool, hit by many slots at
+//! once). The assignment is deterministic — a run is reproducible.
 //!
 //! With `--expect-single-flight` (meaningful against a cold, spawned
 //! server) the run fails unless the service ran **exactly one
@@ -24,8 +28,8 @@
 //! accounted to one body flight — the acceptance check for the
 //! single-flight contract under real concurrency.
 
-use lookahead_bench::client::{get, get_with_headers, ClientError};
-use lookahead_bench::servebench::{run_load, LoadOptions};
+use lookahead_bench::client::get;
+use lookahead_bench::servebench::{metric, percentile, run_load, LoadOptions};
 use lookahead_bench::{config_from_env, fail_fast};
 use lookahead_harness::parallel;
 use lookahead_harness::SizeTier;
@@ -33,9 +37,7 @@ use lookahead_serve::{
     parse_serve_addr, serve_addr_from_env, ExperimentService, Server, ServerConfig, ServiceConfig,
 };
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::Instant;
+use std::sync::Arc;
 
 const USAGE: &str = "usage: loadgen [OPTIONS]
 
@@ -47,14 +49,13 @@ options:
                           or 127.0.0.1:7417)
   --spawn                 boot an in-process server (cold cache) on a
                           free port and drive that instead
-  --clients N             concurrent client threads (default 32)
-  --requests N            requests per client (default 4)
-  --connections N         drive N concurrent connections from one
-                          nonblocking epoll thread instead of N client
-                          threads (scales to thousands)
-  --keepalive             with --connections: reuse each connection for
-                          all its requests (HTTP/1.1 keep-alive)
-                          instead of reconnecting per request
+  --connections N         concurrent connections, all driven from one
+                          nonblocking epoll thread (default 32; scales
+                          to thousands)
+  --requests N            requests per connection (default 4)
+  --keepalive             reuse each connection for all its requests
+                          (HTTP/1.1 keep-alive) instead of reconnecting
+                          with Connection: close per request
   --expect-single-flight  fail unless exactly one simulation ran per
                           distinct app and all requests coalesced
   --slo-p99-ms MS         fail the run when the measured p99 latency
@@ -81,9 +82,8 @@ const DISTINCT_APPS: u64 = 2;
 struct Options {
     addr: Option<String>,
     spawn: bool,
-    clients: usize,
+    connections: usize,
     requests: usize,
-    connections: Option<usize>,
     keepalive: bool,
     expect_single_flight: bool,
     slo_p99_ms: Option<f64>,
@@ -93,9 +93,8 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut opts = Options {
         addr: None,
         spawn: false,
-        clients: 32,
+        connections: 32,
         requests: 4,
-        connections: None,
         keepalive: false,
         expect_single_flight: false,
         slo_p99_ms: None,
@@ -125,13 +124,9 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--keepalive" => opts.keepalive = true,
             "--expect-single-flight" => opts.expect_single_flight = true,
             "--addr" => opts.addr = Some(value(&mut it, "--addr")?),
-            "--clients" => opts.clients = positive(&value(&mut it, "--clients")?, "--clients")?,
             "--requests" => opts.requests = positive(&value(&mut it, "--requests")?, "--requests")?,
             "--connections" => {
-                opts.connections = Some(positive(
-                    &value(&mut it, "--connections")?,
-                    "--connections",
-                )?)
+                opts.connections = positive(&value(&mut it, "--connections")?, "--connections")?
             }
             "--slo-p99-ms" => {
                 opts.slo_p99_ms = Some(positive_ms(
@@ -142,12 +137,10 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             _ => {
                 if let Some(v) = a.strip_prefix("--addr=") {
                     opts.addr = Some(v.to_string());
-                } else if let Some(v) = a.strip_prefix("--clients=") {
-                    opts.clients = positive(v, "--clients")?;
                 } else if let Some(v) = a.strip_prefix("--requests=") {
                     opts.requests = positive(v, "--requests")?;
                 } else if let Some(v) = a.strip_prefix("--connections=") {
-                    opts.connections = Some(positive(v, "--connections")?);
+                    opts.connections = positive(v, "--connections")?;
                 } else if let Some(v) = a.strip_prefix("--slo-p99-ms=") {
                     opts.slo_p99_ms = Some(positive_ms(v, "--slo-p99-ms")?);
                 } else {
@@ -159,125 +152,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     if opts.spawn && opts.addr.is_some() {
         return Err("--spawn and --addr are mutually exclusive".to_string());
     }
-    if opts.keepalive && opts.connections.is_none() {
-        return Err("--keepalive needs --connections (the epoll engine)".to_string());
-    }
     Ok(Some(opts))
-}
-
-/// Exact percentile of a sorted sample (nearest-rank on n-1).
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-/// A counter out of the `/metrics.json` JSON (flat `"path":value`), 0
-/// when absent.
-fn metric(body: &str, path: &str) -> u64 {
-    let needle = format!("\"{path}\":");
-    match body.find(&needle) {
-        None => 0,
-        Some(at) => body[at + needle.len()..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect::<String>()
-            .parse()
-            .unwrap_or(0),
-    }
-}
-
-/// One stage's duration out of a `Server-Timing` header value
-/// (`queue;dur=0.042, parse;dur=0.003, handler;dur=12.8`), in
-/// microseconds.
-fn server_timing_us(value: &str, stage: &str) -> Option<u64> {
-    value.split(',').find_map(|part| {
-        let ms: f64 = part
-            .trim()
-            .strip_prefix(stage)?
-            .strip_prefix(";dur=")?
-            .parse()
-            .ok()?;
-        Some((ms * 1000.0) as u64)
-    })
-}
-
-/// The original thread-per-client driver: one blocking client thread
-/// per slot, fired through a barrier so cold keys really do see
-/// concurrent identical requests.
-fn run_threaded(
-    opts: &Options,
-    addr: std::net::SocketAddr,
-    targets: &[String],
-    errors: &AtomicU64,
-) -> Vec<(u64, Option<u64>, Option<u64>)> {
-    eprintln!(
-        "loadgen: {} clients x {} requests against http://{addr} \
-         ({} distinct targets, hot target {})",
-        opts.clients,
-        opts.requests,
-        targets.len(),
-        targets[0],
-    );
-    let barrier = Barrier::new(opts.clients);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..opts.clients)
-            .map(|client| {
-                let barrier = &barrier;
-                s.spawn(move || {
-                    let mut mine = Vec::with_capacity(opts.requests);
-                    barrier.wait();
-                    for r in 0..opts.requests {
-                        let global = client * opts.requests + r;
-                        let target = if global % 2 == 1 {
-                            &targets[0]
-                        } else {
-                            &targets[global / 2 % targets.len()]
-                        };
-                        let t0 = Instant::now();
-                        match get_with_headers(addr, target) {
-                            Ok(reply) if reply.status == 200 => {
-                                let timing = reply.header("Server-Timing");
-                                mine.push((
-                                    t0.elapsed().as_micros() as u64,
-                                    timing.and_then(|t| server_timing_us(t, "queue")),
-                                    timing.and_then(|t| server_timing_us(t, "handler")),
-                                ));
-                            }
-                            Ok(reply) => {
-                                // The request id joins this line to the
-                                // server's own log of the failure.
-                                eprintln!(
-                                    "loadgen: {} for {target} (request_id={}): {}",
-                                    reply.status,
-                                    reply.header("X-Request-Id").unwrap_or("?"),
-                                    reply.body
-                                );
-                                errors.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e @ ClientError::Disconnected) => {
-                                // A draining server closes in-flight
-                                // sockets; report it as what it is.
-                                eprintln!("loadgen: {target}: {e}");
-                                errors.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e) => {
-                                eprintln!("loadgen: {target} failed: {e}");
-                                errors.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    mine
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("client thread"))
-            .collect()
-    })
 }
 
 fn main() -> ExitCode {
@@ -309,13 +184,12 @@ fn main() -> ExitCode {
         ));
         let server = match Server::bind(ServerConfig {
             addr: "127.0.0.1:0".parse().expect("loopback"),
-            threads: opts.clients.min(16),
-            queue_depth: opts.clients.max(64),
+            threads: opts.connections.min(16),
             ..ServerConfig::default()
         }) {
             Ok(s) => s,
             Err(e) => {
-                eprintln!("error: cannot bind: {e}");
+                eprintln!("error: cannot start the server: {e}");
                 return ExitCode::FAILURE;
             }
         };
@@ -331,52 +205,33 @@ fn main() -> ExitCode {
     };
 
     let targets = pool();
-    let concurrency = opts.connections.unwrap_or(opts.clients);
-    let total_requests = concurrency * opts.requests;
-    let errors = AtomicU64::new(0);
-    let started = Instant::now();
-    // (total, queue wait, handler service time) per successful request,
-    // the latter two from the server's Server-Timing header.
-    let samples: Vec<(u64, Option<u64>, Option<u64>)> = if let Some(connections) = opts.connections
-    {
-        // The epoll engine: every connection is a nonblocking socket on
-        // one reactor thread, so thousands of concurrent connections
-        // cost fds, not threads.
+    let total_requests = opts.connections * opts.requests;
+    eprintln!(
+        "loadgen: {} connections x {} requests (keep-alive {}) against http://{addr} \
+         ({} distinct targets, hot target {})",
+        opts.connections,
+        opts.requests,
+        if opts.keepalive { "on" } else { "off" },
+        targets.len(),
+        targets[0],
+    );
+    let report = run_load(&LoadOptions {
+        keepalive: opts.keepalive,
+        targets: targets.clone(),
+        ..LoadOptions::new(addr, opts.connections, opts.requests)
+    });
+    if opts.keepalive {
         eprintln!(
-            "loadgen: {connections} connections x {} requests (epoll engine, keep-alive {}) \
-             against http://{addr} ({} distinct targets, hot target {})",
-            opts.requests,
-            if opts.keepalive { "on" } else { "off" },
-            targets.len(),
-            targets[0],
+            "loadgen: {} responses arrived on a reused connection",
+            report.reused
         );
-        let report = run_load(&LoadOptions {
-            keepalive: opts.keepalive,
-            targets: targets.clone(),
-            ..LoadOptions::new(addr, connections, opts.requests)
-        });
-        errors.fetch_add(report.errors, Ordering::Relaxed);
-        if opts.keepalive {
-            eprintln!(
-                "loadgen: {} responses arrived on a reused connection",
-                report.reused
-            );
-        }
-        report
-            .samples
-            .iter()
-            .map(|s| (s.total_us, s.queue_us, s.handler_us))
-            .collect()
-    } else {
-        run_threaded(&opts, addr, &targets, &errors)
-    };
-    let elapsed = started.elapsed().as_secs_f64();
-    let mut latencies: Vec<u64> = samples.iter().map(|(t, _, _)| *t).collect();
-    let mut queue_waits: Vec<u64> = samples.iter().filter_map(|(_, q, _)| *q).collect();
-    let mut services: Vec<u64> = samples.iter().filter_map(|(_, _, h)| *h).collect();
-    latencies.sort_unstable();
-    queue_waits.sort_unstable();
-    services.sort_unstable();
+    }
+    let elapsed = report.elapsed.as_secs_f64();
+    // Queue wait and handler service time come from the server's
+    // Server-Timing header.
+    let latencies = report.sorted_latencies();
+    let queue_waits = report.sorted_queue_waits();
+    let services = report.sorted_services();
 
     let metrics = match get(addr, "/metrics.json") {
         Ok((200, body)) => body,
@@ -390,7 +245,7 @@ fn main() -> ExitCode {
         let _ = join.join();
     }
 
-    let errors = errors.load(Ordering::Relaxed);
+    let errors = report.errors;
     let generations = metric(&metrics, "serve.runs.generations");
     let disk_hits = metric(&metrics, "serve.runs.disk_hits");
     let memo_hits = metric(&metrics, "serve.runs.memo_hits");

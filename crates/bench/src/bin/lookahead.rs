@@ -72,7 +72,6 @@ const USAGE: &str = "usage: lookahead [OPTIONS] REPORT [REPORT ...]
        lookahead bench memory       compare streamed vs materialized peak RSS
        lookahead bench obs          measure request-tracing overhead
        lookahead bench dag          compare DAG vs flat sweep scheduling
-       lookahead bench serve        compare reactor vs legacy transports
 
 Regenerates the requested tables and figures, generating or
 cache-loading each application trace exactly once per process.
@@ -209,7 +208,6 @@ fn main() -> ExitCode {
                 Some("memory") => lookahead_bench::memprobe::memory_main(&args[2..]),
                 Some("obs") => lookahead_bench::obsbench::obs_main(&args[2..]),
                 Some("dag") => lookahead_bench::dagbench::dag_main(&args[2..]),
-                Some("serve") => lookahead_bench::servebench::serve_bench_main(&args[2..]),
                 _ => lookahead_bench::retiming::bench_main(&args[1..]),
             }
         }

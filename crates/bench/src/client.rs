@@ -1,5 +1,5 @@
-//! Minimal HTTP/1.1 client shared by `lookahead query`'s plumbing and
-//! the `loadgen` binary, with typed errors for the failure modes a
+//! Minimal blocking HTTP/1.1 client (`loadgen` reads the server's
+//! `/metrics.json` with it), with typed errors for the failure modes a
 //! client actually hits against a live service.
 //!
 //! The one that matters operationally: a server draining after SIGINT
@@ -70,7 +70,8 @@ fn map_io(e: io::Error) -> ClientError {
     }
 }
 
-/// Issues one `GET` and returns `(status, body)`.
+/// Issues one `GET` with `Connection: close` and returns
+/// `(status, body)`.
 ///
 /// # Errors
 ///
@@ -79,35 +80,6 @@ fn map_io(e: io::Error) -> ClientError {
 /// [`ClientError::Connect`]/[`Io`](ClientError::Io) for transport
 /// failures; [`ClientError::Malformed`] for non-HTTP bytes.
 pub fn get(addr: SocketAddr, target: &str) -> Result<(u16, String), ClientError> {
-    let r = get_with_headers(addr, target)?;
-    Ok((r.status, r.body))
-}
-
-/// A parsed response with its headers retained (loadgen reads the
-/// server's `X-Request-Id` and `Server-Timing` back out).
-#[derive(Debug)]
-pub struct HttpReply {
-    pub status: u16,
-    pub headers: Vec<(String, String)>,
-    pub body: String,
-}
-
-impl HttpReply {
-    /// The first header with this name, case-insensitively.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// As [`get`], but keeps the response headers.
-///
-/// # Errors
-///
-/// As [`get`].
-pub fn get_with_headers(addr: SocketAddr, target: &str) -> Result<HttpReply, ClientError> {
     let mut conn = TcpStream::connect(addr).map_err(ClientError::Connect)?;
     write!(
         conn,
@@ -126,21 +98,10 @@ pub fn get_with_headers(addr: SocketAddr, target: &str) -> Result<HttpReply, Cli
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| ClientError::Malformed(status_line.to_string()))?;
-    let (head, body) = text
+    let body = text
         .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or((text.clone(), String::new()));
-    let headers = head
-        .lines()
-        .skip(1)
-        .filter_map(|l| l.split_once(": "))
-        .map(|(n, v)| (n.to_string(), v.to_string()))
-        .collect();
-    Ok(HttpReply {
-        status,
-        headers,
-        body,
-    })
+        .map_or_else(String::new, |(_, b)| b.to_string());
+    Ok((status, body))
 }
 
 #[cfg(test)]

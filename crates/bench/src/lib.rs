@@ -303,11 +303,8 @@ impl Runner {
     }
 
     /// One application's run at this runner's tier and configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload fails to simulate or verify — that is a
-    /// bug in the simulator stack worth failing loudly on.
+    /// Exits with code 2 if the workload fails to simulate or verify
+    /// (see [`Runner::run_workload`]).
     pub fn run_app(&self, app: App) -> AppRun {
         let workload = self.tier.workload(app);
         self.run_workload(workload.as_ref(), &self.config)
@@ -317,18 +314,29 @@ impl Runner {
     /// sweeps that vary the memory system). The configuration is part
     /// of the cache key, so variants never collide.
     ///
-    /// # Panics
-    ///
-    /// Panics if the workload fails to simulate or verify.
+    /// A workload that fails to simulate or fails its own result check
+    /// exits the process with code 2, naming the application, the tier
+    /// and the processor count: past some processor count a small tier
+    /// loses too many racy updates (EXPERIMENTS.md lists the supported
+    /// counts), which calls for another configuration, not a crash.
     pub fn run_workload(&self, workload: &dyn Workload, config: &SimConfig) -> AppRun {
         let obs_dir = obs_out_dir();
         if obs_dir.is_some() {
             lookahead_obs::install(lookahead_obs::Recorder::new(0));
         }
         let started = Instant::now();
-        let (run, outcome) =
-            load_or_generate(self.cache.as_ref(), workload, self.tier.name(), config)
-                .unwrap_or_else(|e| panic!("{}: {e}", workload.name()));
+        let (run, outcome) = fail_fast(
+            load_or_generate(self.cache.as_ref(), workload, self.tier.name(), config).map_err(
+                |e| {
+                    format!(
+                        "{} at tier {} with {} processors: {e}",
+                        workload.name(),
+                        self.tier.name(),
+                        config.num_procs
+                    )
+                },
+            ),
+        );
         match &outcome {
             CacheOutcome::Hit => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -379,11 +387,8 @@ impl Runner {
 
 /// Generates the verified representative trace for every selected
 /// application, in parallel, printing progress to stderr. Honors
-/// `LOOKAHEAD_CACHE` when set.
-///
-/// # Panics
-///
-/// Panics if any workload fails to simulate or verify.
+/// `LOOKAHEAD_CACHE` when set. Exits with code 2 if any workload
+/// fails to simulate or verify.
 pub fn generate_all_runs(config: &SimConfig) -> Vec<AppRun> {
     Runner::new(
         *config,
@@ -395,11 +400,8 @@ pub fn generate_all_runs(config: &SimConfig) -> Vec<AppRun> {
 }
 
 /// Generates one application's run (for single-app binaries). Honors
-/// `LOOKAHEAD_CACHE` when set.
-///
-/// # Panics
-///
-/// Panics if the workload fails to simulate or verify.
+/// `LOOKAHEAD_CACHE` when set. Exits with code 2 if the workload
+/// fails to simulate or verify.
 pub fn generate_run(app: App, config: &SimConfig) -> AppRun {
     Runner::new(
         *config,

@@ -14,8 +14,8 @@ use lookahead_harness::parallel;
 use lookahead_harness::SizeTier;
 use lookahead_serve::{
     handle_target, install_sigint, parse_max_connections, parse_serve_addr, parse_serve_threads,
-    serve_addr_from_env, serve_threads_from_env, serve_transport_from_env, ExperimentService,
-    Server, ServerConfig, ServiceConfig, Transport,
+    serve_addr_from_env, serve_threads_from_env, ExperimentService, Server, ServerConfig,
+    ServiceConfig,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -26,6 +26,8 @@ const DEFAULT_THREADS: usize = 4;
 pub const SERVE_USAGE: &str = "usage: lookahead serve [OPTIONS]
 
 Serves the experiment suite over HTTP until SIGINT (graceful drain).
+One epoll event-loop thread multiplexes every connection (HTTP/1.1
+keep-alive); the server runs on x86_64/aarch64 Linux.
 
 routes:
   /healthz  /metrics (Prometheus)  /metrics.json  /v1/apps
@@ -38,18 +40,11 @@ options:
                    127.0.0.1:7417; port 0 picks a free port)
   --addr-file F    write the bound address to F (for port-0 scripts)
   --threads N      handler worker threads (default:
-                   LOOKAHEAD_SERVE_THREADS or 4). The reactor
-                   transport multiplexes all connections onto one
-                   event-loop thread; N sets only the handler pool
-  --legacy-transport
-                   use the original thread-per-connection transport
-                   instead of the epoll reactor (every response closes
-                   the connection; also LOOKAHEAD_SERVE_TRANSPORT=
-                   legacy). The flag wins over the environment
+                   LOOKAHEAD_SERVE_THREADS or 4); socket I/O stays on
+                   the event-loop thread
   --max-connections N
-                   reactor transport: open-connection cap; connections
-                   beyond it get 503 + Retry-After at accept
-                   (default: 4096)
+                   open-connection cap; connections beyond it get
+                   503 + Retry-After at accept (default: 4096)
   --jobs N         re-timing worker threads (default: LOOKAHEAD_JOBS
                    or all cores; the flag wins over the environment
                    variable)
@@ -70,8 +65,7 @@ body is sent with chunked framing, one column per chunk as cells
 finish, byte-identical to the buffered body.
 
 environment: LOOKAHEAD_SMALL=1, LOOKAHEAD_PAPER=1, LOOKAHEAD_PROCS=n,
-LOOKAHEAD_SERVE_ADDR, LOOKAHEAD_SERVE_THREADS,
-LOOKAHEAD_SERVE_TRANSPORT=reactor|legacy, LOOKAHEAD_CACHE=DIR|off,
+LOOKAHEAD_SERVE_ADDR, LOOKAHEAD_SERVE_THREADS, LOOKAHEAD_CACHE=DIR|off,
 LOOKAHEAD_JOBS=n, LOOKAHEAD_SCHEDULER=dag|flat,
 LOOKAHEAD_SERVE_PREWARM=1, LOOKAHEAD_LOG=level|target=level,...";
 
@@ -105,7 +99,6 @@ struct Options {
     cache_dir: Option<String>,
     no_cache: bool,
     span_log: Option<String>,
-    legacy_transport: bool,
     max_connections: Option<String>,
     target: Option<String>,
 }
@@ -130,7 +123,6 @@ fn parse(args: &[String], usage: &'static str) -> Result<Option<Options>, String
             "-h" | "--help" => return Ok(None),
             "--no-cache" => opts.no_cache = true,
             "--prewarm" => opts.prewarm = true,
-            "--legacy-transport" => opts.legacy_transport = true,
             "--max-connections" => {
                 opts.max_connections = Some(value(&mut it, "--max-connections")?);
             }
@@ -257,11 +249,6 @@ pub fn serve_main(args: &[String]) -> ExitCode {
         Some(t) => fail_fast(parse_serve_threads(t)),
         None => fail_fast(serve_threads_from_env()).unwrap_or(DEFAULT_THREADS),
     };
-    let transport = if opts.legacy_transport {
-        Transport::Legacy
-    } else {
-        fail_fast(serve_transport_from_env()).unwrap_or(Transport::Reactor)
-    };
     let max_connections = match &opts.max_connections {
         Some(n) => fail_fast(parse_max_connections(n)),
         None => ServerConfig::default().max_connections,
@@ -273,13 +260,12 @@ pub fn serve_main(args: &[String]) -> ExitCode {
         addr,
         threads,
         watch_sigint: true,
-        transport,
         max_connections,
         ..ServerConfig::default()
     }) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("error: cannot bind {addr}: {e}");
+            eprintln!("error: cannot start the server on {addr}: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -291,13 +277,8 @@ pub fn serve_main(args: &[String]) -> ExitCode {
         }
     }
     eprintln!(
-        "lookahead serve: http://{bound} ({} transport, {} handler workers, {jobs} re-timing \
-         workers, tier {}, scheduler {}, cache {}, prewarm {}); Ctrl-C drains and exits",
-        match transport {
-            Transport::Reactor => "reactor",
-            Transport::Legacy => "legacy",
-        },
-        threads,
+        "lookahead serve: http://{bound} ({threads} handler workers, {jobs} re-timing workers, \
+         tier {}, scheduler {}, cache {}, prewarm {}); Ctrl-C drains and exits",
         service.config().default_tier.name(),
         service.config().scheduler.name(),
         if service.disk_cache_enabled() {
@@ -357,8 +338,8 @@ pub fn query_main(args: &[String]) -> ExitCode {
         eprintln!("error: --prewarm is a serve option\n\n{QUERY_USAGE}");
         return ExitCode::from(2);
     }
-    if opts.legacy_transport || opts.max_connections.is_some() {
-        eprintln!("error: --legacy-transport/--max-connections are serve options\n\n{QUERY_USAGE}");
+    if opts.max_connections.is_some() {
+        eprintln!("error: --max-connections is a serve option\n\n{QUERY_USAGE}");
         return ExitCode::from(2);
     }
 

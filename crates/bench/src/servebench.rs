@@ -1,42 +1,20 @@
-//! `lookahead bench serve` — transport benchmark for the experiment
-//! service — and the nonblocking many-connection load engine behind it
-//! (also used by `loadgen --connections`).
+//! The nonblocking many-connection load engine behind `loadgen`.
 //!
 //! The engine drives N concurrent HTTP/1.1 connections from **one
 //! thread** using the same raw-syscall epoll wrapper the server's
-//! reactor transport is built on ([`lookahead_serve::reactor`]): every
-//! client socket is nonblocking, a per-slot state machine walks
+//! reactor is built on ([`lookahead_serve::reactor`]): every client
+//! socket is nonblocking, a per-slot state machine walks
 //! send-request → read-response → (keep-alive reuse | reconnect), and
 //! completion is detected from the response framing (`Content-Length`,
 //! chunked terminator, or connection close). Thread-per-client load
 //! generation tops out around the machine's thread budget; this engine
 //! holds thousands of sockets open at once, which is exactly the
-//! regime the reactor transport exists for.
-//!
-//! `lookahead bench serve` spawns one in-process service (shared body
-//! memo, so transport — not simulation — dominates), warms every
-//! target once, then measures four cells: each transport at a small
-//! connection count (32) and at the big one (default 1000). Results
-//! land in `BENCH_serve.json`: latency percentiles, the server-side
-//! queue-wait vs handler service-time split (from `Server-Timing`),
-//! keep-alive reuse and coalescing rates. The legacy transport is
-//! expected to shed most of the 1000-connection run as 503s — its
-//! queue bound *is* its capacity — and the JSON records that rather
-//! than hiding it.
+//! regime the reactor exists for.
 
-use crate::config_from_env;
-use lookahead_harness::parallel;
-use lookahead_harness::SizeTier;
 use lookahead_serve::reactor::{raise_nofile_limit, Epoll, Event};
-use lookahead_serve::{
-    ExperimentService, Server, ServerConfig, ServiceConfig, ShutdownHandle, Transport,
-};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One measured request: wall-clock total plus the server-reported
@@ -57,7 +35,7 @@ pub struct LoadOptions {
     pub requests_per_conn: usize,
     /// Reuse connections across requests (HTTP/1.1 keep-alive). When
     /// false every request asks for `Connection: close` and each slot
-    /// reconnects per request — the legacy client shape.
+    /// reconnects per request.
     pub keepalive: bool,
     pub targets: Vec<String>,
     /// Per-request deadline; an expired slot is abandoned and its
@@ -567,385 +545,31 @@ pub fn run_load(opts: &LoadOptions) -> LoadReport {
     }
 }
 
-/// The benchmark's target pool (the loadgen hot/cold mix): two
-/// applications across window sizes, `[0]` hot.
-fn pool() -> Vec<String> {
-    let mut targets = Vec::new();
-    for app in ["lu", "mp3d"] {
-        for window in [16usize, 64, 256] {
-            targets.push(format!("/v1/experiments?app={app}&window={window}"));
-        }
-    }
-    targets
-}
-
-/// One measured cell of the transport comparison.
-struct Cell {
-    name: &'static str,
-    transport: Transport,
-    connections: usize,
-    requests_per_conn: usize,
-    keepalive: bool,
-}
-
-/// A cell's rendered result.
-struct CellResult {
-    name: &'static str,
-    transport: &'static str,
-    connections: usize,
-    ok: usize,
-    errors: u64,
-    elapsed: f64,
-    reused: u64,
-    p50: u64,
-    p95: u64,
-    p99: u64,
-    queue_p99: u64,
-    service_p99: u64,
-    completed: bool,
-}
-
-fn transport_name(t: Transport) -> &'static str {
-    match t {
-        Transport::Reactor => "reactor",
-        Transport::Legacy => "legacy",
-    }
-}
-
-/// Boots an in-process server over the shared (pre-warmed) service.
-fn spawn_server(
-    service: &Arc<ExperimentService>,
-    transport: Transport,
-) -> Option<(
-    SocketAddr,
-    ShutdownHandle,
-    std::thread::JoinHandle<lookahead_serve::ServerStats>,
-)> {
-    let server = match Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".parse().expect("loopback"),
-        threads: 4,
-        transport,
-        ..ServerConfig::default()
-    }) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot bind: {e}");
-            return None;
-        }
-    };
-    let addr = server.local_addr();
-    let handle = server.handle();
-    let service = Arc::clone(service);
-    let join = std::thread::spawn(move || server.run(service));
-    Some((addr, handle, join))
-}
-
-fn run_cell(
-    service: &Arc<ExperimentService>,
-    cell: &Cell,
-    timeout: Duration,
-) -> Option<CellResult> {
-    let (addr, handle, join) = spawn_server(service, cell.transport)?;
-    // A throwaway pass first: the measured run should see a server
-    // whose worker pool, allocator, and accept path are warm, not the
-    // process's first-ever dispatch.
-    let _ = run_load(&LoadOptions {
-        addr,
-        connections: cell.connections.min(32),
-        requests_per_conn: 1,
-        keepalive: cell.keepalive,
-        targets: pool(),
-        request_timeout: timeout,
-    });
-    let opts = LoadOptions {
-        addr,
-        connections: cell.connections,
-        requests_per_conn: cell.requests_per_conn,
-        keepalive: cell.keepalive,
-        targets: pool(),
-        request_timeout: timeout,
-    };
-    let report = run_load(&opts);
-    handle.shutdown();
-    let _ = join.join();
-    let latencies = report.sorted_latencies();
-    let queue_waits = report.sorted_queue_waits();
-    let services = report.sorted_services();
-    let result = CellResult {
-        name: cell.name,
-        transport: transport_name(cell.transport),
-        connections: cell.connections,
-        ok: report.samples.len(),
-        errors: report.errors,
-        elapsed: report.elapsed.as_secs_f64(),
-        reused: report.reused,
-        p50: percentile(&latencies, 50.0),
-        p95: percentile(&latencies, 95.0),
-        p99: percentile(&latencies, 99.0),
-        queue_p99: percentile(&queue_waits, 99.0),
-        service_p99: percentile(&services, 99.0),
-        completed: report.errors == 0,
-    };
-    eprintln!(
-        "bench serve: {} [{} x{}]: {} ok, {} errors, p50={}us p99={}us, {:.2}s{}",
-        result.name,
-        result.transport,
-        result.connections,
-        result.ok,
-        result.errors,
-        result.p50,
-        result.p99,
-        result.elapsed,
-        if result.completed {
-            ""
-        } else {
-            " (did not complete cleanly)"
-        },
-    );
-    Some(result)
-}
-
-fn render_json(
-    tier: SizeTier,
-    big: usize,
-    cells: &[CellResult],
-    keepalive_reuses: u64,
-    coalescing_rate: f64,
-    body_cache_rate: f64,
-) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"benchmark\": \"serve\",");
-    let _ = writeln!(out, "  \"tier\": \"{}\",", tier.name());
-    let _ = writeln!(out, "  \"big_connections\": {big},");
-    let _ = writeln!(out, "  \"keepalive_reuses\": {keepalive_reuses},");
-    let _ = writeln!(out, "  \"coalescing_rate_pct\": {coalescing_rate:.1},");
-    let _ = writeln!(out, "  \"body_cache_rate_pct\": {body_cache_rate:.1},");
-    let reactor32 = cells.iter().find(|c| c.name == "reactor_32");
-    let legacy32 = cells.iter().find(|c| c.name == "legacy_32");
-    if let (Some(r), Some(l)) = (reactor32, legacy32) {
-        let _ = writeln!(
-            out,
-            "  \"reactor_p99_le_legacy_p99_at_32\": {},",
-            r.p99 <= l.p99
-        );
-    }
-    let _ = writeln!(out, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", c.name);
-        let _ = writeln!(out, "      \"transport\": \"{}\",", c.transport);
-        let _ = writeln!(out, "      \"connections\": {},", c.connections);
-        let _ = writeln!(out, "      \"ok\": {},", c.ok);
-        let _ = writeln!(out, "      \"errors\": {},", c.errors);
-        let _ = writeln!(out, "      \"completed\": {},", c.completed);
-        let _ = writeln!(out, "      \"seconds\": {:.4},", c.elapsed);
-        let _ = writeln!(out, "      \"keepalive_reused\": {},", c.reused);
-        let _ = writeln!(out, "      \"p50_us\": {},", c.p50);
-        let _ = writeln!(out, "      \"p95_us\": {},", c.p95);
-        let _ = writeln!(out, "      \"p99_us\": {},", c.p99);
-        let _ = writeln!(out, "      \"queue_wait_p99_us\": {},", c.queue_p99);
-        let _ = writeln!(out, "      \"service_p99_us\": {}", c.service_p99);
-        let _ = write!(out, "    }}");
-        let _ = writeln!(out, "{}", if i + 1 < cells.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
-    out
-}
-
-const USAGE: &str = "usage: lookahead bench serve [OPTIONS]
-
-Benchmarks the serve transports against each other: one in-process
-service (pre-warmed body memo, so transport cost dominates), four
-cells — reactor and legacy at 32 connections, then at the big count.
-The legacy transport is expected to shed most of the big run as 503s;
-the JSON records it.
-
-options:
-  --connections N  the big-run connection count (default 1000)
-  --requests N     requests per connection (default 4)
-  --out PATH       result file (default: BENCH_serve.json)
-  --timeout-s S    per-request deadline in seconds (default 30)
-  -h, --help       show this help
-
-environment: LOOKAHEAD_SMALL=1, LOOKAHEAD_PROCS=n, LOOKAHEAD_JOBS=n";
-
-/// Entry point for `lookahead bench serve`.
-pub fn serve_bench_main(args: &[String]) -> ExitCode {
-    let mut big = 1000usize;
-    let mut requests = 4usize;
-    let mut out_path = "BENCH_serve.json".to_string();
-    let mut timeout_s = 30u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let (key, mut value) = match a.split_once('=') {
-            Some((k, v)) => (k, Some(v.to_string())),
-            None => (a.as_str(), None),
-        };
-        let mut take = |it: &mut std::slice::Iter<String>| match value.take() {
-            Some(v) => Some(v),
-            None => it.next().cloned(),
-        };
-        match key {
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            "--out" => match take(&mut it) {
-                Some(v) => out_path = v,
-                None => return usage_error("--out needs a value"),
-            },
-            "--connections" => match take(&mut it).and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => big = n,
-                _ => return usage_error("--connections needs a positive integer"),
-            },
-            "--requests" => match take(&mut it).and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => requests = n,
-                _ => return usage_error("--requests needs a positive integer"),
-            },
-            "--timeout-s" => match take(&mut it).and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => timeout_s = n,
-                _ => return usage_error("--timeout-s needs a positive integer"),
-            },
-            other => return usage_error(&format!("unknown option {other:?}")),
-        }
-    }
-    if !lookahead_serve::reactor::supported() {
-        eprintln!("error: the reactor transport is unsupported on this platform");
-        return ExitCode::FAILURE;
-    }
-
-    let tier = SizeTier::from_env();
-    let jobs = crate::fail_fast(parallel::workers_from_env());
-    let service = Arc::new(ExperimentService::new(
-        ServiceConfig {
-            default_tier: tier,
-            sim: config_from_env(),
-            retime_workers: jobs,
-            ..ServiceConfig::default()
-        },
-        None,
-    ));
-
-    // Warm every target once (in-process) so the measured cells compare
-    // transports, not cold simulations.
-    eprintln!(
-        "bench serve: tier {}, warming {} targets...",
-        tier.name(),
-        pool().len()
-    );
-    for target in pool() {
-        let response = lookahead_serve::handle_target(&service, &target);
-        if response.status != 200 {
-            eprintln!("error: warmup {target} answered {}", response.status);
-            return ExitCode::FAILURE;
-        }
-    }
-
-    let timeout = Duration::from_secs(timeout_s);
-    let cells = [
-        Cell {
-            name: "reactor_32",
-            transport: Transport::Reactor,
-            connections: 32,
-            requests_per_conn: requests,
-            keepalive: true,
-        },
-        Cell {
-            name: "legacy_32",
-            transport: Transport::Legacy,
-            connections: 32,
-            requests_per_conn: requests,
-            keepalive: false,
-        },
-        Cell {
-            name: "reactor_big",
-            transport: Transport::Reactor,
-            connections: big,
-            requests_per_conn: requests,
-            keepalive: true,
-        },
-        Cell {
-            name: "legacy_big",
-            transport: Transport::Legacy,
-            connections: big,
-            requests_per_conn: requests,
-            keepalive: false,
-        },
-    ];
-    let mut results = Vec::new();
-    for cell in &cells {
-        match run_cell(&service, cell, timeout) {
-            Some(r) => results.push(r),
-            None => return ExitCode::FAILURE,
-        }
-    }
-
-    // Coalescing and reuse rates from the shared service's metrics.
-    let metrics = lookahead_serve::handle_target(&service, "/metrics.json").body;
-    let led = metric(&metrics, "serve.flights.led");
-    let coalesced = metric(&metrics, "serve.flights.coalesced");
-    let memoized = metric(&metrics, "serve.flights.memoized");
-    let flights = led + coalesced + memoized;
-    let pct = |part: u64, whole: u64| {
-        if whole == 0 {
-            0.0
-        } else {
-            100.0 * part as f64 / whole as f64
-        }
-    };
-    let keepalive_reuses = metric(&metrics, "serve.reactor.keepalive_reuses");
-
-    let json = render_json(
-        tier,
-        big,
-        &results,
-        keepalive_reuses,
-        pct(coalesced, flights),
-        pct(coalesced + memoized, flights),
-    );
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("error: failed to write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    let reactor32 = results.iter().find(|c| c.name == "reactor_32");
-    let legacy32 = results.iter().find(|c| c.name == "legacy_32");
-    if let (Some(r), Some(l)) = (reactor32, legacy32) {
-        println!(
-            "serve transports at 32 connections: reactor p99 {}us vs legacy p99 {}us; \
-             big run ({big} connections): reactor {} ok / {} errors, legacy {} ok / {} errors",
-            r.p99,
-            l.p99,
-            results
-                .iter()
-                .find(|c| c.name == "reactor_big")
-                .map_or(0, |c| c.ok),
-            results
-                .iter()
-                .find(|c| c.name == "reactor_big")
-                .map_or(0, |c| c.errors),
-            results
-                .iter()
-                .find(|c| c.name == "legacy_big")
-                .map_or(0, |c| c.ok),
-            results
-                .iter()
-                .find(|c| c.name == "legacy_big")
-                .map_or(0, |c| c.errors),
-        );
-    }
-    eprintln!("bench serve: wrote {out_path}");
-    ExitCode::SUCCESS
-}
-
-fn usage_error(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}\n\n{USAGE}");
-    ExitCode::from(2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lookahead_serve::{
+        ExperimentService, Server, ServerConfig, ServerStats, ServiceConfig, ShutdownHandle,
+    };
+    use std::sync::Arc;
+
+    /// Boots an in-process server on a free loopback port.
+    fn spawn_server() -> (
+        SocketAddr,
+        ShutdownHandle,
+        std::thread::JoinHandle<ServerStats>,
+    ) {
+        let service = Arc::new(ExperimentService::new(ServiceConfig::default(), None));
+        let server = Server::bind(ServerConfig {
+            addr: "127.0.0.1:0".parse().expect("loopback"),
+            ..ServerConfig::default()
+        })
+        .expect("bind");
+        let addr = server.local_addr();
+        let handle = server.handle();
+        let join = std::thread::spawn(move || server.run(service));
+        (addr, handle, join)
+    }
 
     #[test]
     fn percentile_is_nearest_rank() {
@@ -974,9 +598,7 @@ mod tests {
 
     #[test]
     fn engine_drives_keepalive_load_against_the_reactor() {
-        let service = Arc::new(ExperimentService::new(ServiceConfig::default(), None));
-        let (addr, handle, join) =
-            spawn_server(&service, Transport::Reactor).expect("spawn server");
+        let (addr, handle, join) = spawn_server();
         let opts = LoadOptions {
             targets: vec!["/healthz".to_string()],
             ..LoadOptions::new(addr, 8, 3)
@@ -994,8 +616,7 @@ mod tests {
 
     #[test]
     fn engine_reconnects_per_request_without_keepalive() {
-        let service = Arc::new(ExperimentService::new(ServiceConfig::default(), None));
-        let (addr, handle, join) = spawn_server(&service, Transport::Legacy).expect("spawn server");
+        let (addr, handle, join) = spawn_server();
         let opts = LoadOptions {
             keepalive: false,
             targets: vec!["/healthz".to_string()],

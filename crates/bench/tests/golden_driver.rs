@@ -193,3 +193,30 @@ fn unknown_report_name_fails_with_usage() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("figure99") && stderr.contains("usage"));
 }
+
+#[test]
+fn failed_workload_self_check_exits_2_naming_the_configuration() {
+    let driver = env!("CARGO_BIN_EXE_lookahead");
+    // LOCUS at the small tier loses more than 1% of its racy cost
+    // updates at 40 processors, so its own result check fails. That is
+    // a configuration error on both the per-report path (table3) and
+    // the DAG sweep path (figure3 summary), not a crash.
+    for reports in [&["table3"][..], &["figure3", "summary"]] {
+        let mut args = reports.to_vec();
+        args.push("--no-cache");
+        let out = run(
+            driver,
+            &args,
+            &[("LOOKAHEAD_APPS", "LOCUS"), ("LOOKAHEAD_PROCS", "40")],
+        );
+        assert_eq!(out.status.code(), Some(2), "{reports:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("error: LOCUS")
+                && stderr.contains("small")
+                && stderr.contains("40 processors"),
+            "the error must name the app, the tier and the processor count: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}

@@ -20,15 +20,19 @@ const FAST: [(&str, &str); 3] = [
 fn lookahead_cmd(args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_lookahead"));
     cmd.args(args);
-    // Every harness knob cleared, so the ambient shell can't leak
-    // configuration into the goldens.
+    fast_env(&mut cmd);
+    cmd
+}
+
+/// Every harness knob cleared, so the ambient shell can't leak
+/// configuration into the goldens, then the fast configuration.
+fn fast_env(cmd: &mut Command) {
     for (key, _) in std::env::vars_os() {
         if key.to_string_lossy().starts_with("LOOKAHEAD_") {
             cmd.env_remove(key);
         }
     }
     cmd.envs(FAST.iter().copied());
-    cmd
 }
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -245,4 +249,83 @@ fn query_rejects_bad_targets_but_still_prints_the_error_body() {
 
     let out = lookahead_cmd(&["query"]).output().expect("query runs");
     assert_eq!(out.status.code(), Some(2), "missing target is usage error");
+}
+
+/// Whether a server at `addr` answers `/healthz` with 200.
+fn healthy(addr: &str) -> bool {
+    let Ok(mut conn) = TcpStream::connect(addr) else {
+        return false;
+    };
+    let _ = conn.set_read_timeout(Some(Duration::from_secs(10)));
+    let mut text = String::new();
+    write!(
+        conn,
+        "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+    )
+    .is_ok()
+        && conn.read_to_string(&mut text).is_ok()
+        && text.starts_with("HTTP/1.1 200 ")
+}
+
+/// Descriptor exhaustion while the server sets up (listener, epoll
+/// instance, completion waker, address file) is a clean start-up
+/// error: a non-zero exit, no panic, and no address file, so a script
+/// polling `--addr-file` never sees a server that is already dead.
+/// Descriptors the child inherits shift where each limit lands, so the
+/// limit is raised one at a time until the server comes up: every
+/// setup step that needs a descriptor fails once on the way.
+#[test]
+fn descriptor_exhaustion_fails_before_the_address_is_announced() {
+    let first = 3; // stdin, stdout and stderr
+    for limit in first..32 {
+        let addr_file = temp_path(&format!("nofile-{limit}"));
+        let _ = std::fs::remove_file(&addr_file);
+        let mut cmd = Command::new("sh");
+        cmd.args([
+            "-c",
+            &format!(
+                "ulimit -n {limit} && exec \"$0\" serve --addr 127.0.0.1:0 \
+                 --addr-file \"$1\" --no-cache"
+            ),
+            env!("CARGO_BIN_EXE_lookahead"),
+            addr_file.to_str().unwrap(),
+        ]);
+        fast_env(&mut cmd);
+        let mut child = cmd
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("sh starts");
+
+        // Until the child exits, or answers on the address it announced.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            if child.try_wait().expect("child status").is_some() {
+                break;
+            }
+            let announced = std::fs::read_to_string(&addr_file).unwrap_or_default();
+            if !announced.is_empty() && healthy(&announced) {
+                let _ = child.kill();
+                let _ = child.wait();
+                let _ = std::fs::remove_file(&addr_file);
+                assert!(limit > first, "the server came up under every limit tried");
+                return;
+            }
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                panic!("ulimit -n {limit}: neither exited nor served its address");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("child output");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "ulimit -n {limit}: {stderr}");
+        assert!(!stderr.contains("panicked"), "ulimit -n {limit}: {stderr}");
+        assert!(
+            !addr_file.exists(),
+            "ulimit -n {limit}: an address file was written for a server that exited: {stderr}"
+        );
+    }
+    panic!("the server never came up under any limit tried");
 }

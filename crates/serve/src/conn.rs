@@ -1,11 +1,12 @@
 //! The reactor transport: per-connection state machines multiplexed
 //! onto one epoll thread, with handler compute on the worker pool.
 //!
-//! This is the paper's thesis applied to the serve tier. The legacy
-//! transport parks a whole OS thread per connection — one outstanding
-//! "operation" per context, exactly the blocking-issue model the paper
-//! argues against. Here each connection is a small explicit state
-//! machine (the serve-tier analog of a reorder-buffer entry):
+//! This is the paper's thesis applied to the serve tier. A
+//! thread-per-connection server parks a whole OS thread per
+//! connection — one outstanding "operation" per context, exactly the
+//! blocking-issue model the paper argues against. Here each connection
+//! is a small explicit state machine (the serve-tier analog of a
+//! reorder-buffer entry):
 //!
 //! ```text
 //! Reading → Dispatched → Writing → Idle (keep-alive) ↺ / Closed
@@ -30,12 +31,11 @@
 //!   table awaiting the next request (or a pipelined one already
 //!   buffered), bounded by an idle deadline.
 //!
-//! Backpressure moved with the architecture: the legacy transport
-//! bounds its accept queue; the reactor bounds **open connections**
-//! (`max_connections`) — the dispatch queue needs no separate bound
-//! because each connection has at most one request in flight, so it is
-//! bounded by the connection cap already. Beyond the cap, a new
-//! connection gets the same `503 + Retry-After` and is closed.
+//! Backpressure is a bound on **open connections** (`max_connections`):
+//! the dispatch queue needs no separate bound because each connection
+//! has at most one request in flight, so it is bounded by the
+//! connection cap already. Beyond the cap, a new connection gets
+//! `503 + Retry-After` and is closed.
 //!
 //! Graceful drain is a state-machine property: stop accepting, close
 //! idle connections, let mid-request and mid-write connections finish
@@ -92,8 +92,8 @@ enum Finish {
         write_start_us: u64,
         popped: Instant,
     },
-    /// A transport-level response (parse error, 408, 503): only the
-    /// latency histogram is recorded, as in the legacy transport.
+    /// A transport-level response (parse error, 408): only the
+    /// latency histogram is recorded.
     Plain { start: Instant },
 }
 
@@ -303,8 +303,8 @@ impl StreamHandle {
 }
 
 /// The sink a worker's stream producer writes into: frames each
-/// fragment as one HTTP/1.1 chunk (the same framing the legacy
-/// transport's `ChunkWriter` emits) and pushes it toward the reactor.
+/// fragment as one HTTP/1.1 chunk (the same framing
+/// [`http::write_response`] emits) and pushes it toward the reactor.
 struct StreamSink<'a> {
     handle: &'a StreamHandle,
     waker: &'a Waker,
@@ -327,23 +327,36 @@ impl Write for StreamSink<'_> {
     }
 }
 
-/// Runs the reactor transport until shutdown, returning the transport
-/// stats. The listener must already be nonblocking.
+/// The reactor's kernel objects: the epoll instance with the listener
+/// and the completion waker already registered. Created by
+/// [`Server::bind`](crate::server::Server::bind), so a setup failure
+/// is an error before the address is announced.
+pub(crate) struct Poller {
+    epoll: Epoll,
+    waker: Arc<Waker>,
+}
+
+impl Poller {
+    /// Creates the epoll instance and the waker and registers both
+    /// with the (nonblocking) listener.
+    pub(crate) fn new(listener: &TcpListener) -> io::Result<Poller> {
+        let epoll = Epoll::new()?;
+        let waker = Arc::new(Waker::new()?);
+        epoll.add(listener.as_raw_fd(), TOK_LISTENER, true, false)?;
+        epoll.add(waker.fd(), TOK_WAKER, true, false)?;
+        Ok(Poller { epoll, waker })
+    }
+}
+
+/// Runs the reactor until shutdown, returning the server stats.
 pub(crate) fn run_reactor(
     listener: &TcpListener,
+    poller: Poller,
     config: &ServerConfig,
     shutdown: &Arc<AtomicBool>,
     service: &Arc<ExperimentService>,
 ) -> ServerStats {
-    let epoll = Epoll::new().expect("epoll_create1 failed");
-    let waker = Arc::new(Waker::new().expect("eventfd failed"));
-    epoll
-        .add(listener.as_raw_fd(), TOK_LISTENER, true, false)
-        .expect("register listener");
-    epoll
-        .add(waker.fd(), TOK_WAKER, true, false)
-        .expect("register waker");
-
+    let Poller { epoll, waker } = poller;
     let jobs = Arc::new(JobQueue::new());
     let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -450,9 +463,8 @@ fn worker_loop(
             .unwrap_or_else(span::next_request_id);
         let ctx = TraceContext::with_epoch(rid.clone(), job.request_start);
         let root = ctx.alloc_id();
-        // Chronological order differs from the legacy transport —
-        // bytes are parsed *before* the dispatch queue — but the stage
-        // names and meanings are identical.
+        // Bytes are parsed *before* the dispatch queue, so `parse`
+        // precedes `queue` on the request's timeline.
         ctx.record("parse", root, 0, job.parse_us);
         ctx.record("queue", root, job.parse_us, queue_us);
         if job.reused {
@@ -614,8 +626,7 @@ impl Reactor<'_> {
                         write: None,
                         request_start: now,
                         // The header-completion deadline starts at
-                        // accept: a silent client gets a 408, exactly
-                        // as the legacy read timeout behaved.
+                        // accept: a silent client gets a 408.
                         deadline: Some(now + self.config.read_timeout),
                         served: 0,
                         interest: None,
@@ -643,8 +654,8 @@ impl Reactor<'_> {
         }
     }
 
-    /// The connection-cap analog of the legacy queue-full rejection:
-    /// best-effort 503 + `Retry-After`, then close.
+    /// The connection-cap rejection: best-effort 503 +
+    /// `Retry-After`, then close.
     fn reject_conn(&mut self, mut stream: TcpStream) {
         self.stats.rejected += 1;
         self.service.record_rejected();
@@ -728,8 +739,7 @@ impl Reactor<'_> {
                         } else {
                             // A keep-alive client closing between
                             // requests is clean; EOF before the first
-                            // request ever arrived matches the legacy
-                            // transport's aborted accounting.
+                            // request ever arrived counts as aborted.
                             ReadOutcome::Close {
                                 aborted: conn.served == 0,
                             }
@@ -798,7 +808,7 @@ impl Reactor<'_> {
         let request_start = conn.request_start;
         // The in-flight slot is held from dispatch to write
         // completion, so streamed bodies keep the pre-warm thread
-        // parked exactly as the legacy transport's guard did.
+        // parked until their last byte is flushed.
         self.service.in_flight_enter();
         self.jobs.push(Job {
             token,
@@ -904,8 +914,7 @@ impl Reactor<'_> {
                         Ok(n) => {
                             w.at += n;
                             // Progress refreshes the write deadline
-                            // (per-write timeout, like the legacy
-                            // socket option).
+                            // (a per-write timeout).
                             conn.deadline = Some(Instant::now() + self.config.write_timeout);
                             WriteStep::Progress
                         }
@@ -1064,8 +1073,8 @@ impl Reactor<'_> {
         for (token, state) in expired {
             match state {
                 // The header-completion deadline: stalled mid-head (or
-                // silent) clients get the legacy 408, but from a table
-                // scan instead of a hostage worker.
+                // silent) clients get a 408 from a table scan instead
+                // of holding a worker hostage.
                 State::Reading => self.fail_request(token, RequestError::Timeout),
                 // An idle keep-alive connection expiring is routine.
                 State::Idle => self.close_conn(token, false),

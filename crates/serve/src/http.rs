@@ -8,9 +8,10 @@
 //! header count and size), every malformed input is a typed error
 //! mapped to a 4xx status, and nothing in here panics on any byte
 //! stream. Parsing comes in two shapes over the same `parse_head`
-//! core: the blocking one-shot [`read_request`] (legacy transport) and
-//! the resumable [`HeadParser`] that the epoll reactor feeds as bytes
-//! arrive, including pipelined requests left over from earlier reads.
+//! core: the resumable [`HeadParser`] that the epoll reactor feeds as
+//! bytes arrive, including pipelined requests left over from earlier
+//! reads, and the blocking one-shot [`read_request`], the oracle the
+//! parser is tested against.
 
 use std::io::{self, Read, Write};
 use std::sync::Mutex;
@@ -40,8 +41,7 @@ pub struct Request {
     /// Whether the connection may serve another request after this
     /// one: HTTP/1.1 defaults to keep-alive unless the client sent
     /// `Connection: close`; HTTP/1.0 requires an explicit
-    /// `Connection: keep-alive`. The legacy transport ignores this and
-    /// always closes.
+    /// `Connection: keep-alive`.
     pub keep_alive: bool,
 }
 
@@ -109,8 +109,10 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Reads one request head (everything through the blank line) from
-/// `stream` and parses it.
+/// Reads one request head (everything through the blank line) from a
+/// blocking `stream` and parses it. The server parses with
+/// [`HeadParser`]; this one-shot path is the oracle the incremental
+/// parser is tested against (same limits, same errors).
 ///
 /// # Errors
 ///
@@ -563,11 +565,9 @@ pub fn write_response(stream: &mut impl Write, response: &Response) -> io::Resul
     stream.flush()
 }
 
-/// Renders the response head. `close: true` reproduces the legacy
-/// transport's bytes exactly; the reactor passes `false` on keep-alive
-/// responses, which differ from the legacy bytes only in the
-/// `Connection` header value. Header order is load-bearing: the golden
-/// transport-diff in CI compares heads modulo this one header.
+/// Renders the response head: `Connection: close` when `close`, else
+/// `Connection: keep-alive` (the reactor's keep-alive responses).
+/// The two heads differ only in that header value.
 pub fn response_head(response: &Response, close: bool) -> String {
     let framing = match &response.stream {
         Some(_) => "Transfer-Encoding: chunked".to_string(),

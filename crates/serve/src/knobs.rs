@@ -70,37 +70,7 @@ pub fn serve_threads_from_env() -> Result<Option<usize>, String> {
     }
 }
 
-/// Parses a `LOOKAHEAD_SERVE_TRANSPORT` / transport-flag value:
-/// `reactor` (the epoll event loop, default) or `legacy` (the
-/// thread-per-connection pool).
-///
-/// # Errors
-///
-/// Returns a message naming the knob.
-pub fn parse_serve_transport(v: &str) -> Result<crate::server::Transport, String> {
-    match v.trim() {
-        "reactor" => Ok(crate::server::Transport::Reactor),
-        "legacy" => Ok(crate::server::Transport::Legacy),
-        _ => Err(format!(
-            "LOOKAHEAD_SERVE_TRANSPORT must be \"reactor\" or \"legacy\", got {v:?}"
-        )),
-    }
-}
-
-/// The transport from `LOOKAHEAD_SERVE_TRANSPORT`, or `None` when
-/// unset (the caller picks the default, normally the reactor).
-///
-/// # Errors
-///
-/// Returns the parse error for a set-but-malformed value.
-pub fn serve_transport_from_env() -> Result<Option<crate::server::Transport>, String> {
-    match std::env::var("LOOKAHEAD_SERVE_TRANSPORT") {
-        Ok(v) => parse_serve_transport(&v).map(Some),
-        Err(_) => Ok(None),
-    }
-}
-
-/// Parses a `--max-connections` value: the reactor's open-connection
+/// Parses a `--max-connections` value: the server's open-connection
 /// cap (positive).
 ///
 /// # Errors
@@ -162,17 +132,6 @@ mod tests {
     #[test]
     fn default_addr_is_valid() {
         assert!(parse_serve_addr(DEFAULT_ADDR).is_ok());
-    }
-
-    #[test]
-    fn transport_accepts_the_two_transports_only() {
-        use crate::server::Transport;
-        assert_eq!(parse_serve_transport("reactor"), Ok(Transport::Reactor));
-        assert_eq!(parse_serve_transport(" legacy "), Ok(Transport::Legacy));
-        for bad in ["", "epoll", "threads", "Reactor1"] {
-            let err = parse_serve_transport(bad).unwrap_err();
-            assert!(err.contains("LOOKAHEAD_SERVE_TRANSPORT"), "{bad:?}: {err}");
-        }
     }
 
     #[test]

@@ -18,10 +18,14 @@
 //! * **single-flight dedup** ([`lookahead_harness::singleflight`]):
 //!   N concurrent requests for the same cold key run exactly one
 //!   simulation and share the bytes;
-//! * **backpressure** ([`server`]): a bounded connection queue answers
-//!   `503` + `Retry-After` when full, instead of unbounded latency;
-//! * **graceful shutdown**: SIGINT (or a [`ShutdownHandle`]) drains
-//!   queued connections, joins the workers, then returns;
+//! * **latency hiding** ([`conn`]): one epoll thread multiplexes
+//!   thousands of nonblocking keep-alive connections, so a slow or
+//!   idle client costs a table entry, not a thread, and handler
+//!   workers run only handler compute;
+//! * **backpressure** ([`server`]): a connection cap answers `503` +
+//!   `Retry-After` beyond it, instead of unbounded latency;
+//! * **graceful shutdown**: SIGINT (or a [`ShutdownHandle`]) finishes
+//!   in-flight requests, joins the workers, then returns;
 //! * **determinism**: response bodies are byte-identical regardless of
 //!   concurrency, cache state, or worker count — pinned by golden
 //!   tests against the `lookahead` CLI output.
@@ -30,17 +34,13 @@
 //! [`http::HeadParser`]), [`service`] (routing, queries, JSON bodies,
 //! metrics), [`reactor`] (raw-syscall epoll + eventfd wakeups),
 //! [`conn`] (per-connection state machines and the reactor event
-//! loop), [`server`] (listener, transports, worker pool, drain),
+//! loop), [`server`] (listener, reactor setup, worker pool, drain),
 //! [`knobs`] (fail-fast env configuration), [`signal`] (SIGINT →
 //! flag).
 //!
-//! Two transports share the listener and handler pool: the default
-//! **reactor** transport multiplexes thousands of keep-alive
-//! connections onto one epoll thread (workers run only handler
-//! compute), while `--legacy-transport` keeps the original
-//! thread-per-connection pool for diffing; response bytes are
-//! identical between the two modulo the `Connection` header on
-//! keep-alive responses.
+//! The server needs epoll, so it runs on x86_64/aarch64 Linux; on any
+//! other target [`Server::bind`] returns `Unsupported`. The service
+//! itself ([`handle_target`]) answers every route in-process anywhere.
 
 pub mod conn;
 pub mod http;
@@ -52,9 +52,9 @@ pub mod signal;
 
 pub use http::{Request, RequestError, Response};
 pub use knobs::{
-    parse_max_connections, parse_serve_addr, parse_serve_threads, parse_serve_transport,
-    serve_addr_from_env, serve_threads_from_env, serve_transport_from_env, DEFAULT_ADDR,
+    parse_max_connections, parse_serve_addr, parse_serve_threads, serve_addr_from_env,
+    serve_threads_from_env, DEFAULT_ADDR,
 };
-pub use server::{Server, ServerConfig, ServerStats, ShutdownHandle, Transport};
+pub use server::{Server, ServerConfig, ServerStats, ShutdownHandle};
 pub use service::{handle_target, ApiError, ExperimentService, ServiceConfig};
 pub use signal::{install_sigint, sigint_received};

@@ -21,9 +21,8 @@
 //! * [`Event`] — one readiness notice, decoded into plain bools.
 //!
 //! The module is compiled for x86_64/aarch64 Linux; other targets get
-//! stubs that report `Unsupported` and the server falls back to the
-//! legacy blocking transport (`supported()` tells the caller which
-//! world it is in).
+//! stubs that report `Unsupported`, so `Server::bind` fails there
+//! (`supported()` tells the caller which world it is in).
 
 use std::io;
 use std::time::Duration;
@@ -424,7 +423,7 @@ mod imp {
     fn unsupported<T>() -> io::Result<T> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
-            "the epoll reactor requires Linux; use the legacy transport",
+            "the epoll reactor requires x86_64 or aarch64 Linux",
         ))
     }
 

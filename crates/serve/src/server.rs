@@ -1,92 +1,60 @@
-//! The HTTP transports: the default epoll **reactor** (one event-loop
-//! thread multiplexing thousands of nonblocking keep-alive
-//! connections, handlers on a small worker pool — see [`crate::conn`])
-//! and the original **legacy** thread-per-connection pool, kept behind
-//! [`Transport::Legacy`] as a diffing/escape hatch.
+//! The HTTP server: owns the listener and the epoll reactor that
+//! serves every connection ([`crate::conn`]): one event-loop thread
+//! multiplexes thousands of nonblocking keep-alive connections, and a
+//! small worker pool runs only handler compute.
 //!
-//! The legacy design, in the order a connection sees it:
+//! [`Server::bind`] creates the listener and the reactor's kernel
+//! objects (epoll instance, completion waker, both registrations), so
+//! every setup failure — descriptor exhaustion, or a target without
+//! epoll — is an `io::Error` before the caller announces the address.
 //!
-//! 1. the acceptor thread polls a nonblocking listener (no reliance on
-//!    EINTR semantics — SIGINT is observed as a flag between polls);
-//! 2. an accepted connection enters a **bounded** queue. A full queue
-//!    answers `503` with `Retry-After` immediately on the acceptor
-//!    thread — the one fast, explicit backpressure signal — instead of
-//!    letting latency grow without bound;
-//! 3. a worker pops the connection, applies read/write timeouts, reads
-//!    and parses one request (every malformed input is a typed 4xx,
-//!    never a panic), asks the [`ExperimentService`] for the response,
-//!    and writes it with `Connection: close` framing.
+//! Backpressure is a connection cap (`max_connections`): each
+//! connection has at most one request in flight, so the dispatch queue
+//! is bounded by the connection table, and a connection beyond the cap
+//! is answered `503` with `Retry-After` at accept.
 //!
-//! The reactor replaces the bounded queue with a connection cap
-//! (`max_connections`) — each connection has at most one request in
-//! flight, so the dispatch queue is bounded by the connection table —
-//! and writes `Connection: keep-alive` framing where the client allows
-//! it. Response bytes are otherwise identical between transports.
-//!
-//! Shutdown (a [`ShutdownHandle`] or, opt-in, SIGINT) is graceful on
-//! both: stop accepting, finish what is in flight, join the workers,
-//! and `run` returns with the final stats.
+//! Shutdown (a [`ShutdownHandle`] or, opt-in, SIGINT) is graceful:
+//! stop accepting, finish what is in flight, join the workers, and
+//! `run` returns with the final stats.
 
-use crate::http::{read_request, write_response, RequestError, Response};
+use crate::conn::Poller;
+use crate::http::{RequestError, Response};
 use crate::service::ExperimentService;
 use crate::signal::sigint_received;
 use lookahead_obs::json::JsonObject;
-use lookahead_obs::log;
-use lookahead_obs::span::{self, TraceContext, TraceScope};
+use lookahead_obs::span::TraceContext;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
-/// Which connection-handling machinery [`Server::run`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// Readiness-driven epoll event loop with nonblocking sockets and
-    /// HTTP/1.1 keep-alive (the default). Falls back to [`Legacy`]
-    /// (`Transport::Legacy`) on platforms without epoll support.
-    Reactor,
-    /// The original thread-per-connection worker pool
-    /// (`Connection: close` on every response).
-    Legacy,
-}
-
-/// Transport configuration.
+/// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Address to bind; port 0 lets the OS pick (see
     /// [`Server::local_addr`]).
     pub addr: SocketAddr,
-    /// Handler worker threads. Under the reactor transport these run
-    /// only handler compute (all socket I/O stays on the event loop);
-    /// under the legacy transport each owns a connection end to end.
+    /// Handler worker threads. They run only handler compute; all
+    /// socket I/O stays on the event loop.
     pub threads: usize,
-    /// Legacy transport only: most connections waiting for a worker
-    /// before new ones are answered 503.
-    pub queue_depth: usize,
-    /// Per-connection read timeout. The reactor applies it as a
-    /// header-completion deadline (a connection that has not produced
-    /// a full request head within it gets a 408 — slow-loris clients
-    /// cannot park forever); the legacy transport sets it as the
-    /// socket read timeout.
+    /// Per-connection header-completion deadline: a connection that
+    /// has not produced a full request head within it gets a 408, so
+    /// slow-loris clients cannot park forever.
     pub read_timeout: Duration,
-    /// Per-connection socket write timeout (the reactor refreshes its
-    /// write deadline on progress, matching per-write semantics).
+    /// Per-connection write deadline, refreshed on every write that
+    /// makes progress.
     pub write_timeout: Duration,
-    /// Whether the accept loop also treats SIGINT (via
+    /// Whether the event loop also treats SIGINT (via
     /// [`crate::signal`]) as a shutdown request. Off by default so
     /// in-process servers in tests are not shut down by the signal
     /// test's flag; the `lookahead serve` binary turns it on.
     pub watch_sigint: bool,
-    /// Which transport serves connections.
-    pub transport: Transport,
-    /// Reactor transport only: open-connection cap. New connections
-    /// beyond it are answered 503 + `Retry-After` at accept — the
-    /// reactor's backpressure signal, replacing the legacy queue
-    /// bound.
+    /// Open-connection cap. New connections beyond it are answered
+    /// 503 + `Retry-After` at accept and closed.
     pub max_connections: usize,
-    /// Reactor transport only: how long an idle keep-alive connection
-    /// is kept open before the server closes it.
+    /// How long an idle keep-alive connection is kept open before the
+    /// server closes it.
     pub keepalive_timeout: Duration,
 }
 
@@ -95,25 +63,25 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: crate::knobs::DEFAULT_ADDR.parse().expect("default addr"),
             threads: 4,
-            queue_depth: 64,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             watch_sigint: false,
-            transport: Transport::Reactor,
             max_connections: 4096,
             keepalive_timeout: Duration::from_secs(5),
         }
     }
 }
 
-/// Counters the transport reports when `run` returns.
+/// Counters the server reports when `run` returns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Connections accepted (including ones later rejected 503).
     pub accepted: u64,
-    /// Requests answered by the service.
+    /// Requests answered (handled requests and transport-level error
+    /// responses alike).
     pub served: u64,
-    /// Connections answered 503 because the queue was full.
+    /// Connections answered 503 because they arrived beyond
+    /// `max_connections`.
     pub rejected: u64,
     /// Connections that failed before a response could be written
     /// (peer vanished, I/O error).
@@ -126,8 +94,8 @@ pub struct ServerStats {
 pub struct ShutdownHandle(Arc<AtomicBool>);
 
 impl ShutdownHandle {
-    /// Requests a graceful drain: stop accepting, serve what is
-    /// queued, join the workers.
+    /// Requests a graceful drain: stop accepting, finish what is in
+    /// flight, join the workers.
     pub fn shutdown(&self) {
         self.0.store(true, Ordering::SeqCst);
     }
@@ -138,95 +106,32 @@ impl ShutdownHandle {
     }
 }
 
-/// The bounded hand-off between the acceptor and the workers.
-struct ConnQueue {
-    queue: Mutex<QueueState>,
-    ready: Condvar,
-    depth: usize,
-}
-
-struct QueueState {
-    /// Each connection carries the instant it was accepted, so the
-    /// worker that pops it can attribute queue wait to the request's
-    /// trace.
-    conns: std::collections::VecDeque<(TcpStream, Instant)>,
-    closed: bool,
-}
-
-enum Push {
-    Queued,
-    Full(TcpStream),
-}
-
-impl ConnQueue {
-    fn new(depth: usize) -> ConnQueue {
-        ConnQueue {
-            queue: Mutex::new(QueueState {
-                conns: std::collections::VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-            depth,
-        }
-    }
-
-    /// Queues a connection, or hands it back when the queue is full
-    /// (the caller sends the 503 — the backpressure decision is made
-    /// here, the response written by the acceptor).
-    fn push(&self, conn: TcpStream, accepted: Instant) -> Push {
-        let mut state = self.queue.lock().expect("conn queue poisoned");
-        if state.conns.len() >= self.depth {
-            return Push::Full(conn);
-        }
-        state.conns.push_back((conn, accepted));
-        drop(state);
-        self.ready.notify_one();
-        Push::Queued
-    }
-
-    /// Pops the next connection, blocking; `None` once the queue is
-    /// closed *and* empty (drain semantics: queued work is finished).
-    fn pop(&self) -> Option<(TcpStream, Instant)> {
-        let mut state = self.queue.lock().expect("conn queue poisoned");
-        loop {
-            if let Some(conn) = state.conns.pop_front() {
-                return Some(conn);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.ready.wait(state).expect("conn queue poisoned");
-        }
-    }
-
-    /// Closes the queue; workers finish what is queued and exit.
-    fn close(&self) {
-        self.queue.lock().expect("conn queue poisoned").closed = true;
-        self.ready.notify_all();
-    }
-}
-
-/// The HTTP server: owns the listener and, in [`run`](Server::run),
-/// the worker pool.
+/// The HTTP server: owns the listener and the reactor's kernel
+/// objects; [`run`](Server::run) adds the worker pool.
 pub struct Server {
     listener: TcpListener,
+    poller: Poller,
     local_addr: SocketAddr,
     config: ServerConfig,
     shutdown: Arc<AtomicBool>,
 }
 
 impl Server {
-    /// Binds the configured address (nonblocking) without serving yet.
+    /// Binds the configured address (nonblocking) and sets up the
+    /// reactor, without serving yet.
     ///
     /// # Errors
     ///
-    /// Propagates bind/configuration failures.
+    /// Propagates bind failures and reactor setup failures (descriptor
+    /// exhaustion, or `Unsupported` on a target without epoll).
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(config.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
+        let poller = Poller::new(&listener)?;
         Ok(Server {
             listener,
+            poller,
             local_addr,
             config,
             shutdown: Arc::new(AtomicBool::new(false)),
@@ -244,21 +149,26 @@ impl Server {
     }
 
     /// Serves until shutdown is requested, then drains and returns the
-    /// transport stats. Consumes the server (the listener closes on
+    /// server stats. Consumes the server (the listener closes on
     /// return).
     pub fn run(self, service: Arc<ExperimentService>) -> ServerStats {
-        let use_reactor =
-            self.config.transport == Transport::Reactor && crate::reactor::supported();
+        let Server {
+            listener,
+            poller,
+            config,
+            shutdown,
+            ..
+        } = self;
         let mut stats = ServerStats::default();
         std::thread::scope(|scope| {
             // Speculative pre-warm: strictly idle-priority. The thread
             // only computes a predicted body when no client request is
             // in flight (or being written), and parks otherwise; it
-            // observes the same shutdown signals as the transport.
+            // observes the same shutdown signals as the event loop.
             if service.prewarm_enabled() {
                 let service = Arc::clone(&service);
-                let shutdown = Arc::clone(&self.shutdown);
-                let watch_sigint = self.config.watch_sigint;
+                let shutdown = Arc::clone(&shutdown);
+                let watch_sigint = config.watch_sigint;
                 std::thread::Builder::new()
                     .name("serve-prewarm".to_string())
                     .spawn_scoped(scope, move || loop {
@@ -273,105 +183,16 @@ impl Server {
                     .expect("spawn prewarm");
             }
 
-            stats = if use_reactor {
-                crate::conn::run_reactor(&self.listener, &self.config, &self.shutdown, &service)
-            } else {
-                self.run_legacy(&service)
-            };
+            stats = crate::conn::run_reactor(&listener, poller, &config, &shutdown, &service);
             // Make shutdown visible to the pre-warm thread even when
             // it was requested via SIGINT rather than the handle.
-            self.shutdown.store(true, Ordering::SeqCst);
+            shutdown.store(true, Ordering::SeqCst);
         });
-        stats
-    }
-
-    /// The original thread-per-connection transport: acceptor feeds a
-    /// bounded queue, workers own connections end to end.
-    fn run_legacy(&self, service: &Arc<ExperimentService>) -> ServerStats {
-        let queue = Arc::new(ConnQueue::new(self.config.queue_depth));
-        let served = Arc::new(AtomicU64::new(0));
-        let aborted = Arc::new(AtomicU64::new(0));
-        let mut stats = ServerStats::default();
-
-        std::thread::scope(|scope| {
-            for i in 0..self.config.threads.max(1) {
-                let queue = Arc::clone(&queue);
-                let service = Arc::clone(service);
-                let served = Arc::clone(&served);
-                let aborted = Arc::clone(&aborted);
-                let config = self.config.clone();
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn_scoped(scope, move || {
-                        while let Some((conn, accepted)) = queue.pop() {
-                            match serve_connection(conn, accepted, &service, &config) {
-                                Ok(()) => served.fetch_add(1, Ordering::Relaxed),
-                                Err(_) => aborted.fetch_add(1, Ordering::Relaxed),
-                            };
-                        }
-                    })
-                    .expect("spawn worker");
-            }
-
-            // Acceptor: poll the nonblocking listener so the shutdown
-            // flag (handle or SIGINT) is observed within ~5ms.
-            loop {
-                if self.shutdown.load(Ordering::SeqCst)
-                    || (self.config.watch_sigint && sigint_received())
-                {
-                    break;
-                }
-                match self.listener.accept() {
-                    Ok((conn, _)) => {
-                        stats.accepted += 1;
-                        match queue.push(conn, Instant::now()) {
-                            Push::Queued => {}
-                            Push::Full(mut conn) => {
-                                stats.rejected += 1;
-                                service.record_rejected();
-                                // Even a rejected connection gets a
-                                // request id, so the client's retry
-                                // logs and ours can be joined.
-                                let rid = span::next_request_id();
-                                log::warn(
-                                    "serve.http",
-                                    "connection queue full; rejecting with 503",
-                                    &[
-                                        ("request_id", &rid),
-                                        ("queue_depth", &self.config.queue_depth.to_string()),
-                                    ],
-                                );
-                                let mut response = overloaded();
-                                response.request_id = Some(rid);
-                                let _ = conn.set_write_timeout(Some(self.config.write_timeout));
-                                let _ = write_response(&mut conn, &response);
-                            }
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        // A failed accept (e.g. fd exhaustion) is not
-                        // fatal; back off and keep serving.
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                }
-            }
-
-            // Graceful drain: serve everything queued, then join.
-            queue.close();
-        });
-
-        stats.served = served.load(Ordering::Relaxed);
-        stats.aborted = aborted.load(Ordering::Relaxed);
         stats
     }
 }
 
-/// The canned backpressure response (shared by the legacy queue-full
-/// and the reactor connection-cap rejections).
+/// The canned backpressure response for connections beyond the cap.
 pub(crate) fn overloaded() -> Response {
     Response {
         retry_after: Some(1),
@@ -381,85 +202,6 @@ pub(crate) fn overloaded() -> Response {
                 o.str("error", "server overloaded, retry shortly");
             }),
         )
-    }
-}
-
-/// Serves one connection: one request, one response, close.
-///
-/// Every parsed request gets a [`TraceContext`] whose epoch is the
-/// accept instant, so the span tree covers the request's whole life:
-/// `queue` (accept → worker pop), `parse`, `handler` (with the
-/// service's and harness's nested spans underneath), and `write`, all
-/// children of a root `request` span. The id rides back on
-/// `X-Request-Id`, the root-level stage durations on `Server-Timing`,
-/// and the finished tree lands in the service's debug ring / span log.
-fn serve_connection(
-    mut conn: TcpStream,
-    accepted: Instant,
-    service: &ExperimentService,
-    config: &ServerConfig,
-) -> io::Result<()> {
-    // Held across handling AND the response write, so a streamed body
-    // still being produced keeps the pre-warm thread parked.
-    let _in_flight = service.in_flight_guard();
-    conn.set_read_timeout(Some(config.read_timeout))?;
-    conn.set_write_timeout(Some(config.write_timeout))?;
-    let popped = Instant::now();
-    let queue_us = popped.duration_since(accepted).as_micros() as u64;
-    service.record_queue_wait(queue_us);
-    match read_request(&mut conn) {
-        Ok(request) => {
-            let parsed = Instant::now();
-            let rid = request
-                .request_id
-                .clone()
-                .unwrap_or_else(span::next_request_id);
-            let ctx = TraceContext::with_epoch(rid.clone(), accepted);
-            let root = ctx.alloc_id();
-            ctx.record("queue", root, 0, queue_us);
-            ctx.record(
-                "parse",
-                root,
-                queue_us,
-                parsed.duration_since(popped).as_micros() as u64,
-            );
-            let prev = span::set_scope(Some(TraceScope::new(ctx.clone(), root)));
-            let mut response = span::record_current("handler", || service.handle(&request));
-            span::set_scope(prev);
-            response.request_id = Some(rid);
-            response.server_timing = Some(server_timing(&ctx, root));
-            let write_start = ctx.now_us();
-            let written = write_response(&mut conn, &response);
-            ctx.record("write", root, write_start, ctx.now_us() - write_start);
-            ctx.record("request", 0, 0, ctx.now_us());
-            // Keep the finished trace (ring + span log) even when the
-            // peer vanished mid-write: the failure is exactly when the
-            // trace is wanted.
-            service.finish_request(&ctx, &request.path, response.status);
-            service.record_http(popped.elapsed().as_micros() as u64);
-            written
-        }
-        Err(e) => match e.status() {
-            Some(status) => {
-                let rid = span::next_request_id();
-                log::warn(
-                    "serve.http",
-                    "request parse failed",
-                    &[
-                        ("request_id", &rid),
-                        ("status", &status.to_string()),
-                        ("error", &format!("{e:?}")),
-                    ],
-                );
-                let mut response = error_response(status, &e);
-                response.request_id = Some(rid);
-                let written = write_response(&mut conn, &response);
-                service.record_http(popped.elapsed().as_micros() as u64);
-                written
-            }
-            // Nothing sensible to write (peer gone); count as aborted.
-            None => Err(io_error(e)),
-        },
     }
 }
 
@@ -496,18 +238,12 @@ pub(crate) fn error_response(status: u16, e: &RequestError) -> Response {
     )
 }
 
-fn io_error(e: RequestError) -> io::Error {
-    match e {
-        RequestError::Io(e) => e,
-        other => io::Error::other(format!("{other:?}")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::service::ServiceConfig;
     use std::io::{Read as _, Write as _};
+    use std::net::TcpStream;
 
     fn spawn_server(
         config: ServerConfig,
@@ -545,79 +281,68 @@ mod tests {
         (status, body)
     }
 
-    fn local_config(transport: Transport) -> ServerConfig {
+    fn local_config() -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".parse().unwrap(),
             threads: 2,
-            transport,
             ..ServerConfig::default()
         }
     }
 
-    const BOTH: [Transport; 2] = [Transport::Reactor, Transport::Legacy];
-
     #[test]
     fn serves_health_and_drains_on_shutdown() {
-        for transport in BOTH {
-            let (addr, handle, join) = spawn_server(local_config(transport));
-            let (status, body) = get(addr, "/healthz");
-            assert_eq!(status, 200, "{transport:?}");
-            assert_eq!(body, "{\"status\":\"ok\"}", "{transport:?}");
-            handle.shutdown();
-            let stats = join.join().unwrap();
-            assert_eq!(stats.served, 1, "{transport:?}");
-            assert_eq!(stats.rejected, 0, "{transport:?}");
-        }
+        let (addr, handle, join) = spawn_server(local_config());
+        let (status, body) = get(addr, "/healthz");
+        assert_eq!(status, 200);
+        assert_eq!(body, "{\"status\":\"ok\"}");
+        handle.shutdown();
+        let stats = join.join().unwrap();
+        assert_eq!(stats.served, 1);
+        assert_eq!(stats.rejected, 0);
     }
 
     #[test]
     fn unknown_route_is_404_and_bad_bytes_400() {
-        for transport in BOTH {
-            let (addr, handle, join) = spawn_server(local_config(transport));
-            let (status, _) = get(addr, "/nope");
-            assert_eq!(status, 404, "{transport:?}");
+        let (addr, handle, join) = spawn_server(local_config());
+        let (status, _) = get(addr, "/nope");
+        assert_eq!(status, 404);
 
-            let mut conn = TcpStream::connect(addr).unwrap();
-            conn.write_all(b"\x01\x02garbage\r\n\r\n").unwrap();
-            let mut text = String::new();
-            conn.read_to_string(&mut text).unwrap();
-            assert!(text.starts_with("HTTP/1.1 400 "), "{transport:?}: {text}");
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.write_all(b"\x01\x02garbage\r\n\r\n").unwrap();
+        let mut text = String::new();
+        conn.read_to_string(&mut text).unwrap();
+        assert!(text.starts_with("HTTP/1.1 400 "), "{text}");
 
-            handle.shutdown();
-            join.join().unwrap();
-        }
+        handle.shutdown();
+        join.join().unwrap();
     }
 
     #[test]
     fn slow_client_gets_408_not_a_stuck_worker() {
-        for transport in BOTH {
-            let (addr, handle, join) = spawn_server(ServerConfig {
-                read_timeout: Duration::from_millis(50),
-                ..local_config(transport)
-            });
-            let mut conn = TcpStream::connect(addr).unwrap();
-            conn.write_all(b"GET /healthz HTT").unwrap(); // ...and stall.
-            let mut text = String::new();
-            conn.read_to_string(&mut text).unwrap();
-            assert!(text.starts_with("HTTP/1.1 408 "), "{transport:?}: {text}");
-            handle.shutdown();
-            join.join().unwrap();
-        }
+        let (addr, handle, join) = spawn_server(ServerConfig {
+            read_timeout: Duration::from_millis(50),
+            ..local_config()
+        });
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.write_all(b"GET /healthz HTT").unwrap(); // ...and stall.
+        let mut text = String::new();
+        conn.read_to_string(&mut text).unwrap();
+        assert!(text.starts_with("HTTP/1.1 408 "), "{text}");
+        handle.shutdown();
+        join.join().unwrap();
     }
 
     #[test]
     fn shutdown_with_no_traffic_exits_promptly() {
-        for transport in BOTH {
-            let (_addr, handle, join) = spawn_server(local_config(transport));
-            handle.shutdown();
-            let stats = join.join().unwrap();
-            assert_eq!(stats, ServerStats::default(), "{transport:?}");
-        }
+        let (_addr, handle, join) = spawn_server(local_config());
+        handle.shutdown();
+        let stats = join.join().unwrap();
+        assert_eq!(stats, ServerStats::default());
     }
 
     #[test]
     fn reactor_keeps_connections_alive_across_requests() {
-        let (addr, handle, join) = spawn_server(local_config(Transport::Reactor));
+        let (addr, handle, join) = spawn_server(local_config());
         let mut conn = TcpStream::connect(addr).unwrap();
         let mut reader = std::io::BufReader::new(conn.try_clone().unwrap());
         for _ in 0..3 {

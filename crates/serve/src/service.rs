@@ -209,14 +209,13 @@ pub struct ExperimentService {
     /// Body keys the pre-warm thread computed that no client has asked
     /// for yet — the measure of speculative work not (yet) paid back.
     prewarm_unclaimed: Mutex<HashSet<String>>,
-    /// Connections currently open on the reactor transport (gauge;
-    /// zero under the legacy transport).
+    /// Connections currently open on the reactor (gauge).
     reactor_open_connections: AtomicU64,
 }
 
 /// RAII marker for a client request in flight; the pre-warm thread
 /// stays off the CPU while any exist.
-pub struct InFlightGuard<'a>(&'a ExperimentService);
+struct InFlightGuard<'a>(&'a ExperimentService);
 
 impl Drop for InFlightGuard<'_> {
     fn drop(&mut self) {
@@ -281,10 +280,10 @@ impl ExperimentService {
         self.runs.disk_cache_enabled()
     }
 
-    /// Marks a client request as in flight until the guard drops; the
-    /// transport holds one across the response write so streamed
-    /// bodies also keep the pre-warm thread parked.
-    pub fn in_flight_guard(&self) -> InFlightGuard<'_> {
+    /// Marks a client request as in flight until the guard drops
+    /// (around the handler call; the reactor also holds a slot across
+    /// the response write, see [`ExperimentService::in_flight_enter`]).
+    fn in_flight_guard(&self) -> InFlightGuard<'_> {
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         InFlightGuard(self)
     }
@@ -448,9 +447,8 @@ impl ExperimentService {
         self.count("serve.http.rejected_503", 1);
     }
 
-    /// Raw in-flight accounting for the reactor transport, which
-    /// cannot hold a borrow-scoped [`InFlightGuard`] across event-loop
-    /// iterations: enter when a request is dispatched, exit when its
+    /// Raw in-flight accounting for the reactor, which cannot hold a
+    /// borrow-scoped guard across event-loop iterations: enter when a request is dispatched, exit when its
     /// response write completes (or the connection dies). Must be
     /// balanced, or the pre-warm thread starves forever.
     pub fn in_flight_enter(&self) {

@@ -220,12 +220,11 @@ fn reactor_answers_pipelined_requests_in_order() {
         eprintln!("skipping: reactor transport unsupported on this platform");
         return;
     }
-    use lookahead_serve::{ExperimentService, Server, ServerConfig, ServiceConfig, Transport};
+    use lookahead_serve::{ExperimentService, Server, ServerConfig, ServiceConfig};
     let service = Arc::new(ExperimentService::new(ServiceConfig::default(), None));
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".parse().unwrap(),
         threads: 2,
-        transport: Transport::Reactor,
         ..ServerConfig::default()
     })
     .expect("bind");

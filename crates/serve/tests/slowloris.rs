@@ -13,7 +13,7 @@
 //! timeout while 64 stallers sit open, and the stallers themselves get
 //! a 408 once the deadline passes.
 
-use lookahead_serve::{ExperimentService, Server, ServerConfig, ServiceConfig, Transport};
+use lookahead_serve::{ExperimentService, Server, ServerConfig, ServiceConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -51,7 +51,6 @@ fn stalled_connections_do_not_delay_healthy_clients() {
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".parse().unwrap(),
         threads: 2,
-        transport: Transport::Reactor,
         read_timeout: READ_TIMEOUT,
         ..ServerConfig::default()
     })

@@ -25,7 +25,9 @@
 //! --cache-dir DIR   cache traces under DIR (default: target/trace-cache,
 //!                   or the LOOKAHEAD_CACHE environment variable)
 //! --no-cache        disable the trace cache
-//! --jobs N          worker threads (default: LOOKAHEAD_JOBS or all cores)
+//! --jobs N          generation/re-timing tasks run at once (default:
+//!                   LOOKAHEAD_JOBS or all cores); each re-timing task
+//!                   is a gang with one engine thread per unique cell
 //! --obs-out DIR     write observability artifacts under DIR
 //! -h, --help        show this help
 //! ```
@@ -69,7 +71,6 @@ const USAGE: &str = "usage: lookahead [OPTIONS] REPORT [REPORT ...]
        lookahead query TARGET       answer one service query, print body
        lookahead bench [OPTIONS]    benchmark the re-timing engines
        lookahead bench generation   time cold trace generation, both engines
-       lookahead bench memory       compare streamed vs materialized peak RSS
        lookahead bench obs          measure request-tracing overhead
        lookahead bench dag          compare DAG vs flat sweep scheduling
 
@@ -86,8 +87,11 @@ options:
   --cache-dir DIR  cache traces under DIR (default: target/trace-cache,
                    or the LOOKAHEAD_CACHE environment variable)
   --no-cache       disable the trace cache
-  --jobs N         worker threads (default: LOOKAHEAD_JOBS or all cores;
-                   the flag wins over the environment variable)
+  --jobs N         generation/re-timing tasks run at once (default:
+                   LOOKAHEAD_JOBS or all cores; the flag wins over the
+                   environment variable). Not a thread bound: each
+                   re-timing task is a gang with one engine thread per
+                   unique cell
   --scheduler S    sweep scheduler: dag (critical-path rank, generation
                    overlapped with re-timing; the default) or flat (the
                    plain worker pool). Output is byte-identical either
@@ -205,7 +209,6 @@ fn main() -> ExitCode {
         Some("bench") => {
             return match args.get(1).map(String::as_str) {
                 Some("generation") => lookahead_bench::generation::generation_main(&args[2..]),
-                Some("memory") => lookahead_bench::memprobe::memory_main(&args[2..]),
                 Some("obs") => lookahead_bench::obsbench::obs_main(&args[2..]),
                 Some("dag") => lookahead_bench::dagbench::dag_main(&args[2..]),
                 _ => lookahead_bench::retiming::bench_main(&args[1..]),

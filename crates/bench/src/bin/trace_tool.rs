@@ -4,8 +4,8 @@
 //! ```text
 //! trace_tool stats   <APP>        print Tables 1-3 statistics
 //! trace_tool dump    <APP> <N>    print the first N trace lines
-//! trace_tool save    <APP> <FILE> write the binary trace
-//! trace_tool retime  <FILE> <APP> reload a trace and re-time it
+//! trace_tool save    <APP> <FILE> write APP's run as a cache archive
+//! trace_tool retime  <FILE>       re-time a saved archive
 //! trace_tool profile <APP> [N]    re-time under DS-64/RC with the
 //!                                 instrumentation layer and print the
 //!                                 top-N stall sites (default 10)
@@ -17,17 +17,20 @@
 //!
 //! Run with `cargo run --release -p lookahead-bench --bin trace_tool -- stats LU`.
 
-use lookahead_bench::{config_from_env, generate_run, obs_out_dir, write_obs_artifacts};
+use lookahead_bench::{config_from_env, generate_run, obs_out_dir, write_obs_artifacts, SizeTier};
 use lookahead_core::base::Base;
 use lookahead_core::ds::{Ds, DsConfig};
 use lookahead_core::model::ProcessorModel;
 use lookahead_core::{Btb, BtbConfig};
+use lookahead_harness::cache::{cache_key, write_run};
+use lookahead_harness::pipeline::AppRun;
 use lookahead_obs::{StallCause, StallClass};
-use lookahead_trace::storage::{read_trace, write_trace};
+use lookahead_trace::storage::{read_archive_info, validate_archive_chunks};
 use lookahead_trace::TraceStats;
 use lookahead_workloads::App;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: trace_tool <COMMAND>
@@ -35,9 +38,11 @@ const USAGE: &str = "usage: trace_tool <COMMAND>
 commands:
   stats   <APP>         print instruction-mix statistics for APP's trace
   dump    <APP> <N>     print the first N lines of APP's trace
-  save    <APP> <FILE>  generate APP's trace and write it to FILE
-  retime  <FILE> <APP>  reload a saved trace and re-time it under
-                        BASE and DS-64/RC
+  save    <APP> <FILE>  generate APP's run and write it to FILE as a
+                        trace-cache archive (LKTR v3)
+  retime  <FILE>        re-time the representative trace of a saved
+                        archive (or any trace-cache file) under BASE
+                        and DS-64/RC, with the program it holds
   profile <APP> [N]     re-time APP under DS-64/RC with the obs
                         instrumentation layer; print the stall-cause
                         matrix, its reconciliation against the
@@ -142,32 +147,38 @@ fn run(args: &[String]) -> Result<(), UsageError> {
         }
         [cmd, app, file] if cmd == "save" => {
             let run = generate_run(parse_app(app).map_err(bad)?, &config);
-            let mut w = BufWriter::new(
-                File::create(file).map_err(|e| failed(format!("cannot create {file}: {e}")))?,
-            );
-            write_trace(&mut w, run.trace()).map_err(|e| failed(format!("writing {file}: {e}")))?;
-            drop(w);
+            // The cache's own key and format: a saved file is a valid
+            // cache entry, and any cache file can be re-timed.
+            let key = cache_key(&run.app, SizeTier::from_env().name(), &config);
+            let f = File::create(file).map_err(|e| failed(format!("cannot create {file}: {e}")))?;
+            write_run(BufWriter::new(f), &key, &run)
+                .and_then(|w| w.into_inner().map_err(|e| e.into_error()))
+                .map_err(|e| failed(format!("writing {file}: {e}")))?;
             println!(
-                "wrote {} entries to {file} ({} bytes)",
+                "wrote {} processors' traces of {} to {file} ({} representative entries, {} bytes)",
+                run.num_procs(),
+                run.app,
                 run.trace_len(),
                 std::fs::metadata(file).map(|m| m.len()).unwrap_or(0)
             );
             Ok(())
         }
-        [cmd, file, app] if cmd == "retime" => {
-            let app = parse_app(app).map_err(bad)?;
-            // Validate the trace file before paying for generation.
+        [cmd, file] if cmd == "retime" => {
+            // Validated as a cache hit is, so streaming cannot trip
+            // over damaged data; the program and the representative
+            // processor come from the archive, nothing is regenerated.
             let f = File::open(file).map_err(|e| failed(format!("cannot open {file}: {e}")))?;
-            let trace = read_trace(BufReader::new(f)).map_err(|e| {
-                failed(format!(
-                    "{file} is not a valid trace file (write one with `trace_tool save`): {e}"
-                ))
-            })?;
-            // The program is regenerated from the workload; the trace
-            // comes from the file.
-            let run = generate_run(app, &config);
-            let base = Base.run(&run.program, &trace);
-            let ds = Ds::new(DsConfig::rc().window(64)).run(&run.program, &trace);
+            let mut r = BufReader::new(f);
+            let info = read_archive_info(&mut r)
+                .and_then(|info| validate_archive_chunks(&mut r, &info).map(|()| info))
+                .map_err(|e| {
+                    failed(format!(
+                        "{file} is not a valid trace archive (write one with `trace_tool save`): {e}"
+                    ))
+                })?;
+            let run = AppRun::from_archive(PathBuf::from(file), info);
+            let base = run.retime(&Base);
+            let ds = run.retime(&Ds::new(DsConfig::rc().window(64)));
             println!("BASE:     {}", base.breakdown);
             println!("DS-64/RC: {}", ds.breakdown);
             println!(

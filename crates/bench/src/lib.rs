@@ -33,7 +33,6 @@
 pub mod client;
 pub mod dagbench;
 pub mod generation;
-pub mod memprobe;
 pub mod obsbench;
 pub mod reports;
 pub mod retiming;

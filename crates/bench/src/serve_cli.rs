@@ -45,9 +45,10 @@ options:
   --max-connections N
                    open-connection cap; connections beyond it get
                    503 + Retry-After at accept (default: 4096)
-  --jobs N         re-timing worker threads (default: LOOKAHEAD_JOBS
-                   or all cores; the flag wins over the environment
-                   variable)
+  --jobs N         sweep tasks run at once (default: LOOKAHEAD_JOBS or
+                   all cores; the flag wins over the environment
+                   variable); each gang task runs one engine thread
+                   per unique cell
   --scheduler S    sweep cell scheduler: dag (critical-path rank,
                    the default) or flat; bodies are byte-identical
                    either way (the flag wins over LOOKAHEAD_SCHEDULER)
@@ -78,7 +79,8 @@ byte-identical to the HTTP response body for the same target.
   lookahead query /v1/summary
 
 options:
-  --jobs N         re-timing worker threads (the flag wins over
+  --jobs N         sweep tasks run at once, each gang with one engine
+                   thread per unique cell (the flag wins over
                    LOOKAHEAD_JOBS)
   --scheduler S    sweep cell scheduler: dag (default) or flat
   --cache-dir DIR  cache traces under DIR (default: target/trace-cache)

@@ -8,7 +8,7 @@
 //! small size tier on a reduced app set so they stay fast.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 /// The fast configuration shared by every test: small tier, four
 /// processors, two applications.
@@ -18,7 +18,7 @@ const FAST: [(&str, &str); 3] = [
     ("LOOKAHEAD_APPS", "LU,MP3D"),
 ];
 
-fn run(bin: &str, args: &[&str], envs: &[(&str, &str)]) -> Output {
+fn command(bin: &str, args: &[&str], envs: &[(&str, &str)]) -> Command {
     let mut cmd = Command::new(bin);
     cmd.args(args);
     // Every harness knob cleared, so the ambient shell can't leak
@@ -30,7 +30,18 @@ fn run(bin: &str, args: &[&str], envs: &[(&str, &str)]) -> Output {
     }
     cmd.envs(FAST.iter().copied());
     cmd.envs(envs.iter().copied());
-    cmd.output().expect("binary runs")
+    cmd
+}
+
+fn run(bin: &str, args: &[&str], envs: &[(&str, &str)]) -> Output {
+    command(bin, args, envs).output().expect("binary runs")
+}
+
+fn assert_no_panic(out: &Output) {
+    for stream in [&out.stdout, &out.stderr] {
+        let text = String::from_utf8_lossy(stream);
+        assert!(!text.contains("panicked"), "{text}");
+    }
 }
 
 fn stdout_of(out: &Output) -> &str {
@@ -218,5 +229,105 @@ fn failed_workload_self_check_exits_2_naming_the_configuration() {
             "the error must name the app, the tier and the processor count: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
+
+#[test]
+fn two_processes_filling_one_cache_directory_agree() {
+    let driver = env!("CARGO_BIN_EXE_lookahead");
+    let cache = temp_dir("race");
+    let cache_arg = format!("--cache-dir={}", cache.display());
+
+    // Both start on an empty directory, so both may generate and
+    // rename the same two archives into place.
+    let racers: Vec<_> = (0..2)
+        .map(|_| {
+            command(driver, &["summary", &cache_arg], &[])
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("binary starts")
+        })
+        .collect();
+    let outs: Vec<Output> = racers
+        .into_iter()
+        .map(|c| c.wait_with_output().expect("binary runs"))
+        .collect();
+    let uncached = run(driver, &["summary", "--no-cache"], &[]);
+    for out in &outs {
+        assert_eq!(stdout_of(out), stdout_of(&uncached));
+        assert_no_panic(out);
+    }
+
+    let warm = run(driver, &["summary", &cache_arg], &[]);
+    assert_eq!(stdout_of(&warm), stdout_of(&uncached));
+    let warm_err = String::from_utf8_lossy(&warm.stderr);
+    assert!(
+        warm_err.contains("trace cache: 2 hits, 0 misses"),
+        "the racers must leave two whole archives behind: {warm_err}"
+    );
+
+    let mut names: Vec<String> = std::fs::read_dir(&cache)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    assert_eq!(names.len(), 2, "{names:?}");
+    assert!(
+        names
+            .iter()
+            .all(|n| n.ends_with(".lktr") && !n.contains(".tmp")),
+        "no temporary file may be left behind: {names:?}"
+    );
+}
+
+#[test]
+fn trace_tool_retimes_a_saved_archive_under_its_own_program() {
+    let tool = env!("CARGO_BIN_EXE_trace_tool");
+    let dir = temp_dir("trace-tool");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("lu.lktr").display().to_string();
+    const LU: &str = "BASE:     total=14969 busy=5714 sync=3424 read=4116 write=1715\n\
+                      DS-64/RC: total=8859 busy=5716 sync=2826 read=317 write=0\n\
+                      normalized: 59.2\n";
+
+    let save = run(tool, &["save", "LU", &file], &[]);
+    let _ = stdout_of(&save);
+    let retime = run(tool, &["retime", &file], &[]);
+    assert_eq!(stdout_of(&retime), LU);
+
+    // The archive names its application; a second one is a usage
+    // error, never a re-timing under another program.
+    let wrong = run(tool, &["retime", &file, "MP3D"], &[]);
+    assert_eq!(wrong.status.code(), Some(2));
+    assert!(wrong.stdout.is_empty());
+
+    // A file in the retired bare-trace layout is refused by version.
+    let v1 = dir.join("v1.lktr").display().to_string();
+    std::fs::write(&v1, b"LKTR\x01\0\0\0\0\0\0\0\0").unwrap();
+    let old = run(tool, &["retime", &v1], &[]);
+    assert_eq!(old.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&old.stderr);
+    assert!(stderr.contains("version 1"), "{stderr}");
+
+    // Any trace-cache file re-times the same way.
+    let cache = dir.join("cache");
+    let driver = env!("CARGO_BIN_EXE_lookahead");
+    let fill = run(
+        driver,
+        &["summary", &format!("--cache-dir={}", cache.display())],
+        &[],
+    );
+    let _ = stdout_of(&fill);
+    let cached = std::fs::read_dir(&cache)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.file_name().unwrap().to_string_lossy().starts_with("LU-"))
+        .expect("the driver cached LU");
+    let from_cache = run(tool, &["retime", &cached.display().to_string()], &[]);
+    assert_eq!(stdout_of(&from_cache), LU);
+
+    for out in [&save, &retime, &wrong, &old, &from_cache] {
+        assert_no_panic(out);
     }
 }

@@ -34,20 +34,18 @@
 //!   including the streamed-generation path, whose partial archive
 //!   only becomes visible after verification succeeds.
 
-use crate::pipeline::{force_materialize, AppRun, PipelineError};
+use crate::pipeline::{AppRun, PipelineError};
 use lookahead_multiproc::{SimConfig, SimError, Simulator};
 use lookahead_obs::span;
 use lookahead_trace::storage::{
-    read_archive_info, read_archive_v3, validate_archive_chunks, ArchiveWriter, TraceArchive,
-    ARCHIVE_VERSION,
+    read_archive_info, validate_archive_chunks, ArchiveWriter, ARCHIVE_VERSION,
 };
 use lookahead_trace::{fnv1a, DecodeError, SliceSource, TraceSink, TraceSource, DEFAULT_CHUNK_LEN};
 use lookahead_workloads::Workload;
 use std::fmt;
 use std::fs;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Builds the canonical cache-key string for one generated run.
 ///
@@ -92,12 +90,10 @@ pub enum MissReason {
         /// The key stored in the archive.
         found: String,
     },
-    /// The file failed to decode or failed its checksum (this includes
-    /// archives in the retired v1/v2 layouts); it has been evicted.
+    /// The file failed to decode, failed a checksum or has mutually
+    /// inconsistent sections (this includes archives in the retired
+    /// v1/v2 layouts); it has been evicted.
     Corrupt(DecodeError),
-    /// The archive decoded but its sections are mutually inconsistent
-    /// (e.g. representative processor out of range); evicted.
-    Invalid(String),
     /// The file could not be read at the I/O level.
     Io(std::io::Error),
 }
@@ -110,7 +106,6 @@ impl fmt::Display for MissReason {
                 write!(f, "cached under a different key ({found})")
             }
             MissReason::Corrupt(e) => write!(f, "corrupt cache file ({e}); evicted"),
-            MissReason::Invalid(m) => write!(f, "inconsistent cache file ({m}); evicted"),
             MissReason::Io(e) => write!(f, "cache i/o error ({e})"),
         }
     }
@@ -168,8 +163,8 @@ impl TraceCache {
     ///
     /// Every chunk record is checksum-verified before the run is
     /// returned, so subsequent streaming from the archive cannot trip
-    /// over damaged data. The run is archive-backed (traces stream
-    /// from disk on demand) unless [`force_materialize`] is set.
+    /// over damaged data. The run is archive-backed: traces stream from
+    /// disk on demand.
     pub fn load(&self, app: &str, key: &str) -> Result<AppRun, MissReason> {
         let path = self.path_for(app, key);
         let file = match fs::File::open(&path) {
@@ -188,20 +183,12 @@ impl TraceCache {
             return Err(MissReason::KeyMismatch { found: info.key });
         }
         validate_archive_chunks(&mut r, &info).map_err(evict)?;
-        if force_materialize() {
-            let archive = read_archive_v3(&mut r).map_err(evict)?;
-            return app_run_from_archive(archive).map_err(|m| {
-                let _ = fs::remove_file(&path);
-                MissReason::Invalid(m)
-            });
-        }
         Ok(AppRun::from_archive(path, info))
     }
 
     /// Stores `run` under `key`, atomically (write to a temporary file
-    /// in the same directory, then rename into place). Entries are
-    /// encoded chunk-by-chunk straight out of the run's shared traces;
-    /// nothing is deep-copied.
+    /// in the same directory, then rename into place) with
+    /// [`write_run`].
     ///
     /// # Errors
     ///
@@ -212,16 +199,7 @@ impl TraceCache {
         let path = self.path_for(&run.app, key);
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
         let result = (|| {
-            let w = BufWriter::new(fs::File::create(&tmp)?);
-            let mut aw = ArchiveWriter::new(w, key, &run.app, run.num_procs(), &run.program)?;
-            for p in 0..run.num_procs() {
-                let trace = run.trace_for(p);
-                let mut src = SliceSource::with_chunk_len(&trace, DEFAULT_CHUNK_LEN);
-                while let Some(chunk) = src.next_chunk().expect("slice sources cannot fail") {
-                    aw.accept(p, &chunk)?;
-                }
-            }
-            let w = aw.finish(run.proc, run.mp_cycles, &run.mp_breakdowns)?;
+            let w = write_run(BufWriter::new(fs::File::create(&tmp)?), key, run)?;
             w.into_inner().map_err(|e| e.into_error())?.sync_all()
         })();
         if let Err(e) = result {
@@ -233,29 +211,24 @@ impl TraceCache {
     }
 }
 
-fn app_run_from_archive(a: TraceArchive) -> Result<AppRun, String> {
-    let proc = a.proc as usize;
-    if proc >= a.traces.len() {
-        return Err(format!(
-            "representative processor {proc} out of range ({} traces)",
-            a.traces.len()
-        ));
+/// Writes `run` to `w` as the v3 archive the cache stores under `key`.
+/// Entries are encoded chunk-by-chunk straight out of the run's shared
+/// traces; nothing is deep-copied. Returns the writer so the caller
+/// can flush or sync it.
+///
+/// # Errors
+///
+/// Propagates any I/O error from the writer.
+pub fn write_run<W: Write>(w: W, key: &str, run: &AppRun) -> std::io::Result<W> {
+    let mut aw = ArchiveWriter::new(w, key, &run.app, run.num_procs(), &run.program)?;
+    for p in 0..run.num_procs() {
+        let trace = run.trace_for(p);
+        let mut src = SliceSource::with_chunk_len(&trace, DEFAULT_CHUNK_LEN);
+        while let Some(chunk) = src.next_chunk().expect("slice sources cannot fail") {
+            aw.accept(p, &chunk)?;
+        }
     }
-    if a.breakdowns.len() != a.traces.len() {
-        return Err(format!(
-            "{} breakdowns for {} traces",
-            a.breakdowns.len(),
-            a.traces.len()
-        ));
-    }
-    Ok(AppRun::from_traces(
-        a.app,
-        a.program,
-        proc,
-        a.traces.into_iter().map(Arc::new).collect(),
-        a.breakdowns,
-        a.mp_cycles,
-    ))
+    aw.finish(run.proc, run.mp_cycles, &run.mp_breakdowns)
 }
 
 /// How streamed generation failed, deciding the recovery strategy.
@@ -321,14 +294,6 @@ fn generate_streamed(
             .map_err(|e| std::io::Error::other(format!("re-reading just-written archive: {e}")))
     })();
     let info = reopen.map_err(Io)?;
-    if force_materialize() {
-        return match cache.load(workload.name(), key) {
-            Ok(run) => Ok(run),
-            Err(m) => Err(Io(std::io::Error::other(format!(
-                "re-loading just-written archive: {m}"
-            )))),
-        };
-    }
     Ok(AppRun::from_archive(path, info))
 }
 

@@ -15,17 +15,6 @@ use std::io::{self, BufReader};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Environment variable forcing every archive-backed run to
-/// materialize its traces instead of streaming them from disk (the
-/// `lookahead bench memory` baseline mode; also an escape hatch if the
-/// streamed path ever misbehaves in the field).
-pub const FORCE_MATERIALIZE_ENV: &str = "LOOKAHEAD_FORCE_MATERIALIZE";
-
-/// Whether [`FORCE_MATERIALIZE_ENV`] is set to `1`.
-pub fn force_materialize() -> bool {
-    std::env::var_os(FORCE_MATERIALIZE_ENV).is_some_and(|v| v == "1")
-}
-
 /// Errors from trace generation.
 #[derive(Debug)]
 pub enum PipelineError {
@@ -65,10 +54,11 @@ impl From<SimError> for PipelineError {
 
 /// Where an [`AppRun`]'s traces live.
 ///
-/// `Memory` is the classic fully-materialized form (direct generation,
-/// or a cache hit under [`FORCE_MATERIALIZE_ENV`]). `Archive` backs the
-/// run with a validated on-disk v3 archive: re-timing streams chunks
-/// from the file, and a trace is only materialized when a consumer
+/// `Memory` is the fully-materialized form of direct generation: runs
+/// without a cache, and the fallback when an archive cannot be
+/// written. `Archive` backs every cache hit (and streamed generation)
+/// with a validated on-disk v3 archive: re-timing streams chunks from
+/// the file, and a trace is only materialized when a consumer
 /// genuinely needs random access (trace statistics, listings, the
 /// multiple-contexts model) — lazily, at most once per processor.
 #[derive(Debug)]
@@ -200,26 +190,6 @@ impl AppRun {
         })
     }
 
-    /// A run materialized in memory (cache hits under
-    /// [`FORCE_MATERIALIZE_ENV`], and tests).
-    pub fn from_traces(
-        app: String,
-        program: Program,
-        proc: usize,
-        traces: Vec<Arc<Trace>>,
-        mp_breakdowns: Vec<Breakdown>,
-        mp_cycles: u64,
-    ) -> AppRun {
-        AppRun {
-            app,
-            program,
-            proc,
-            mp_breakdowns,
-            mp_cycles,
-            store: TraceStore::Memory { traces },
-        }
-    }
-
     /// A run backed by a validated v3 archive at `path`. Traces stream
     /// from the file on demand; nothing is materialized up front.
     pub fn from_archive(path: PathBuf, info: ArchiveInfo) -> AppRun {
@@ -312,12 +282,11 @@ impl AppRun {
     }
 
     /// The archive to stream the representative trace from, when the
-    /// run is archive-backed and streaming is not disabled. Once the
-    /// trace is materialized anyway, slicing it is strictly cheaper
-    /// than re-reading the file.
+    /// run is archive-backed. Once the trace is materialized anyway,
+    /// slicing it is strictly cheaper than re-reading the file.
     fn streaming_archive(&self) -> Option<&ArchiveStore> {
         match &self.store {
-            TraceStore::Archive(a) if a.rep.get().is_none() && !force_materialize() => Some(a),
+            TraceStore::Archive(a) if a.rep.get().is_none() => Some(a),
             _ => None,
         }
     }

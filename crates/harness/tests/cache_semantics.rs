@@ -207,17 +207,12 @@ fn legacy_v2_archive_is_evicted_and_regenerated_as_v3() {
     // leftover v2 file sits at a v2-keyed path and is simply
     // unreachable — this is the adversarial case of a renamed file).
     let run = AppRun::generate(&wl, &config).unwrap();
-    let legacy = lookahead_trace::TraceArchive {
-        key: key.clone(),
-        app: run.app.clone(),
-        proc: run.proc as u32,
-        mp_cycles: run.mp_cycles,
-        breakdowns: run.mp_breakdowns.clone(),
-        program: run.program.clone(),
-        traces: run.all_traces().iter().map(|t| (**t).clone()).collect(),
-    };
-    let mut bytes = Vec::new();
-    lookahead_trace::write_archive(&mut bytes, &legacy).unwrap();
+    // The v2 layout's head: the shared magic, version byte 2, then the
+    // checksummed payload, which opened with the length-prefixed key.
+    let mut bytes = b"LKTR\x02".to_vec();
+    bytes.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(key.as_bytes());
+    bytes.extend_from_slice(&[0; 64]);
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
     std::fs::write(&path, &bytes).unwrap();
 

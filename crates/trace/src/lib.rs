@@ -31,10 +31,7 @@ pub mod stream;
 pub use breakdown::Breakdown;
 pub use record::{MemAccess, SyncAccess, Trace, TraceEntry, TraceOp};
 pub use stats::{BranchPredictor, BranchStats, DataRefStats, SyncStats, TraceStats};
-pub use storage::{
-    fnv1a, read_archive, read_trace, write_archive, write_trace, DecodeError, TraceArchive,
-    ARCHIVE_VERSION,
-};
+pub use storage::{fnv1a, DecodeError, ARCHIVE_VERSION};
 pub use stream::{
     collect_source, ChunkBuilder, ChunkMeta, CollectSink, EntryCols, EntryView, GangCursor,
     GangMember, GangStats, NullSink, OpClass, SliceSource, StreamError, TraceChunk, TraceCursor,

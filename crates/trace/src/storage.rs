@@ -3,29 +3,24 @@
 //! Traces for realistic workload sizes run to millions of entries;
 //! regenerating them for every experiment is wasteful. This module
 //! provides a simple, versioned binary format so the harness can cache
-//! traces on disk between experiments.
+//! generated runs on disk between experiments.
 //!
-//! Two containers share the `LKTR` magic and the per-entry encoding:
-//!
-//! * **version 1** ([`write_trace`]/[`read_trace`]) — a bare trace:
-//!   magic/version header, an entry count, then one tagged record per
-//!   entry with little-endian fields;
-//! * **version 2** ([`write_archive`]/[`read_archive`]) — a complete
-//!   generated run ([`TraceArchive`]): the cache key it was produced
-//!   under, the program, the multiprocessor statistics and *all*
-//!   per-processor traces, followed by an FNV-1a checksum footer so a
-//!   damaged cache file is detected rather than trusted;
-//! * **version 3** ([`ArchiveWriter`]/[`ArchiveInfo`]/[`ChunkReader`])
-//!   — the same run in *chunked* form: a checksummed header, a stream
-//!   of per-chunk-checksummed [`TraceChunk`](crate::stream::TraceChunk)
-//!   records (interleavable across processors, so the writer can run
-//!   concurrently with trace generation), and a checksummed trailer
-//!   found via a trailing length word. Readers stream one processor's
-//!   chunks straight off disk without decoding the whole archive.
+//! There is one container, `LKTR` version 3
+//! ([`ArchiveWriter`]/[`ArchiveInfo`]/[`ChunkReader`]): a complete
+//! generated run in *chunked* form — a checksummed header (cache key,
+//! application, program), a stream of per-chunk-checksummed
+//! [`TraceChunk`](crate::stream::TraceChunk) records (interleavable
+//! across processors, so the writer can run concurrently with trace
+//! generation), and a checksummed trailer (run statistics) found via a
+//! trailing length word. Readers stream one processor's chunks
+//! straight off disk without decoding the whole archive. Files in the
+//! retired version-1 (bare trace) and version-2 (whole-archive)
+//! layouts share the magic and are refused with
+//! [`DecodeError::BadVersion`].
 
 use crate::breakdown::Breakdown;
-use crate::record::{MemAccess, SyncAccess, Trace, TraceEntry, TraceOp};
-use crate::stream::{ChunkMeta, SliceSource, StreamError, TraceChunk, TraceSink, TraceSource};
+use crate::record::{MemAccess, SyncAccess, TraceEntry, TraceOp};
+use crate::stream::{ChunkMeta, StreamError, TraceChunk, TraceSink, TraceSource};
 use lookahead_isa::{
     AluOp, BranchCond, FpCmpOp, FpReg, FpuOp, Instruction, IntReg, Program, SyncKind,
 };
@@ -35,16 +30,10 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"LKTR";
-const VERSION: u8 = 1;
 
-/// Version byte of the whole-archive (v2) container, still readable
-/// and writable for compatibility tests.
-pub const ARCHIVE_V2: u8 = 2;
-
-/// Version byte of the current [`TraceArchive`] container (the chunked
-/// v3 layout). Part of the cache fingerprint: bump it whenever the
-/// encoding changes and every stale cache entry is regenerated instead
-/// of misread.
+/// Version byte of the archive container (the chunked v3 layout). Part
+/// of the cache fingerprint: bump it whenever the encoding changes and
+/// every stale cache entry is regenerated instead of misread.
 pub const ARCHIVE_VERSION: u8 = 3;
 
 const TAG_COMPUTE: u8 = 0;
@@ -149,30 +138,6 @@ fn sync_kind_from_code(code: u8) -> Result<SyncKind, DecodeError> {
     })
 }
 
-/// Writes `trace` to `w` in the Lookahead binary trace format.
-///
-/// The writer is taken by value per the usual Rust convention; pass
-/// `&mut writer` to keep using it afterwards.
-///
-/// # Errors
-///
-/// Propagates any I/O error from the writer.
-pub fn write_trace<W: Write>(mut w: W, trace: &Trace) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    w.write_all(&[VERSION])?;
-    write_entries(&mut w, trace)
-}
-
-/// Writes the body shared by both container versions: an entry count
-/// followed by the tagged records.
-fn write_entries<W: Write>(w: &mut W, trace: &Trace) -> io::Result<()> {
-    w.write_all(&(trace.len() as u64).to_le_bytes())?;
-    for e in trace.iter() {
-        write_entry(w, e)?;
-    }
-    Ok(())
-}
-
 fn write_entry<W: Write>(w: &mut W, e: &TraceEntry) -> io::Result<()> {
     w.write_all(&e.pc.to_le_bytes())?;
     match e.op {
@@ -209,32 +174,6 @@ fn read_exact<R: Read, const N: usize>(r: &mut R) -> io::Result<[u8; N]> {
     let mut buf = [0u8; N];
     r.read_exact(&mut buf)?;
     Ok(buf)
-}
-
-/// Reads a trace previously written by [`write_trace`].
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on malformed input or I/O failure.
-pub fn read_trace<R: Read>(mut r: R) -> Result<Trace, DecodeError> {
-    let magic: [u8; 4] = read_exact(&mut r)?;
-    if &magic != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let [version] = read_exact::<_, 1>(&mut r)?;
-    if version != VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    read_entries(&mut r)
-}
-
-fn read_entries<R: Read>(r: &mut R) -> Result<Trace, DecodeError> {
-    let count = u64::from_le_bytes(read_exact(r)?);
-    let mut entries = Vec::with_capacity(count.min(1 << 24) as usize);
-    for _ in 0..count {
-        entries.push(read_entry(r)?);
-    }
-    Ok(Trace::from_entries(entries))
 }
 
 fn read_entry<R: Read>(r: &mut R) -> Result<TraceEntry, DecodeError> {
@@ -293,7 +232,7 @@ fn read_entry<R: Read>(r: &mut R) -> Result<TraceEntry, DecodeError> {
 }
 
 // ---------------------------------------------------------------------
-// Version-2 archives: a complete generated run with a checksum footer.
+// Checksums and the header/trailer field codecs.
 // ---------------------------------------------------------------------
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -809,117 +748,6 @@ fn read_breakdown<R: Read>(r: &mut R) -> Result<Breakdown, DecodeError> {
     })
 }
 
-/// A complete generated run in on-disk form: everything the harness
-/// needs to re-time an application without re-running the
-/// multiprocessor simulation.
-///
-/// The `key` is the content-addressed cache fingerprint the archive
-/// was generated under (workload, size tier, simulation configuration,
-/// format version). Consumers must compare it against the key they
-/// expect — a mismatch means a different configuration produced this
-/// file and it must be regenerated, never trusted.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceArchive {
-    /// Canonical cache-key string (see `lookahead-harness`'s cache).
-    pub key: String,
-    /// Application name ("MP3D", "LU", ...).
-    pub app: String,
-    /// Index of the representative processor within `traces`.
-    pub proc: u32,
-    /// Total multiprocessor cycles of the generating run.
-    pub mp_cycles: u64,
-    /// Per-processor execution-time breakdowns of the generating run.
-    pub breakdowns: Vec<Breakdown>,
-    /// The SPMD program all processors executed.
-    pub program: Program,
-    /// Every processor's annotated trace.
-    pub traces: Vec<Trace>,
-}
-
-/// Writes a [`TraceArchive`] in the version-2 `LKTR` container:
-/// magic/version header, checksummed payload (key, app, statistics,
-/// program and all traces), then an FNV-1a footer.
-///
-/// # Errors
-///
-/// Propagates any I/O error from the writer.
-pub fn write_archive<W: Write>(mut w: W, archive: &TraceArchive) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    w.write_all(&[ARCHIVE_V2])?;
-    let mut hw = HashingWriter::new(&mut w);
-    write_str(&mut hw, &archive.key)?;
-    write_str(&mut hw, &archive.app)?;
-    hw.write_all(&archive.proc.to_le_bytes())?;
-    hw.write_all(&archive.mp_cycles.to_le_bytes())?;
-    hw.write_all(&(archive.breakdowns.len() as u32).to_le_bytes())?;
-    for b in &archive.breakdowns {
-        write_breakdown(&mut hw, b)?;
-    }
-    write_program(&mut hw, &archive.program)?;
-    hw.write_all(&(archive.traces.len() as u32).to_le_bytes())?;
-    for t in &archive.traces {
-        write_entries(&mut hw, t)?;
-    }
-    let checksum = hw.hash;
-    w.write_all(&checksum.to_le_bytes())
-}
-
-/// Reads a [`TraceArchive`] previously written by [`write_archive`],
-/// verifying the checksum footer.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on malformed or damaged input; a payload
-/// that decodes structurally but fails the checksum yields
-/// [`DecodeError::BadChecksum`].
-pub fn read_archive<R: Read>(mut r: R) -> Result<TraceArchive, DecodeError> {
-    let magic: [u8; 4] = read_exact(&mut r)?;
-    if &magic != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let [version] = read_exact::<_, 1>(&mut r)?;
-    if version != ARCHIVE_V2 {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let mut hr = HashingReader::new(&mut r);
-    let key = read_str(&mut hr)?;
-    let app = read_str(&mut hr)?;
-    let proc = u32::from_le_bytes(read_exact(&mut hr)?);
-    let mp_cycles = u64::from_le_bytes(read_exact(&mut hr)?);
-    let breakdown_count = u32::from_le_bytes(read_exact(&mut hr)?);
-    let mut breakdowns = Vec::with_capacity(breakdown_count.min(1 << 16) as usize);
-    for _ in 0..breakdown_count {
-        breakdowns.push(read_breakdown(&mut hr)?);
-    }
-    let program = read_program(&mut hr)?;
-    let trace_count = u32::from_le_bytes(read_exact(&mut hr)?);
-    let mut traces = Vec::with_capacity(trace_count.min(1 << 16) as usize);
-    for _ in 0..trace_count {
-        traces.push(read_entries(&mut hr)?);
-    }
-    let computed = hr.hash;
-    let stored = u64::from_le_bytes(read_exact(&mut r)?);
-    if stored != computed {
-        return Err(DecodeError::BadChecksum { stored, computed });
-    }
-    let archive = TraceArchive {
-        key,
-        app,
-        proc,
-        mp_cycles,
-        breakdowns,
-        program,
-        traces,
-    };
-    if (archive.proc as usize) >= archive.traces.len().max(1) {
-        return Err(DecodeError::BadCode {
-            what: "representative processor index",
-            code: archive.proc as u64,
-        });
-    }
-    Ok(archive)
-}
-
 // ---------------------------------------------------------------------
 // Version-3 archives: chunked, streamable, per-chunk checksums.
 // ---------------------------------------------------------------------
@@ -1175,14 +1003,20 @@ fn read_chunk_header<R: Read>(r: &mut R) -> Result<Option<ChunkHeader>, DecodeEr
 }
 
 /// Reads and checksum-verifies one record's payload into `buf`.
+///
+/// The payload is read through `take` rather than into a buffer sized
+/// up front, so a damaged length costs at most the bytes actually
+/// present in the file, not a `MAX_CHUNK_BYTES` allocation.
 fn read_chunk_payload<R: Read>(
     r: &mut R,
     h: &ChunkHeader,
     buf: &mut Vec<u8>,
 ) -> Result<(), DecodeError> {
     buf.clear();
-    buf.resize(h.byte_len as usize, 0);
-    r.read_exact(buf)?;
+    r.by_ref().take(h.byte_len as u64).read_to_end(buf)?;
+    if buf.len() != h.byte_len as usize {
+        return Err(DecodeError::Io(io::ErrorKind::UnexpectedEof.into()));
+    }
     let stored = u64::from_le_bytes(read_exact(r)?);
     let computed = fnv1a_fold(fnv1a_fold(FNV_OFFSET, &h.raw), buf);
     if stored != computed {
@@ -1436,88 +1270,89 @@ impl<R: Read + Seek> TraceSource for ChunkReader<R> {
     }
 }
 
-/// Writes a complete [`TraceArchive`] in the v3 chunked container,
-/// slicing each trace into chunks of `chunk_len` entries. Entries are
-/// encoded straight from the trace slices — nothing is deep-copied.
-///
-/// # Errors
-///
-/// Propagates any I/O error from the writer.
-pub fn write_archive_v3<W: Write>(
-    w: W,
-    archive: &TraceArchive,
-    chunk_len: usize,
-) -> io::Result<()> {
-    let mut aw = ArchiveWriter::new(
-        w,
-        &archive.key,
-        &archive.app,
-        archive.traces.len(),
-        &archive.program,
-    )?;
-    for (proc, trace) in archive.traces.iter().enumerate() {
-        let mut src = SliceSource::with_chunk_len(trace, chunk_len.max(1));
-        while let Some(chunk) = src.next_chunk().expect("slice sources cannot fail") {
-            aw.accept(proc, &chunk)?;
-        }
-    }
-    aw.finish(
-        archive.proc as usize,
-        archive.mp_cycles,
-        &archive.breakdowns,
-    )?;
-    Ok(())
-}
-
-/// Reads a whole v3 archive back into a materialized [`TraceArchive`]
-/// — the round-trip counterpart of [`write_archive_v3`], used by tests
-/// and anything that genuinely needs every trace in memory.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on malformed or damaged input.
-pub fn read_archive_v3<R: Read + Seek>(mut r: R) -> Result<TraceArchive, DecodeError> {
-    let info = read_archive_info(&mut r)?;
-    let mut traces = Vec::with_capacity(info.num_procs());
-    for proc in 0..info.num_procs() {
-        let mut src = ChunkReader::new(&mut r, &info, proc)?;
-        let trace = crate::stream::collect_source(&mut src).map_err(|e| match e {
-            StreamError::Io(e) => DecodeError::Io(e),
-            StreamError::Decode(e) => e,
-            StreamError::Corrupt(m) => DecodeError::BadCode {
-                what: "chunk stream",
-                code: fnv1a(m.as_bytes()),
-            },
-        })?;
-        if trace.len() as u64 != info.totals[proc].entries {
-            return Err(DecodeError::BadCode {
-                what: "per-processor totals",
-                code: trace.len() as u64,
-            });
-        }
-        traces.push(trace);
-    }
-    Ok(TraceArchive {
-        key: info.key,
-        app: info.app,
-        proc: info.proc,
-        mp_cycles: info.mp_cycles,
-        breakdowns: info.breakdowns,
-        program: info.program,
-        traces,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Trace;
+    use crate::stream::{collect_source, SliceSource};
     use lookahead_isa::rng::XorShift64;
 
-    fn roundtrip(trace: &Trace) -> Trace {
-        let mut buf = Vec::new();
-        write_trace(&mut buf, trace).unwrap();
-        read_trace(buf.as_slice()).unwrap()
+    /// A generated run as the archive must reproduce it: header and
+    /// trailer fields plus every processor's trace.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Run {
+        key: String,
+        app: String,
+        proc: u32,
+        mp_cycles: u64,
+        breakdowns: Vec<Breakdown>,
+        program: Program,
+        traces: Vec<Trace>,
     }
+
+    /// Writes `run` through [`ArchiveWriter`], `chunk_len` entries per
+    /// chunk record.
+    fn encode(run: &Run, chunk_len: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut w =
+            ArchiveWriter::new(&mut buf, &run.key, &run.app, run.traces.len(), &run.program)
+                .unwrap();
+        for (proc, trace) in run.traces.iter().enumerate() {
+            let mut src = SliceSource::with_chunk_len(trace, chunk_len);
+            while let Some(chunk) = src.next_chunk().unwrap() {
+                w.accept(proc, &chunk).unwrap();
+            }
+        }
+        w.finish(run.proc as usize, run.mp_cycles, &run.breakdowns)
+            .unwrap();
+        buf
+    }
+
+    /// Reads an archive the way the trace cache does: header and
+    /// trailer, one validation pass over every chunk, then one chunk
+    /// reader per processor.
+    fn decode(bytes: &[u8]) -> Result<Run, StreamError> {
+        let info = read_archive_info(io::Cursor::new(bytes))?;
+        validate_archive_chunks(io::Cursor::new(bytes), &info)?;
+        let traces = (0..info.num_procs())
+            .map(|p| collect_source(&mut ChunkReader::new(io::Cursor::new(bytes), &info, p)?))
+            .collect::<Result<_, _>>()?;
+        Ok(Run {
+            key: info.key,
+            app: info.app,
+            proc: info.proc,
+            mp_cycles: info.mp_cycles,
+            breakdowns: info.breakdowns,
+            program: info.program,
+            traces,
+        })
+    }
+
+    fn halt_program() -> Program {
+        let mut a = lookahead_isa::Assembler::new();
+        a.halt();
+        a.assemble().unwrap()
+    }
+
+    /// A one-processor run holding `trace`.
+    fn single(trace: Trace) -> Run {
+        Run {
+            key: "k".to_string(),
+            app: "APP".to_string(),
+            proc: 0,
+            mp_cycles: 1,
+            breakdowns: vec![Breakdown::default()],
+            program: halt_program(),
+            traces: vec![trace],
+        }
+    }
+
+    fn roundtrip(trace: &Trace) -> Trace {
+        let run = decode(&encode(&single(trace.clone()), DEFAULT_TEST_CHUNK)).unwrap();
+        run.traces.into_iter().next().unwrap()
+    }
+
+    const DEFAULT_TEST_CHUNK: usize = 16;
 
     #[test]
     fn empty_trace_roundtrips() {
@@ -1561,17 +1396,17 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let err = read_trace(&b"NOPE\x01\x00\x00\x00\x00\x00\x00\x00\x00"[..]).unwrap_err();
+        let err = read_archive_info(io::Cursor::new(b"NOPE\x03\x00\x00\x00\x00\x00\x00\x00\x00"))
+            .unwrap_err();
         assert!(matches!(err, DecodeError::BadMagic));
     }
 
     #[test]
     fn bad_version_rejected() {
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &Trace::new()).unwrap();
+        let mut buf = encode(&single(Trace::new()), DEFAULT_TEST_CHUNK);
         buf[4] = 99;
         assert!(matches!(
-            read_trace(buf.as_slice()).unwrap_err(),
+            read_archive_info(io::Cursor::new(&buf)).unwrap_err(),
             DecodeError::BadVersion(99)
         ));
     }
@@ -1587,24 +1422,30 @@ mod tests {
                 latency: 0,
             }),
         });
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
+        let buf = encode(&single(t), DEFAULT_TEST_CHUNK);
         assert!(matches!(
-            read_trace(buf.as_slice()).unwrap_err(),
-            DecodeError::BadLatency
+            decode(&buf).unwrap_err(),
+            StreamError::Decode(DecodeError::BadLatency)
         ));
     }
 
     #[test]
     fn truncated_stream_is_io_error() {
-        let mut buf = Vec::new();
         let mut t = Trace::new();
         t.push(TraceEntry::compute(1));
-        write_trace(&mut buf, &t).unwrap();
-        buf.truncate(buf.len() - 1);
+        let buf = encode(&single(t), DEFAULT_TEST_CHUNK);
+        let info = read_archive_info(io::Cursor::new(&buf)).unwrap();
+        // The chunk stream ends one byte into its only record's
+        // checksum: both chunk passes must hit end-of-file.
+        let cut = &buf[..info.chunks_start as usize + 28 + 5 + 1];
         assert!(matches!(
-            read_trace(buf.as_slice()).unwrap_err(),
+            validate_archive_chunks(io::Cursor::new(cut), &info).unwrap_err(),
             DecodeError::Io(_)
+        ));
+        let mut src = ChunkReader::new(io::Cursor::new(cut), &info, 0).unwrap();
+        assert!(matches!(
+            src.next_chunk().unwrap_err(),
+            StreamError::Decode(DecodeError::Io(_))
         ));
     }
 
@@ -1661,12 +1502,12 @@ mod tests {
         }
     }
 
-    fn sample_archive(rng: &mut XorShift64, num_procs: usize) -> TraceArchive {
+    fn sample_run(rng: &mut XorShift64, num_procs: usize) -> Run {
         use lookahead_isa::{Assembler, IntReg};
         let mut a = Assembler::new();
         a.li(IntReg::T0, 1);
         a.halt();
-        TraceArchive {
+        Run {
             key: "lktr-v3;app=TEST".to_string(),
             app: "TEST".to_string(),
             proc: (num_procs - 1) as u32,
@@ -1693,26 +1534,23 @@ mod tests {
     fn v3_roundtrips_at_awkward_chunk_sizes() {
         let mut rng = XorShift64::seed_from_u64(0xA3);
         for chunk_len in [1usize, 7, crate::stream::DEFAULT_CHUNK_LEN, 100_000] {
-            let archive = sample_archive(&mut rng, 4);
-            let mut buf = Vec::new();
-            write_archive_v3(&mut buf, &archive, chunk_len).unwrap();
-            let got = read_archive_v3(io::Cursor::new(&buf)).unwrap();
-            assert_eq!(got, archive, "chunk_len {chunk_len}");
+            let run = sample_run(&mut rng, 4);
+            let got = decode(&encode(&run, chunk_len)).unwrap();
+            assert_eq!(got, run, "chunk_len {chunk_len}");
         }
     }
 
     #[test]
     fn v3_info_and_validation_agree_with_content() {
         let mut rng = XorShift64::seed_from_u64(0xB4);
-        let archive = sample_archive(&mut rng, 3);
-        let mut buf = Vec::new();
-        write_archive_v3(&mut buf, &archive, 16).unwrap();
+        let run = sample_run(&mut rng, 3);
+        let buf = encode(&run, 16);
         let info = read_archive_info(io::Cursor::new(&buf)).unwrap();
-        assert_eq!(info.key, archive.key);
-        assert_eq!(info.proc, archive.proc);
-        assert_eq!(info.mp_cycles, archive.mp_cycles);
-        assert_eq!(info.breakdowns, archive.breakdowns);
-        for (p, t) in archive.traces.iter().enumerate() {
+        assert_eq!(info.key, run.key);
+        assert_eq!(info.proc, run.proc);
+        assert_eq!(info.mp_cycles, run.mp_cycles);
+        assert_eq!(info.breakdowns, run.breakdowns);
+        for (p, t) in run.traces.iter().enumerate() {
             assert_eq!(info.totals[p].entries, t.len() as u64);
             assert_eq!(info.totals[p].mem_entries, t.mem_entries() as u64);
         }
@@ -1722,15 +1560,14 @@ mod tests {
     #[test]
     fn v3_chunk_reader_hints_and_skip_foreign_procs() {
         let mut rng = XorShift64::seed_from_u64(0xC5);
-        let archive = sample_archive(&mut rng, 4);
-        let mut buf = Vec::new();
-        write_archive_v3(&mut buf, &archive, 9).unwrap();
+        let run = sample_run(&mut rng, 4);
+        let buf = encode(&run, 9);
         let info = read_archive_info(io::Cursor::new(&buf)).unwrap();
-        for (p, want) in archive.traces.iter().enumerate() {
+        for (p, want) in run.traces.iter().enumerate() {
             let mut src = ChunkReader::new(io::Cursor::new(&buf), &info, p).unwrap();
             assert_eq!(src.entries_hint(), Some(want.len() as u64));
             assert_eq!(src.mem_entries_hint(), Some(want.mem_entries() as u64));
-            let got = crate::stream::collect_source(&mut src).unwrap();
+            let got = collect_source(&mut src).unwrap();
             assert_eq!(&got, want, "proc {p}");
         }
     }
@@ -1738,9 +1575,8 @@ mod tests {
     #[test]
     fn v3_flipped_bit_is_detected_wherever_it_lands() {
         let mut rng = XorShift64::seed_from_u64(0xD6);
-        let archive = sample_archive(&mut rng, 2);
-        let mut clean = Vec::new();
-        write_archive_v3(&mut clean, &archive, 8).unwrap();
+        let run = sample_run(&mut rng, 2);
+        let clean = encode(&run, 8);
         for case in 0..64 {
             let mut buf = clean.clone();
             let pos = rng.range_usize(buf.len() - 5) + 5; // keep magic/version intact
@@ -1756,10 +1592,12 @@ mod tests {
 
     #[test]
     fn v3_reader_rejects_v2_files_as_bad_version() {
-        let mut rng = XorShift64::seed_from_u64(0xE7);
-        let archive = sample_archive(&mut rng, 2);
-        let mut buf = Vec::new();
-        write_archive(&mut buf, &archive).unwrap();
+        // The retired whole-archive container: the shared magic, version
+        // byte 2, then a length-prefixed key.
+        let mut buf = b"LKTR\x02".to_vec();
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(b"k");
+        buf.extend_from_slice(&[0; 64]);
         assert!(matches!(
             read_archive_info(io::Cursor::new(&buf)).unwrap_err(),
             DecodeError::BadVersion(2)
@@ -1770,9 +1608,7 @@ mod tests {
     fn v3_writer_streams_interleaved_procs() {
         let t0 = Trace::from_entries((0..10).map(TraceEntry::compute).collect());
         let t1 = Trace::from_entries((10..14).map(TraceEntry::compute).collect());
-        let mut a = lookahead_isa::Assembler::new();
-        a.halt();
-        let program = a.assemble().unwrap();
+        let program = halt_program();
         let mut buf = Vec::new();
         let mut w = ArchiveWriter::new(&mut buf, "k", "APP", 2, &program).unwrap();
         // Interleave: proc 1, proc 0, proc 0, proc 1 — per-proc order holds.
@@ -1786,21 +1622,76 @@ mod tests {
             .unwrap();
         let breakdowns = vec![Breakdown::default(); 2];
         w.finish(0, 7, &breakdowns).unwrap();
-        let got = read_archive_v3(io::Cursor::new(&buf)).unwrap();
+        let got = decode(&buf).unwrap();
         assert_eq!(got.traces, vec![t0, t1]);
         assert_eq!(got.mp_cycles, 7);
     }
 
     #[test]
     fn v3_writer_rejects_out_of_order_chunks() {
-        let mut a = lookahead_isa::Assembler::new();
-        a.halt();
-        let program = a.assemble().unwrap();
+        let program = halt_program();
         let mut buf = Vec::new();
         let mut w = ArchiveWriter::new(&mut buf, "k", "APP", 1, &program).unwrap();
         let err = w
             .accept(0, &TraceChunk::from_slice(5, &[TraceEntry::compute(0)]))
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    /// A reader that records the largest buffer any `read` call asked
+    /// it to fill.
+    struct RecordingReader<'a> {
+        inner: io::Cursor<&'a [u8]>,
+        largest_read: usize,
+    }
+
+    impl Read for RecordingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest_read = self.largest_read.max(buf.len());
+            self.inner.read(buf)
+        }
+    }
+
+    impl Seek for RecordingReader<'_> {
+        fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+            self.inner.seek(pos)
+        }
+    }
+
+    #[test]
+    fn damaged_chunk_length_allocates_only_what_the_file_holds() {
+        let mut rng = XorShift64::seed_from_u64(0xE8);
+        let buf = encode(&sample_run(&mut rng, 2), 8);
+        let info = read_archive_info(io::Cursor::new(&buf)).unwrap();
+        // Set bit 28 of the first chunk record's byte length: the
+        // header still parses (the cap is 1 << 29) but asks for ~256 MiB.
+        let mut bad = buf.clone();
+        bad[info.chunks_start as usize + 11] ^= 0x10;
+        let file_len = bad.len();
+
+        let mut r = RecordingReader {
+            inner: io::Cursor::new(&bad),
+            largest_read: 0,
+        };
+        assert!(validate_archive_chunks(&mut r, &info).is_err());
+        assert!(
+            r.largest_read <= 2 * file_len,
+            "validation asked for {} bytes of a {file_len}-byte file",
+            r.largest_read
+        );
+
+        // `encode` writes processor 0's chunks first.
+        let mut r = RecordingReader {
+            inner: io::Cursor::new(&bad),
+            largest_read: 0,
+        };
+        let mut src = ChunkReader::new(&mut r, &info, 0).unwrap();
+        assert!(src.next_chunk().is_err());
+        drop(src);
+        assert!(
+            r.largest_read <= 2 * file_len,
+            "the chunk reader asked for {} bytes of a {file_len}-byte file",
+            r.largest_read
+        );
     }
 }

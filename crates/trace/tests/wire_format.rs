@@ -1,22 +1,29 @@
 //! Property tests that pin the LKTR wire format.
 //!
-//! The on-disk trace cache trusts `read_archive` to either reproduce
-//! the exact `TraceArchive` that was stored or fail with a typed
-//! [`DecodeError`] so the caller regenerates. These tests enforce that
-//! contract from outside the crate: randomized archives round-trip
-//! exactly, and *every* single-bit flip and *every* truncation of an
-//! encoded stream yields an error — never a panic, never a silently
-//! wrong answer.
+//! The on-disk trace cache trusts the archive read path — header and
+//! trailer ([`read_archive_info`]), one validation pass over every
+//! chunk ([`validate_archive_chunks`]), then one [`ChunkReader`] per
+//! processor — to either reproduce the exact run that was stored or
+//! fail with a typed error so the caller regenerates. These tests
+//! enforce that contract from outside the crate: randomized archives
+//! round-trip exactly, and *every* single-bit flip, *every* truncation
+//! and thousands of seeded mutations of an encoded archive yield an
+//! error or the stored run — never a panic, never a silently wrong
+//! answer.
 
 use std::collections::BTreeMap;
+use std::io::Cursor;
 
 use lookahead_isa::rng::XorShift64;
 use lookahead_isa::{
     AluOp, BranchCond, FpCmpOp, FpReg, FpuOp, Instruction, IntReg, Program, SyncKind,
 };
+use lookahead_trace::storage::{
+    read_archive_info, validate_archive_chunks, ArchiveWriter, ChunkReader,
+};
 use lookahead_trace::{
-    fnv1a, read_archive, read_trace, write_archive, write_trace, Breakdown, DecodeError, MemAccess,
-    SyncAccess, Trace, TraceArchive, TraceEntry, TraceOp,
+    collect_source, fnv1a, Breakdown, DecodeError, MemAccess, SliceSource, StreamError, SyncAccess,
+    Trace, TraceEntry, TraceOp, TraceSink, TraceSource,
 };
 
 const SYNC_KINDS: [SyncKind; 5] = [
@@ -154,7 +161,20 @@ fn every_instruction_program() -> Program {
     Program::with_labels(instrs, labels)
 }
 
-fn sample_archive(rng: &mut XorShift64, max_trace_len: usize) -> TraceArchive {
+/// A generated run as the archive must reproduce it: header and
+/// trailer fields plus every processor's trace.
+#[derive(Debug, Clone, PartialEq)]
+struct Run {
+    key: String,
+    app: String,
+    proc: u32,
+    mp_cycles: u64,
+    breakdowns: Vec<Breakdown>,
+    program: Program,
+    traces: Vec<Trace>,
+}
+
+fn sample_archive(rng: &mut XorShift64, max_trace_len: usize) -> Run {
     let num_procs = 1 + rng.range_usize(4);
     let traces: Vec<Trace> = (0..num_procs)
         .map(|_| gen_trace(rng, max_trace_len))
@@ -167,8 +187,8 @@ fn sample_archive(rng: &mut XorShift64, max_trace_len: usize) -> TraceArchive {
             write: rng.next_u64(),
         })
         .collect();
-    TraceArchive {
-        key: "lktr-v2;app=LU;tier=small;procs=4;cache=16384/16/1;hit=1;miss=50;wb=16;\
+    Run {
+        key: "lktr-v3;app=LU;tier=small;procs=4;cache=16384/16/1;hit=1;miss=50;wb=16;\
               membytes=1048576;maxcycles=0;bw=none"
             .to_string(),
         app: "LU".to_string(),
@@ -180,10 +200,63 @@ fn sample_archive(rng: &mut XorShift64, max_trace_len: usize) -> TraceArchive {
     }
 }
 
-fn encode_archive(archive: &TraceArchive) -> Vec<u8> {
+/// A one-processor run holding `trace`.
+fn single(trace: Trace) -> Run {
+    Run {
+        key: "k".to_string(),
+        app: "LU".to_string(),
+        proc: 0,
+        mp_cycles: 1,
+        breakdowns: vec![Breakdown::default()],
+        program: Program::new(vec![Instruction::Halt]),
+        traces: vec![trace],
+    }
+}
+
+/// Chunk length of the encoded fixtures: small, so every archive holds
+/// several chunk records per processor.
+const CHUNK_LEN: usize = 5;
+
+/// Writes `run` through [`ArchiveWriter`], as the cache stores a run.
+fn encode_archive(run: &Run) -> Vec<u8> {
     let mut buf = Vec::new();
-    write_archive(&mut buf, archive).unwrap();
+    let mut w =
+        ArchiveWriter::new(&mut buf, &run.key, &run.app, run.traces.len(), &run.program).unwrap();
+    for (proc, trace) in run.traces.iter().enumerate() {
+        let mut src = SliceSource::with_chunk_len(trace, CHUNK_LEN);
+        while let Some(chunk) = src.next_chunk().unwrap() {
+            w.accept(proc, &chunk).unwrap();
+        }
+    }
+    w.finish(run.proc as usize, run.mp_cycles, &run.breakdowns)
+        .unwrap();
     buf
+}
+
+/// Reads an archive the way the cache does: header and trailer, one
+/// validation pass over every chunk, then one chunk reader per
+/// processor.
+fn decode_archive(bytes: &[u8]) -> Result<Run, StreamError> {
+    let info = read_archive_info(Cursor::new(bytes))?;
+    validate_archive_chunks(Cursor::new(bytes), &info)?;
+    let traces = (0..info.num_procs())
+        .map(|p| collect_source(&mut ChunkReader::new(Cursor::new(bytes), &info, p)?))
+        .collect::<Result<_, _>>()?;
+    Ok(Run {
+        key: info.key,
+        app: info.app,
+        proc: info.proc,
+        mp_cycles: info.mp_cycles,
+        breakdowns: info.breakdowns,
+        program: info.program,
+        traces,
+    })
+}
+
+/// Round-trips one trace through a one-processor archive.
+fn roundtrip_trace(trace: &Trace) -> Trace {
+    let back = decode_archive(&encode_archive(&single(trace.clone()))).unwrap();
+    back.traces.into_iter().next().unwrap()
 }
 
 #[test]
@@ -192,7 +265,7 @@ fn randomized_archives_roundtrip_exactly() {
         let mut rng = XorShift64::seed_from_u64(0x5eed_0000 + seed);
         let archive = sample_archive(&mut rng, 60);
         let buf = encode_archive(&archive);
-        let back = read_archive(&buf[..]).expect("decode of own encoding must succeed");
+        let back = decode_archive(&buf).expect("decode of own encoding must succeed");
         assert_eq!(archive, back, "seed {seed} did not round-trip");
     }
 }
@@ -225,9 +298,7 @@ fn extreme_latencies_and_addresses_roundtrip() {
         },
     ];
     let trace = Trace::from_entries(entries);
-    let mut buf = Vec::new();
-    write_trace(&mut buf, &trace).unwrap();
-    let back = read_trace(&buf[..]).unwrap();
+    let back = roundtrip_trace(&trace);
     assert_eq!(trace.entries(), back.entries());
 }
 
@@ -246,9 +317,7 @@ fn acquire_wait_access_split_is_preserved_exactly() {
                 access,
             }),
         }]);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).unwrap();
-        let back = read_trace(&buf[..]).unwrap();
+        let back = roundtrip_trace(&trace);
         assert_eq!(trace.entries(), back.entries());
     }
 }
@@ -266,19 +335,19 @@ fn zero_sync_access_latency_is_rejected() {
             access: 0,
         }),
     }]);
-    let mut buf = Vec::new();
-    write_trace(&mut buf, &trace).unwrap();
-    assert!(matches!(read_trace(&buf[..]), Err(DecodeError::BadLatency)));
+    let buf = encode_archive(&single(trace));
+    assert!(matches!(
+        decode_archive(&buf),
+        Err(StreamError::Decode(DecodeError::BadLatency))
+    ));
 }
 
 #[test]
 fn every_truncation_of_a_trace_is_a_typed_error() {
     let mut rng = XorShift64::seed_from_u64(0xabcd);
-    let trace = gen_trace(&mut rng, 24);
-    let mut buf = Vec::new();
-    write_trace(&mut buf, &trace).unwrap();
+    let buf = encode_archive(&single(gen_trace(&mut rng, 24)));
     for cut in 0..buf.len() {
-        match read_trace(&buf[..cut]) {
+        match decode_archive(&buf[..cut]) {
             Err(_) => {}
             Ok(_) => panic!(
                 "prefix of {cut}/{} bytes decoded as a full trace",
@@ -294,7 +363,7 @@ fn every_truncation_of_an_archive_is_a_typed_error() {
     let archive = sample_archive(&mut rng, 16);
     let buf = encode_archive(&archive);
     for cut in 0..buf.len() {
-        match read_archive(&buf[..cut]) {
+        match decode_archive(&buf[..cut]) {
             Err(_) => {}
             Ok(_) => panic!(
                 "prefix of {cut}/{} bytes decoded as a full archive",
@@ -308,10 +377,11 @@ fn every_truncation_of_an_archive_is_a_typed_error() {
 fn every_single_bit_flip_of_an_archive_is_detected() {
     // FNV-1a's per-byte XOR-then-multiply chain means a single flipped
     // input bit always changes the final hash, so a flip anywhere in
-    // the payload is caught by the checksum even when it still parses
-    // structurally; flips in the magic, version or footer are caught
-    // by their own checks. Every flip must surface as Err, not as a
-    // panic and never as an Ok with altered contents.
+    // the header, a chunk record or the trailer is caught by that
+    // section's checksum even when it still parses structurally;
+    // flips in the magic, version, end sentinel or trailer length are
+    // caught by their own checks. Every flip must surface as Err, not
+    // as a panic and never as an Ok with altered contents.
     let mut rng = XorShift64::seed_from_u64(0xb17f);
     let archive = sample_archive(&mut rng, 8);
     let buf = encode_archive(&archive);
@@ -320,7 +390,7 @@ fn every_single_bit_flip_of_an_archive_is_detected() {
         for bit in 0..8 {
             let mut corrupt = buf.clone();
             corrupt[byte] ^= 1 << bit;
-            match read_archive(&corrupt[..]) {
+            match decode_archive(&corrupt) {
                 Err(_) => {}
                 Ok(_) => panic!("flip of bit {bit} in byte {byte} went undetected"),
             }
@@ -331,33 +401,24 @@ fn every_single_bit_flip_of_an_archive_is_detected() {
 #[test]
 fn bit_flips_that_parse_structurally_fail_the_checksum() {
     // Flip one bit inside a trace entry's effective address: the
-    // stream still parses, so only the checksum can catch it.
-    let archive = TraceArchive {
-        key: "k".to_string(),
-        app: "LU".to_string(),
-        proc: 0,
-        mp_cycles: 1,
-        breakdowns: vec![Breakdown::default()],
-        program: Program::new(vec![Instruction::Halt]),
-        traces: vec![Trace::from_entries(vec![TraceEntry {
-            pc: 0,
-            op: TraceOp::Load(MemAccess {
-                addr: 0,
-                miss: false,
-                latency: 9,
-            }),
-        }])],
-    };
+    // chunk still parses, so only its checksum can catch it.
+    let archive = single(Trace::from_entries(vec![TraceEntry {
+        pc: 0,
+        op: TraceOp::Load(MemAccess {
+            addr: 0,
+            miss: false,
+            latency: 9,
+        }),
+    }]));
     let mut buf = encode_archive(&archive);
-    // The addr field is eight zero bytes followed by the latency; the
-    // last byte before the 8-byte footer belongs to the final entry's
-    // payload region. Flip a middle bit of the addr by searching for
-    // the latency value 9 and flipping a bit well before it.
-    let len = buf.len();
-    let target = len - 8 - 6; // inside the final entry, before the footer
+    // The only chunk record starts where the header ends: a 28-byte
+    // record header, then the entry (pc u32, tag u8, miss u8, addr
+    // u64, latency u32). Flip a bit in the middle of the addr.
+    let info = read_archive_info(Cursor::new(&buf)).unwrap();
+    let target = info.chunks_start as usize + 28 + 6 + 3;
     buf[target] ^= 0x10;
-    match read_archive(&buf[..]) {
-        Err(DecodeError::BadChecksum { stored, computed }) => {
+    match decode_archive(&buf) {
+        Err(StreamError::Decode(DecodeError::BadChecksum { stored, computed })) => {
             assert_ne!(stored, computed);
         }
         other => panic!("expected BadChecksum, got {other:?}"),
@@ -366,26 +427,21 @@ fn bit_flips_that_parse_structurally_fail_the_checksum() {
 
 #[test]
 fn version_confusion_is_rejected() {
+    // The retired containers share the magic: version 1 held a bare
+    // trace, version 2 a whole archive. Neither may decode as this one.
     let mut rng = XorShift64::seed_from_u64(0x77);
-    let archive = sample_archive(&mut rng, 4);
-    let archive_bytes = encode_archive(&archive);
-    assert!(
-        matches!(
-            read_trace(&archive_bytes[..]),
-            Err(DecodeError::BadVersion(2))
-        ),
-        "a v2 archive must not decode as a bare v1 trace"
-    );
-
-    let mut trace_bytes = Vec::new();
-    write_trace(&mut trace_bytes, &gen_trace(&mut rng, 4)).unwrap();
-    assert!(
-        matches!(
-            read_archive(&trace_bytes[..]),
-            Err(DecodeError::BadVersion(1))
-        ),
-        "a bare v1 trace must not decode as an archive"
-    );
+    let archive_bytes = encode_archive(&sample_archive(&mut rng, 4));
+    for version in [1u8, 2] {
+        let mut old = archive_bytes.clone();
+        old[4] = version;
+        assert!(
+            matches!(
+                decode_archive(&old),
+                Err(StreamError::Decode(DecodeError::BadVersion(v))) if v == version
+            ),
+            "a version-{version} file must not decode as a v3 archive"
+        );
+    }
 }
 
 #[test]
@@ -394,12 +450,73 @@ fn out_of_range_representative_proc_is_rejected() {
     let mut archive = sample_archive(&mut rng, 4);
     archive.proc = archive.traces.len() as u32 + 3;
     let buf = encode_archive(&archive);
-    match read_archive(&buf[..]) {
-        Err(DecodeError::BadCode { what, .. }) => {
+    match decode_archive(&buf) {
+        Err(StreamError::Decode(DecodeError::BadCode { what, .. })) => {
             assert_eq!(what, "representative processor index");
         }
         other => panic!("expected BadCode, got {other:?}"),
     }
+}
+
+/// One seeded mutation of `buf`: overwrite 1–8 bytes, insert or
+/// delete 1–16 bytes, or rewrite a `u32` with a boundary value.
+fn mutate(rng: &mut XorShift64, buf: &mut Vec<u8>) {
+    let pos = rng.range_usize(buf.len());
+    match rng.next_below(4) {
+        0 => {
+            let n = (1 + rng.range_usize(8)).min(buf.len() - pos);
+            for b in &mut buf[pos..pos + n] {
+                *b = rng.next_u64() as u8;
+            }
+        }
+        1 => {
+            let n = 1 + rng.range_usize(16);
+            let bytes: Vec<u8> = (0..n).map(|_| rng.next_u64() as u8).collect();
+            buf.splice(pos..pos, bytes);
+        }
+        2 => {
+            let n = (1 + rng.range_usize(16)).min(buf.len() - pos);
+            buf.drain(pos..pos + n);
+        }
+        _ => {
+            let pos = pos.min(buf.len() - 4);
+            let word = match rng.next_below(6) {
+                0 => 0,
+                1 => 1,
+                2 => u32::MAX,
+                3 => 1 << 24,
+                4 => 1 << 29,
+                _ => rng.next_u64() as u32,
+            };
+            buf[pos..pos + 4].copy_from_slice(&word.to_le_bytes());
+        }
+    }
+}
+
+#[test]
+fn seeded_mutations_either_fail_or_decode_the_stored_run() {
+    let mut rng = XorShift64::seed_from_u64(0xf022);
+    let archive = sample_archive(&mut rng, 40);
+    let clean = encode_archive(&archive);
+    let cases = 3000;
+    let mut errors = 0;
+    for case in 0..cases {
+        let mut buf = clean.clone();
+        mutate(&mut rng, &mut buf);
+        match decode_archive(&buf) {
+            Err(_) => errors += 1,
+            Ok(back) => assert!(
+                back == archive,
+                "case {case}: a mutated archive decoded to a different run"
+            ),
+        }
+    }
+    // Most mutations must actually damage the archive; a fuzzer whose
+    // mutations never land would pass vacuously.
+    assert!(
+        errors * 10 > cases * 9,
+        "only {errors}/{cases} cases failed"
+    );
 }
 
 #[test]

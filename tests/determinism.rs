@@ -4,10 +4,13 @@
 
 use lookahead_core::ds::{Ds, DsConfig};
 use lookahead_core::model::ProcessorModel;
+use lookahead_harness::cache::write_run;
 use lookahead_harness::pipeline::AppRun;
 use lookahead_multiproc::SimConfig;
-use lookahead_trace::storage::{read_trace, write_trace};
+use lookahead_trace::storage::{read_archive_info, validate_archive_chunks, ChunkReader};
+use lookahead_trace::{collect_source, Trace};
 use lookahead_workloads::App;
+use std::io::Cursor;
 
 fn config() -> SimConfig {
     SimConfig {
@@ -38,12 +41,20 @@ fn retiming_is_deterministic() {
     assert_eq!(a, b);
 }
 
+/// Reads processor `proc`'s trace back the way the trace cache does:
+/// header and trailer, one validation pass over every chunk, then a
+/// chunk reader.
+fn read_back(bytes: &[u8], proc: usize) -> Trace {
+    let info = read_archive_info(Cursor::new(bytes)).unwrap();
+    validate_archive_chunks(Cursor::new(bytes), &info).unwrap();
+    collect_source(&mut ChunkReader::new(Cursor::new(bytes), &info, proc).unwrap()).unwrap()
+}
+
 #[test]
 fn traces_round_trip_through_storage() {
     let run = AppRun::generate(App::Ocean.small_workload().as_ref(), &config()).unwrap();
-    let mut bytes = Vec::new();
-    write_trace(&mut bytes, run.trace()).unwrap();
-    let back = read_trace(bytes.as_slice()).unwrap();
+    let bytes = write_run(Vec::new(), "determinism", &run).unwrap();
+    let back = read_back(&bytes, run.proc);
     assert_eq!(back, *run.trace());
     // And the round-tripped trace re-times identically.
     let ds = Ds::new(DsConfig::rc().window(32));

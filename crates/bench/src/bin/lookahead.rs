@@ -1,6 +1,6 @@
-//! Unified experiment driver: regenerate any subset of the paper's
-//! tables and figures in one process, generating (or cache-loading)
-//! each application trace exactly once.
+//! The experiment driver: regenerate any subset of the paper's tables
+//! and figures in one process, generating (or cache-loading) each
+//! application trace exactly once.
 //!
 //! ```text
 //! cargo run --release -p lookahead-bench --bin lookahead -- summary figure3
@@ -13,11 +13,12 @@
 //! `lookahead_bench::serve_cli`); everything below concerns the report
 //! driver.
 //!
-//! Each report's stdout is byte-identical to the standalone binary of
-//! the same name (`cargo run --bin summary`, ...); the driver adds
-//! shared trace generation, the content-addressed trace cache and the
-//! parallel re-timing pool on top. Progress, timings and cache
-//! accounting go to stderr; report text goes to stdout.
+//! `lookahead <report>` is the one way to print a report. Several
+//! reports in one process share trace generation, the
+//! content-addressed trace cache and the parallel re-timing pool, and
+//! print exactly the concatenation of their single-report runs.
+//! Progress, timings and cache accounting go to stderr; report text
+//! goes to stdout.
 //!
 //! Options:
 //!
@@ -69,7 +70,6 @@ const DEFAULT_CACHE_DIR: &str = "target/trace-cache";
 const USAGE: &str = "usage: lookahead [OPTIONS] REPORT [REPORT ...]
        lookahead serve [OPTIONS]    serve the suite over HTTP
        lookahead query TARGET       answer one service query, print body
-       lookahead bench [OPTIONS]    benchmark the re-timing engines
        lookahead bench generation   time cold trace generation, both engines
        lookahead bench obs          measure request-tracing overhead
        lookahead bench dag          compare DAG vs flat sweep scheduling
@@ -211,7 +211,13 @@ fn main() -> ExitCode {
                 Some("generation") => lookahead_bench::generation::generation_main(&args[2..]),
                 Some("obs") => lookahead_bench::obsbench::obs_main(&args[2..]),
                 Some("dag") => lookahead_bench::dagbench::dag_main(&args[2..]),
-                _ => lookahead_bench::retiming::bench_main(&args[1..]),
+                other => {
+                    let what = other.map_or("no subcommand".to_string(), |o| format!("{o:?}"));
+                    eprintln!(
+                        "error: lookahead bench: {what}; subcommands: generation, obs, dag\n\n{USAGE}"
+                    );
+                    ExitCode::from(2)
+                }
             }
         }
         _ => {}
@@ -310,14 +316,14 @@ fn main() -> ExitCode {
         let text = match name.as_str() {
             _ if dag_texts.contains_key(name) => dag_texts[name].clone(),
             "figure1" => reports::figure1_report(),
-            "figure3" => reports::figure3_report(shared!(), workers),
-            "figure4" => reports::figure4_report(shared!(), workers),
+            "figure3" => reports::figure3_report(shared!()),
+            "figure4" => reports::figure4_report(shared!()),
             "summary" => reports::summary_report(shared!(), workers),
             "table1" => reports::table1_report(shared!(), runner.config().num_procs),
             "table2" => reports::table2_report(shared!(), runner.config().num_procs),
             "table3" => reports::table3_report(shared!()),
             "miss_delay" => reports::miss_delay_report(shared!()),
-            "multi_issue" => reports::multi_issue_report_sched(shared!(), workers, scheduler),
+            "multi_issue" => reports::multi_issue_report(shared!(), workers),
             "sc_boost" => reports::sc_boost_report(shared!(), workers),
             "prefetch" => reports::prefetch_report(shared!()),
             "contexts" => reports::contexts_report(shared!()),

@@ -40,14 +40,8 @@ fn run_flat(runner: &Runner, workers: usize) -> Side {
     let started = Instant::now();
     let runs = runner.run_all();
     let texts = vec![
-        (
-            "figure3".to_string(),
-            reports::figure3_report(&runs, workers),
-        ),
-        (
-            "figure4".to_string(),
-            reports::figure4_report(&runs, workers),
-        ),
+        ("figure3".to_string(), reports::figure3_report(&runs)),
+        ("figure4".to_string(), reports::figure4_report(&runs)),
         (
             "summary".to_string(),
             reports::summary_report(&runs, workers),

@@ -1,14 +1,9 @@
-//! Shared plumbing for the table/figure regeneration binaries.
-//!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper (see `DESIGN.md` for the index); the unified `lookahead`
-//! driver regenerates any subset of them in one process. They all
-//! share the same library path: a [`Runner`] owns the simulation
-//! configuration, the workload size tier, the optional
-//! content-addressed trace cache and the worker count, and the
-//! [`reports`] module renders each table or figure to a string — so
-//! the driver and the per-report binaries produce byte-identical
-//! output by construction.
+//! Shared plumbing for the `lookahead` driver, which regenerates any
+//! subset of the paper's tables and figures in one process
+//! (`lookahead <report>`; see `DESIGN.md` for the index). A [`Runner`]
+//! owns the simulation configuration, the workload size tier, the
+//! optional content-addressed trace cache and the worker count, and
+//! the [`reports`] module renders each table or figure to a string.
 //!
 //! Environment knobs (useful when iterating):
 //!
@@ -17,8 +12,8 @@
 //! * `LOOKAHEAD_PROCS=n` — simulate `n` processors instead of 16;
 //! * `LOOKAHEAD_APPS=LU,MP3D` — restrict to a subset of applications;
 //! * `LOOKAHEAD_CACHE=DIR` — cache generated traces under `DIR`
-//!   (`off`/`0`/`none` disables; the driver defaults to
-//!   `target/trace-cache`, the per-report binaries to no cache);
+//!   (`off`/`0`/`none` disables; unset, the driver uses
+//!   `target/trace-cache`, and `trace_tool` caches nothing);
 //! * `LOOKAHEAD_JOBS=n` — worker threads for generation and re-timing
 //!   (`1` forces the serial path; output is identical either way);
 //! * `--obs-out DIR` (or `LOOKAHEAD_OBS_OUT=DIR`) — write per-run
@@ -35,7 +30,6 @@ pub mod dagbench;
 pub mod generation;
 pub mod obsbench;
 pub mod reports;
-pub mod retiming;
 pub mod serve_cli;
 pub mod servebench;
 
@@ -202,10 +196,6 @@ pub fn write_obs_artifacts(
 /// Executes trace generation for the experiment suite: one
 /// configuration, one size tier, an optional content-addressed trace
 /// cache and a worker pool, with cache hit/miss accounting.
-///
-/// Both the unified `lookahead` driver and the per-report binaries run
-/// everything through a `Runner`, so their output is identical by
-/// construction.
 pub struct Runner {
     config: SimConfig,
     tier: SizeTier,
@@ -216,7 +206,7 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// A runner with explicit policy (the driver's constructor).
+    /// A runner with explicit policy.
     pub fn new(
         config: SimConfig,
         tier: SizeTier,
@@ -231,18 +221,6 @@ impl Runner {
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
         }
-    }
-
-    /// A runner configured entirely from the environment, with **no
-    /// cache unless `LOOKAHEAD_CACHE` is set** — the per-report
-    /// binaries behave exactly as before unless the knob is used.
-    pub fn from_env() -> Runner {
-        Runner::new(
-            config_from_env(),
-            SizeTier::from_env(),
-            cache_from_env_or(None),
-            fail_fast(parallel::workers_from_env()),
-        )
     }
 
     /// The simulation configuration.
@@ -382,20 +360,6 @@ impl Runner {
             .collect();
         parallel::run_ordered(jobs, self.workers)
     }
-}
-
-/// Generates the verified representative trace for every selected
-/// application, in parallel, printing progress to stderr. Honors
-/// `LOOKAHEAD_CACHE` when set. Exits with code 2 if any workload
-/// fails to simulate or verify.
-pub fn generate_all_runs(config: &SimConfig) -> Vec<AppRun> {
-    Runner::new(
-        *config,
-        SizeTier::from_env(),
-        cache_from_env_or(None),
-        fail_fast(parallel::workers_from_env()),
-    )
-    .run_all()
 }
 
 /// Generates one application's run (for single-app binaries). Honors

@@ -3,7 +3,7 @@
 //! The tracing layer promises to be a cheap passthrough when no scope
 //! is installed and cheap enough to leave on when one is. This
 //! benchmark measures both sides on the same work the serve tier
-//! traces: a figure-3 window sweep re-timed on the worker pool, once
+//! traces: a figure-3 window sweep, one gang per application, once
 //! with no trace scope (exactly what `handle_target` / the report
 //! driver sees) and once under a live [`TraceContext`] (exactly what
 //! an HTTP request sees — every `retime.cell` span recorded).
@@ -14,8 +14,7 @@
 
 use crate::{config_from_env, Runner, SizeTier};
 use lookahead_harness::cache::TraceCache;
-use lookahead_harness::experiments::PAPER_WINDOWS;
-use lookahead_harness::figure3_with;
+use lookahead_harness::experiments::{figure3_cells, run_cell_specs, PAPER_WINDOWS};
 use lookahead_harness::pipeline::AppRun;
 use lookahead_obs::span::{self, TraceContext, TraceScope};
 use std::fmt::Write as _;
@@ -26,12 +25,13 @@ use std::time::Instant;
 const BUDGET_PCT: f64 = 5.0;
 
 /// Best-of-`iters` wall time of one full sweep over `runs`.
-fn time_sweep(runs: &[AppRun], workers: usize, iters: u32) -> f64 {
+fn time_sweep(runs: &[AppRun], iters: u32) -> f64 {
+    let cells = figure3_cells(&PAPER_WINDOWS);
     let mut best = f64::INFINITY;
     for _ in 0..iters {
         let started = Instant::now();
         for run in runs {
-            std::hint::black_box(figure3_with(run, &PAPER_WINDOWS, workers));
+            std::hint::black_box(run_cell_specs(run, &cells));
         }
         best = best.min(started.elapsed().as_secs_f64());
     }
@@ -151,11 +151,11 @@ pub fn obs_main(args: &[String]) -> ExitCode {
     }
 
     // Interleave the sides (untraced first — it is also the warmup).
-    let untraced = time_sweep(&runs, runner.workers(), iters);
+    let untraced = time_sweep(&runs, iters);
     let ctx = TraceContext::new(span::next_request_id());
     let root = ctx.alloc_id();
     let prev = span::set_scope(Some(TraceScope::new(ctx.clone(), root)));
-    let traced = time_sweep(&runs, runner.workers(), iters);
+    let traced = time_sweep(&runs, iters);
     span::set_scope(prev);
     let spans_per_sweep = ctx.spans().len() / iters as usize;
 

@@ -15,14 +15,8 @@ use lookahead_multiproc::SimConfig;
 fn flat_texts(runner: &Runner, workers: usize) -> Vec<(String, String)> {
     let runs = runner.run_all();
     vec![
-        (
-            "figure3".to_string(),
-            reports::figure3_report(&runs, workers),
-        ),
-        (
-            "figure4".to_string(),
-            reports::figure4_report(&runs, workers),
-        ),
+        ("figure3".to_string(), reports::figure3_report(&runs)),
+        ("figure4".to_string(), reports::figure4_report(&runs)),
         (
             "summary".to_string(),
             reports::summary_report(&runs, workers),

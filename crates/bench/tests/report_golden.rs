@@ -24,8 +24,8 @@ fn small_tier_reports_match_golden_bytes() {
     let runs = runner.run_all();
     let actual = format!(
         "{}{}{}",
-        reports::figure3_report(&runs, workers),
-        reports::figure4_report(&runs, workers),
+        reports::figure3_report(&runs),
+        reports::figure4_report(&runs),
         reports::summary_report(&runs, workers),
     );
     let golden = include_str!("golden_small_tier.txt");

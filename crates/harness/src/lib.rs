@@ -41,10 +41,8 @@ pub use dag::{
     cost_model, run_dag, run_dag_with_stats, CostModel, DagStats, Plan, Scheduler, TaskDag,
 };
 pub use experiments::{
-    figure3, figure3_with, figure4, figure4_with, latency_sweep, miss_delay, multi_issue,
-    multi_issue_with, rc_sweep_columns, read_latency_hidden_summary,
-    read_latency_hidden_summary_with, retime_gang, table1, table2, table3, CellSpec, Figure3Column,
-    Figure4Column, MissDelayReport, ModelSpec,
+    latency_sweep, miss_delay, retime_gang, run_cell_specs, table1, table2, table3, CellSpec,
+    Figure3Column, MissDelayReport, ModelSpec,
 };
 pub use pipeline::{AppRun, PipelineError};
 pub use singleflight::{FlightOutcome, SharedRunStats, SharedRuns, SingleFlight};

@@ -36,16 +36,6 @@ pub fn workers_from_env() -> Result<usize, String> {
     }
 }
 
-/// [`workers_from_env`] for library callers.
-///
-/// # Panics
-///
-/// Panics with [`workers_from_env`]'s message on a malformed
-/// `LOOKAHEAD_JOBS`.
-pub fn default_workers() -> usize {
-    workers_from_env().unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Parses a worker count given through `knob` (`--jobs` or
 /// `LOOKAHEAD_JOBS`), naming the knob in the error.
 ///

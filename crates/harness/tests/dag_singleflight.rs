@@ -6,7 +6,9 @@
 //! figure at once and each request body is rendered through the DAG
 //! path.
 
-use lookahead_harness::experiments::{figure3_sched, Figure3Column};
+use lookahead_harness::experiments::{
+    figure3_cells, run_cell_specs, run_cell_specs_with_stats, Figure3Column,
+};
 use lookahead_harness::{AppRun, Scheduler, SharedRuns};
 use lookahead_multiproc::SimConfig;
 use lookahead_workloads::lu::Lu;
@@ -34,7 +36,12 @@ fn concurrent_dag_sweeps_share_one_generation() {
                 s.spawn(|| {
                     barrier.wait();
                     let run = runs.get(&Lu { n: 12 }, "small", &config).unwrap();
-                    let cols = figure3_sched(&run, &WINDOWS, 2, Scheduler::Dag);
+                    let (cols, _) = run_cell_specs_with_stats(
+                        &run,
+                        &figure3_cells(&WINDOWS),
+                        2,
+                        Scheduler::Dag,
+                    );
                     (run, cols)
                 })
             })
@@ -65,7 +72,7 @@ fn concurrent_dag_sweeps_share_one_generation() {
 
     // And the DAG schedule changes nothing about the numbers: a flat
     // sweep over the same shared run agrees column for column.
-    let flat = figure3_sched(&sweeps[0].0, &WINDOWS, 2, Scheduler::Flat);
+    let flat = run_cell_specs(&sweeps[0].0, &figure3_cells(&WINDOWS));
     assert_eq!(flat, sweeps[0].1);
     assert_eq!(
         runs.stats().generations,

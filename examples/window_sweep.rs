@@ -6,7 +6,7 @@
 //!
 //! Run with `cargo run --release --example window_sweep -- LU`.
 
-use lookahead_harness::experiments::{figure3, PAPER_WINDOWS};
+use lookahead_harness::experiments::{figure3_cells, run_cell_specs, PAPER_WINDOWS};
 use lookahead_harness::format::render_figure;
 use lookahead_harness::pipeline::AppRun;
 use lookahead_multiproc::SimConfig;
@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = app.small_workload();
     let config = SimConfig::default();
     let run = AppRun::generate(workload.as_ref(), &config)?;
-    let cols = figure3(&run, &PAPER_WINDOWS);
+    let cols = run_cell_specs(&run, &figure3_cells(&PAPER_WINDOWS));
     println!(
         "{}",
         render_figure(

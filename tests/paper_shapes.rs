@@ -8,7 +8,9 @@ use lookahead_core::ds::{Ds, DsConfig};
 use lookahead_core::inorder::InOrder;
 use lookahead_core::model::ProcessorModel;
 use lookahead_core::ConsistencyModel;
-use lookahead_harness::experiments::{figure4, miss_delay, read_latency_hidden};
+use lookahead_harness::experiments::{
+    figure4_cells, miss_delay, read_latency_hidden, run_cell_specs,
+};
 use lookahead_harness::pipeline::AppRun;
 use lookahead_multiproc::SimConfig;
 use lookahead_workloads::App;
@@ -155,7 +157,7 @@ fn lu_misses_are_independent() {
 #[test]
 fn dependence_ablation_matches_application_character() {
     let lu = generate(App::Lu);
-    let cols = figure4(&lu, &[64]);
+    let cols = run_cell_specs(&lu, &figure4_cells(&[64]));
     let bp = cols.iter().find(|c| c.model == "bp").unwrap().normalized;
     let nd = cols.iter().find(|c| c.model == "bp+nd").unwrap().normalized;
     assert!(
@@ -165,7 +167,7 @@ fn dependence_ablation_matches_application_character() {
     );
 
     let pthor = generate(App::Pthor);
-    let cols = figure4(&pthor, &[64]);
+    let cols = run_cell_specs(&pthor, &figure4_cells(&[64]));
     let bp = cols.iter().find(|c| c.model == "bp").unwrap().normalized;
     let nd = cols.iter().find(|c| c.model == "bp+nd").unwrap().normalized;
     assert!(

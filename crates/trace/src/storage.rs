@@ -759,7 +759,7 @@ fn read_breakdown<R: Read>(r: &mut R) -> Result<Breakdown, DecodeError> {
 // header payload (FNV-hashed): key str | app str | num_procs u32 | program
 // header checksum u64
 // chunk record*                 -- any interleaving across processors
-// end sentinel u32 = 0xFFFF_FFFF
+// end sentinel u32 = 0xFFFF_FFFF  -- the trailer starts right after it
 // trailer payload (FNV-hashed): proc u32 | mp_cycles u64
 //                             | breakdown count u32 | breakdowns
 //                             | per-proc totals (entries u64,
@@ -810,8 +810,8 @@ pub struct ProcTotals {
 }
 
 /// Everything in a v3 archive except the chunk payloads: the hashed
-/// header and trailer sections, plus the file offset where the chunk
-/// records begin.
+/// header and trailer sections, plus the file offsets where the chunk
+/// records begin and where the trailer starts.
 #[derive(Debug, Clone)]
 pub struct ArchiveInfo {
     /// Canonical cache-key string the archive was generated under.
@@ -830,6 +830,9 @@ pub struct ArchiveInfo {
     pub totals: Vec<ProcTotals>,
     /// Byte offset of the first chunk record.
     pub chunks_start: u64,
+    /// Byte offset of the trailer payload; the end sentinel must end
+    /// exactly here.
+    pub trailer_start: u64,
 }
 
 impl ArchiveInfo {
@@ -907,11 +910,6 @@ impl<W: Write> ArchiveWriter<W> {
         self.w.write_all(&fnv1a(&payload).to_le_bytes())?;
         self.w.write_all(&(payload.len() as u32).to_le_bytes())?;
         Ok(self.w)
-    }
-
-    /// Per-processor totals accumulated so far.
-    pub fn totals(&self) -> &[ProcTotals] {
-        &self.totals
     }
 }
 
@@ -1070,7 +1068,7 @@ pub fn read_archive_info<R: Read + Seek>(mut r: R) -> Result<ArchiveInfo, Decode
             code: trailer_len as u64,
         });
     }
-    r.seek(SeekFrom::End(-(trailer_len as i64 + 12)))?;
+    let trailer_start = r.seek(SeekFrom::End(-(trailer_len as i64 + 12)))?;
     let mut payload = vec![0u8; trailer_len as usize];
     r.read_exact(&mut payload)?;
     let stored = u64::from_le_bytes(read_exact(&mut r)?);
@@ -1122,13 +1120,15 @@ pub fn read_archive_info<R: Read + Seek>(mut r: R) -> Result<ArchiveInfo, Decode
         breakdowns,
         totals,
         chunks_start,
+        trailer_start,
     })
 }
 
 /// Sequentially verifies every chunk record of a v3 archive against
 /// its per-record checksum and the trailer totals, without decoding a
-/// single entry. Memory use is one chunk payload, regardless of
-/// archive size.
+/// single entry, and checks that the end sentinel ends exactly where
+/// the trailer starts, so no byte between them goes unchecked. Memory
+/// use is one chunk payload, regardless of archive size.
 ///
 /// A cache can therefore establish, in one bounded pass at load time,
 /// that streaming any processor's chunks later cannot fail on damaged
@@ -1163,6 +1163,13 @@ pub fn validate_archive_chunks<R: Read + Seek>(
         acc.entries += h.entry_count as u64;
         acc.mem_entries += h.meta.mem_entries as u64;
         acc.max_latency = acc.max_latency.max(h.meta.max_latency);
+    }
+    let sentinel_end = r.stream_position()?;
+    if sentinel_end != info.trailer_start {
+        return Err(DecodeError::BadCode {
+            what: "end sentinel offset",
+            code: sentinel_end,
+        });
     }
     if seen != info.totals {
         return Err(DecodeError::BadCode {

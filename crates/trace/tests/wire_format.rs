@@ -458,6 +458,30 @@ fn out_of_range_representative_proc_is_rejected() {
     }
 }
 
+#[test]
+fn bytes_between_the_end_sentinel_and_the_trailer_are_rejected() {
+    let mut rng = XorShift64::seed_from_u64(0x7a11);
+    let archive = sample_archive(&mut rng, 30);
+    let clean = encode_archive(&archive);
+    let trailer_len = u32::from_le_bytes(clean[clean.len() - 4..].try_into().unwrap()) as usize;
+    let trailer_start = clean.len() - trailer_len - 12;
+    assert_eq!(
+        clean[trailer_start - 4..trailer_start],
+        u32::MAX.to_le_bytes(),
+        "the end sentinel sits right before the trailer"
+    );
+    for gap in [1, 14] {
+        let mut buf = clean.clone();
+        buf.splice(trailer_start..trailer_start, vec![0xA5; gap]);
+        match decode_archive(&buf) {
+            Err(StreamError::Decode(DecodeError::BadCode { what, .. })) => {
+                assert_eq!(what, "end sentinel offset", "{gap}-byte gap");
+            }
+            other => panic!("{gap}-byte gap: expected BadCode, got {other:?}"),
+        }
+    }
+}
+
 /// One seeded mutation of `buf`: overwrite 1–8 bytes, insert or
 /// delete 1–16 bytes, or rewrite a `u32` with a boundary value.
 fn mutate(rng: &mut XorShift64, buf: &mut Vec<u8>) {
@@ -505,10 +529,18 @@ fn seeded_mutations_either_fail_or_decode_the_stored_run() {
         mutate(&mut rng, &mut buf);
         match decode_archive(&buf) {
             Err(_) => errors += 1,
-            Ok(back) => assert!(
-                back == archive,
-                "case {case}: a mutated archive decoded to a different run"
-            ),
+            Ok(back) => {
+                assert!(
+                    back == archive,
+                    "case {case}: a mutated archive decoded to a different run"
+                );
+                // Every byte of the file is checked, so only a mutation
+                // that changed nothing may still decode.
+                assert!(
+                    buf == clean,
+                    "case {case}: a changed archive decoded as the stored run"
+                );
+            }
         }
     }
     // Most mutations must actually damage the archive; a fuzzer whose

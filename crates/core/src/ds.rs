@@ -520,7 +520,7 @@ struct Engine<'a> {
     fetch_blocked: bool,
     /// Event-driven mode: skip straight over dead cycles. `false`
     /// retains the original cycle-by-cycle reference stepper that the
-    /// equivalence suite and `lookahead bench` compare against.
+    /// equivalence suite compares against.
     skip: bool,
     /// Work stack of `set_completion`, kept to reuse its allocation.
     completions: Vec<(u64, u64)>,
@@ -1565,8 +1565,8 @@ impl Ds {
     /// Re-times `trace` with the retained cycle-by-cycle reference
     /// stepper: identical state machine, but every cycle is walked
     /// explicitly instead of skipping dead spans. Exists as the ground
-    /// truth for the skip-ahead equivalence suite and as the baseline
-    /// engine for `lookahead bench`.
+    /// truth for the skip-ahead equivalence suite (`skip_equivalence`
+    /// and `ds_digests`).
     pub fn run_reference(&self, program: &Program, trace: &Trace) -> ExecutionResult {
         Engine::new(self.config, program, trace, false)
             .run()

@@ -311,6 +311,10 @@ fn main() -> ExitCode {
         };
     }
 
+    // Reports print only once every requested one has succeeded: a
+    // workload that fails its check exits 2 with nothing on stdout,
+    // never with the reports before it.
+    let mut out = String::new();
     for name in &opts.reports {
         let started = Instant::now();
         let text = match name.as_str() {
@@ -333,9 +337,10 @@ fn main() -> ExitCode {
             "sched" => reports::sched_report(&runner),
             other => unreachable!("unvalidated report {other}"),
         };
-        print!("{text}");
+        out.push_str(&text);
         eprintln!("{name}: {:.2}s", started.elapsed().as_secs_f64());
     }
+    print!("{out}");
 
     runner.report_cache_stats();
     eprintln!("total: {:.2}s", total.elapsed().as_secs_f64());

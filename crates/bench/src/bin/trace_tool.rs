@@ -18,7 +18,6 @@
 //! Run with `cargo run --release -p lookahead-bench --bin trace_tool -- stats LU`.
 
 use lookahead_bench::{config_from_env, generate_run, obs_out_dir, write_obs_artifacts, SizeTier};
-use lookahead_core::base::Base;
 use lookahead_core::ds::{Ds, DsConfig};
 use lookahead_core::model::ProcessorModel;
 use lookahead_core::{Btb, BtbConfig};
@@ -177,7 +176,7 @@ fn run(args: &[String]) -> Result<(), UsageError> {
                     ))
                 })?;
             let run = AppRun::from_archive(PathBuf::from(file), info);
-            let base = run.retime(&Base);
+            let base = run.base();
             let ds = run.retime(&Ds::new(DsConfig::rc().window(64)));
             println!("BASE:     {}", base.breakdown);
             println!("DS-64/RC: {}", ds.breakdown);

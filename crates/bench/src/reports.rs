@@ -394,22 +394,23 @@ pub fn sc_boost_report(runs: &[AppRun], workers: usize) -> String {
         (Rc, false, false),
     ];
     for run in runs {
-        let mut jobs: Vec<Box<dyn FnOnce() -> ExecutionResult + Send + '_>> =
-            vec![Box::new(|| run.retime(&Base))];
-        for (model, pf, spec) in variants {
-            jobs.push(Box::new(move || {
-                run.retime(&Ds::new(DsConfig {
-                    nonbinding_prefetch: pf,
-                    speculative_loads: spec,
-                    ..DsConfig::with_model(model).window(64)
-                }))
-            }));
-        }
+        let jobs: Vec<_> = variants
+            .iter()
+            .map(|&(model, pf, spec)| {
+                move || {
+                    run.retime(&Ds::new(DsConfig {
+                        nonbinding_prefetch: pf,
+                        speculative_loads: spec,
+                        ..DsConfig::with_model(model).window(64)
+                    }))
+                }
+            })
+            .collect();
         let results = run_ordered(jobs, workers);
-        let base = results[0].breakdown;
+        let base = run.base().breakdown;
         let mut row = vec![run.app.clone()];
         row.extend(
-            results[1..]
+            results
                 .iter()
                 .map(|r| format!("{:.1}", r.breakdown.normalized_to(&base))),
         );
@@ -446,7 +447,7 @@ pub fn prefetch_report(runs: &[AppRun]) -> String {
     for run in runs {
         let (covered_trace, stats) =
             StridePrefetcher::new(PrefetchConfig::default()).cover(run.trace());
-        let base = run.retime(&Base);
+        let base = run.base();
         let norm =
             |r: &ExecutionResult| format!("{:.1}", r.breakdown.normalized_to(&base.breakdown));
         let ssbr = InOrder::ssbr(ConsistencyModel::Rc);
@@ -484,7 +485,7 @@ pub fn contexts_report(runs: &[AppRun]) -> String {
         "DS-64".to_string(),
     ]];
     for run in runs {
-        let base = run.retime(&Base);
+        let base = run.base();
         // Multiple contexts: interleave k traces (starting from the
         // representative) and report per-context cost relative to the
         // representative's BASE time.
@@ -610,7 +611,7 @@ pub fn contention_report(runner: &Runner) -> String {
                 ..*runner.config()
             };
             let run = runner.run_workload(workload.as_ref(), &config);
-            let base = run.retime(&Base);
+            let base = run.base();
             let ds = run.retime(&Ds::new(DsConfig::rc().window(64)));
             let hidden = ds
                 .breakdown

@@ -7,7 +7,7 @@
 //! binaries (via `CARGO_BIN_EXE_*`) at the small size tier on a
 //! reduced app set so they stay fast.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
 /// The fast configuration shared by every test: small tier, four
@@ -54,10 +54,28 @@ fn stdout_of(out: &Output) -> &str {
     std::str::from_utf8(&out.stdout).expect("stdout is utf-8")
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
+/// A scratch directory under the system temp directory, removed when
+/// the guard drops, so a test leaves nothing behind even if it fails.
+struct TempDir(PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn temp_dir(tag: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("lktr-golden-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    TempDir(dir)
 }
 
 #[test]
@@ -125,7 +143,6 @@ fn every_report_matches_the_golden_on_every_path() {
         warm_err.contains("trace cache: 22 hits, 0 misses"),
         "every cached generation must hit on the warm run: {warm_err}"
     );
-    let _ = std::fs::remove_dir_all(&cache);
 }
 
 #[test]
@@ -275,11 +292,13 @@ fn failed_workload_self_check_exits_2_naming_the_configuration() {
     // a configuration error on both the per-report path (table3) and
     // the DAG sweep path (figure3 summary), not a crash. The
     // compiler-scheduled MP3D program fails its check at 16 processors,
-    // where the canonical one still passes.
+    // where the canonical one still passes; `all` reaches it only after
+    // fifteen other reports, none of which may print.
     for (reports, app, procs, program) in [
         (&["table3"][..], "LOCUS", "40", ""),
         (&["figure3", "summary"], "LOCUS", "40", ""),
         (&["sched"], "MP3D", "16", "(compiler-scheduled program)"),
+        (&["all"], "MP3D", "16", "(compiler-scheduled program)"),
     ] {
         let mut args = reports.to_vec();
         args.push("--no-cache");
@@ -289,6 +308,11 @@ fn failed_workload_self_check_exits_2_naming_the_configuration() {
             &[("LOOKAHEAD_APPS", app), ("LOOKAHEAD_PROCS", procs)],
         );
         assert_eq!(out.status.code(), Some(2), "{reports:?}");
+        assert!(
+            out.stdout.is_empty(),
+            "{reports:?}: no report may print before the failure:\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
             stderr.contains(&format!("error: {app}"))
@@ -337,7 +361,7 @@ fn two_processes_filling_one_cache_directory_agree() {
         "the racers must leave two whole archives behind: {warm_err}"
     );
 
-    let mut names: Vec<String> = std::fs::read_dir(&cache)
+    let mut names: Vec<String> = std::fs::read_dir(&*cache)
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
@@ -355,7 +379,7 @@ fn two_processes_filling_one_cache_directory_agree() {
 fn trace_tool_retimes_a_saved_archive_under_its_own_program() {
     let tool = env!("CARGO_BIN_EXE_trace_tool");
     let dir = temp_dir("trace-tool");
-    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::create_dir_all(&*dir).unwrap();
     let file = dir.join("lu.lktr").display().to_string();
     const LU: &str = "BASE:     total=14969 busy=5714 sync=3424 read=4116 write=1715\n\
                       DS-64/RC: total=8859 busy=5716 sync=2826 read=317 write=0\n\
@@ -403,7 +427,7 @@ fn trace_tool_retimes_a_saved_archive_under_its_own_program() {
         &[],
     );
     let _ = stdout_of(&fill);
-    let cached = std::fs::read_dir(&cache)
+    let cached = std::fs::read_dir(&*cache)
         .unwrap()
         .map(|e| e.unwrap().path())
         .find(|p| p.file_name().unwrap().to_string_lossy().starts_with("LU-"))

@@ -75,11 +75,12 @@ pub enum ModelSpec {
 }
 
 impl ModelSpec {
-    /// Runs this model over the run's representative trace.
+    /// Runs this model over the run's representative trace; BASE is
+    /// the run's memoized reference ([`AppRun::base`]).
     #[must_use]
     pub fn retime(&self, run: &AppRun) -> ExecutionResult {
         match *self {
-            ModelSpec::Base => run.retime(&Base),
+            ModelSpec::Base => run.base().clone(),
             ModelSpec::Ssbr(model) => run.retime(&InOrder::ssbr(model)),
             ModelSpec::Ss(model) => run.retime(&InOrder::ss(model)),
             ModelSpec::Ds(config) => run.retime(&Ds::new(config)),
@@ -457,7 +458,7 @@ pub fn table3(run: &AppRun) -> BranchStats {
 /// RC — the paper's headline metric (§7: on average 33% at window 16,
 /// 63% at 32, 81% at 64 with 50-cycle latency).
 pub fn read_latency_hidden(run: &AppRun, window: usize) -> f64 {
-    let base = run.retime(&Base);
+    let base = run.base();
     let ds = run.retime(&Ds::new(DsConfig::rc().window(window)));
     ds.breakdown
         .read_latency_hidden_vs(&base.breakdown)

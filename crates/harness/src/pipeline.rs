@@ -1,6 +1,7 @@
 //! Steps 1–3 of the paper's methodology: workload → multiprocessor
 //! simulation → representative annotated trace.
 
+use lookahead_core::base::Base;
 use lookahead_core::{ExecutionResult, ProcessorModel};
 use lookahead_isa::Program;
 use lookahead_multiproc::{SimConfig, SimError, SimOutcome, Simulator};
@@ -155,6 +156,8 @@ pub struct AppRun {
     /// Total multiprocessor cycles of the generating run.
     pub mp_cycles: u64,
     store: TraceStore,
+    /// The BASE reference result, re-timed on first use.
+    base: OnceLock<ExecutionResult>,
 }
 
 impl AppRun {
@@ -187,6 +190,7 @@ impl AppRun {
             mp_breakdowns: outcome.breakdowns,
             mp_cycles: outcome.total_cycles,
             store: TraceStore::Memory { traces },
+            base: OnceLock::new(),
         })
     }
 
@@ -206,6 +210,7 @@ impl AppRun {
                 rep: OnceLock::new(),
                 others: Mutex::new(BTreeMap::new()),
             })),
+            base: OnceLock::new(),
         }
     }
 
@@ -344,6 +349,15 @@ impl AppRun {
             model.run(&self.program, self.trace())
         })
     }
+
+    /// The run's BASE reference result, which every other model is
+    /// normalized to: re-timed through [`retime`](Self::retime) on the
+    /// first call, the same result afterwards. Concurrent first calls
+    /// wait for one pass. Gangs re-time BASE as an ordinary cell and
+    /// neither read nor fill this.
+    pub fn base(&self) -> &ExecutionResult {
+        self.base.get_or_init(|| self.retime(&Base))
+    }
 }
 
 fn archive_vanished(app: &str, path: &Path, e: &StreamError) -> String {
@@ -371,7 +385,6 @@ fn read_proc_trace(path: &Path, info: &ArchiveInfo, proc: usize) -> Result<Trace
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lookahead_core::base::Base;
     use lookahead_workloads::lu::Lu;
 
     #[test]
@@ -391,5 +404,30 @@ mod tests {
         // Memory-backed runs retime on the materialized path.
         let direct = Base.run(&run.program, run.trace());
         assert_eq!(run.retime(&Base), direct);
+    }
+
+    #[test]
+    fn base_is_retimed_once_and_equals_a_base_cell() {
+        let config = SimConfig {
+            num_procs: 4,
+            ..SimConfig::default()
+        };
+        let memory = AppRun::generate(&Lu { n: 12 }, &config).expect("pipeline succeeds");
+        let dir = std::env::temp_dir().join(format!("lktr-pipeline-test-{}", std::process::id()));
+        let cache = crate::TraceCache::new(&dir);
+        let key = crate::cache_key("LU", "small", &config);
+        cache.store(&key, &memory).expect("archive written");
+        let archived = cache.load("LU", &key).expect("archive loads");
+        for run in [&memory, &archived] {
+            let first = run.base();
+            assert_eq!(*first, run.retime(&Base));
+            assert!(std::ptr::eq(first, run.base()), "the second call re-timed");
+        }
+        assert_eq!(archived.base(), memory.base());
+        assert!(
+            archived.streaming_archive().is_some(),
+            "BASE streamed without materializing the trace"
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 }

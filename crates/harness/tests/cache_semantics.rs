@@ -12,6 +12,7 @@ use lookahead_harness::{
 use lookahead_memsys::MemoryParams;
 use lookahead_multiproc::SimConfig;
 use lookahead_workloads::lu::Lu;
+use std::path::PathBuf;
 
 fn small_config() -> SimConfig {
     SimConfig {
@@ -24,11 +25,22 @@ fn workload() -> Lu {
     Lu { n: 12 }
 }
 
-/// A fresh, empty cache directory under the system temp dir.
-fn temp_cache(tag: &str) -> TraceCache {
+/// Removes its directory when dropped, so a test leaves nothing behind
+/// in the system temp dir even if it fails.
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A fresh, empty cache directory under the system temp dir, and the
+/// guard that removes it.
+fn temp_cache(tag: &str) -> (TempDir, TraceCache) {
     let dir = std::env::temp_dir().join(format!("lktr-cache-test-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    TraceCache::new(dir)
+    (TempDir(dir.clone()), TraceCache::new(dir))
 }
 
 fn assert_runs_equal(a: &AppRun, b: &AppRun) {
@@ -43,7 +55,7 @@ fn assert_runs_equal(a: &AppRun, b: &AppRun) {
 
 #[test]
 fn cold_miss_then_warm_hit_returns_the_identical_run() {
-    let cache = temp_cache("roundtrip");
+    let (_dir, cache) = temp_cache("roundtrip");
     let wl = workload();
     let config = small_config();
 
@@ -60,7 +72,7 @@ fn cold_miss_then_warm_hit_returns_the_identical_run() {
 
 #[test]
 fn changed_configuration_misses_while_the_original_still_hits() {
-    let cache = temp_cache("knobs");
+    let (_dir, cache) = temp_cache("knobs");
     let wl = workload();
     let base = small_config();
 
@@ -116,13 +128,13 @@ fn format_version_is_part_of_the_key() {
     // A (hypothetical) format bump changes the key string, which
     // changes the content address — old files simply become unreachable.
     let bumped = key.replacen(&version_prefix, "lktr-v999", 1);
-    let cache = temp_cache("version");
+    let (_dir, cache) = temp_cache("version");
     assert_ne!(cache.path_for("LU", &key), cache.path_for("LU", &bumped));
 }
 
 #[test]
 fn key_mismatch_is_evicted_and_regenerated() {
-    let cache = temp_cache("mismatch");
+    let (_dir, cache) = temp_cache("mismatch");
     let wl = workload();
     let config = small_config();
 
@@ -158,7 +170,7 @@ fn key_mismatch_is_evicted_and_regenerated() {
 
 #[test]
 fn corrupt_cache_file_is_evicted_and_regenerated() {
-    let cache = temp_cache("corrupt");
+    let (_dir, cache) = temp_cache("corrupt");
     let wl = workload();
     let config = small_config();
 
@@ -195,7 +207,7 @@ fn corrupt_cache_file_is_evicted_and_regenerated() {
 
 #[test]
 fn legacy_v2_archive_is_evicted_and_regenerated_as_v3() {
-    let cache = temp_cache("migrate");
+    let (_dir, cache) = temp_cache("migrate");
     let wl = workload();
     let config = small_config();
     let key = cache_key("LU", "small", &config);
@@ -246,7 +258,7 @@ fn archive_backed_hit_retimes_streamed_exactly_like_materialized() {
     use lookahead_core::inorder::InOrder;
     use lookahead_core::{ConsistencyModel, ProcessorModel};
 
-    let cache = temp_cache("streamhit");
+    let (_dir, cache) = temp_cache("streamhit");
     let wl = workload();
     let config = small_config();
     let (_, _) = load_or_generate(Some(&cache), &wl, "small", &config).unwrap();

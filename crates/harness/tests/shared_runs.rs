@@ -8,6 +8,7 @@
 use lookahead_harness::{SharedRuns, TraceCache};
 use lookahead_multiproc::SimConfig;
 use lookahead_workloads::lu::Lu;
+use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 
 fn small_config() -> SimConfig {
@@ -17,11 +18,22 @@ fn small_config() -> SimConfig {
     }
 }
 
-/// A fresh, empty cache directory under the system temp dir.
-fn temp_cache(tag: &str) -> TraceCache {
+/// Removes its directory when dropped, so a test leaves nothing behind
+/// in the system temp dir even if it fails.
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A fresh, empty cache directory under the system temp dir, and the
+/// guard that removes it.
+fn temp_cache(tag: &str) -> (TempDir, TraceCache) {
     let dir = std::env::temp_dir().join(format!("lktr-shared-test-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    TraceCache::new(dir)
+    (TempDir(dir.clone()), TraceCache::new(dir))
 }
 
 fn concurrent_cold_requests(
@@ -62,7 +74,8 @@ fn two_threads_same_cold_key_one_generation_identical_bytes() {
 
 #[test]
 fn many_threads_with_disk_cache_still_one_generation() {
-    let runs = SharedRuns::new(Some(temp_cache("many")));
+    let (_dir, cache) = temp_cache("many");
+    let runs = SharedRuns::new(Some(cache));
     assert!(runs.disk_cache_enabled());
     let results = concurrent_cold_requests(&runs, 8);
 

@@ -19,9 +19,12 @@
 //!    content-addressed on-disk trace cache — so each distinct trace
 //!    generation runs **exactly once per process** no matter how many
 //!    clients ask;
-//! 4. re-timing runs as one gang per application run ([`retime_run`]:
-//!    a single streamed traversal feeds every cell's engine), with
-//!    results in spec order, so the body is byte-identical under any
+//! 4. `/v1/experiments` re-times the requested model in one per-cell
+//!    pass and normalizes it to the run's memoized BASE result
+//!    ([`AppRun::base`], re-timed once per run); the figure and summary
+//!    routes run one gang per application run ([`retime_run`]: a single
+//!    streamed traversal feeds every cell's engine). Results come out
+//!    in spec order, so the body is byte-identical under any
 //!    concurrency.
 //!
 //! Everything the paper's philosophy says about overlap applies here:
@@ -29,7 +32,6 @@
 //! connection workers; identical ones never duplicate work.
 
 use crate::http::{Request, Response};
-use lookahead_core::base::Base;
 use lookahead_core::ds::{Ds, DsConfig};
 use lookahead_core::inorder::InOrder;
 use lookahead_core::model::ExecutionResult;
@@ -752,9 +754,11 @@ impl ExperimentService {
         let q = self.parse_experiment_query(request)?;
         let run = self.resolve(q.app, q.tier)?;
 
-        let (base, result): (ExecutionResult, ExecutionResult) =
+        // BASE is a property of the run, not of the query: the run's
+        // first query re-times it once and every later one reuses it.
+        let (base, result): (&ExecutionResult, ExecutionResult) =
             span::record_current("retime", || {
-                let base = run.retime(&Base);
+                let base = run.base();
                 let result = match q.model {
                     ModelKind::Base => base.clone(),
                     ModelKind::Ssbr => run.retime(&InOrder::ssbr(q.consistency)),

@@ -183,6 +183,29 @@ fn concurrent_identical_cold_queries_run_one_simulation() {
 }
 
 #[test]
+fn bodies_over_a_memoized_base_equal_cold_bodies() {
+    let warm = small_service();
+    // Any experiment query over the run fills its BASE memo.
+    let first = handle_target(&warm, "/v1/experiments?app=lu&model=ds&window=16");
+    assert_eq!(first.status, 200, "{}", first.body);
+    for target in [
+        "/v1/experiments?app=lu&model=base",
+        "/v1/experiments?app=lu&model=ssbr&consistency=pc",
+        "/v1/experiments?app=lu&model=ss&consistency=sc",
+        "/v1/experiments?app=lu&model=ds&window=32&width=2",
+    ] {
+        let served = handle_target(&warm, target);
+        let cold = handle_target(&small_service(), target);
+        assert_eq!((served.status, cold.status), (200, 200), "{target}");
+        assert_eq!(
+            served.body, cold.body,
+            "{target}: the memoized BASE must not change a byte"
+        );
+    }
+    assert_eq!(warm.run_stats().generations, 1, "one run serves them all");
+}
+
+#[test]
 fn distinct_queries_generate_distinct_runs_but_share_the_app() {
     let service = small_service();
     // Two different windows over the same app: two bodies, one run.

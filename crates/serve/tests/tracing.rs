@@ -9,7 +9,9 @@
 //!   active (the HTTP path always traces; `handle_target` never does);
 //! * every request — including coalesced single-flight followers and
 //!   error responses — gets its own `X-Request-Id`, and a follower's
-//!   trace shows the wait instead of a duplicated generation.
+//!   trace shows the wait instead of a duplicated generation;
+//! * an experiment query re-times BASE only the first time its run is
+//!   asked for; later queries re-time just their own model.
 
 use lookahead_harness::{SizeTier, TraceCache};
 use lookahead_multiproc::SimConfig;
@@ -31,11 +33,21 @@ fn small_config() -> ServiceConfig {
     }
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
+/// A scratch directory under the system temp dir, removed when the
+/// guard drops, so a test leaves nothing behind even if it fails.
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn temp_dir(tag: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("lktr-tracing-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TempDir(dir)
 }
 
 struct RunningServer {
@@ -167,7 +179,7 @@ fn cold_figure3_trace_accounts_for_end_to_end_latency() {
     let cache = temp_dir("cold-figure3");
     let service = Arc::new(ExperimentService::new(
         small_config(),
-        Some(TraceCache::new(&cache)),
+        Some(TraceCache::new(&cache.0)),
     ));
     let server = RunningServer::start(Arc::clone(&service));
 
@@ -242,6 +254,41 @@ fn cold_figure3_trace_accounts_for_end_to_end_latency() {
     assert!(
         spans.iter().any(|s| s.name == "retime.cell"),
         "retime.cell spans from the worker pool: {spans:?}"
+    );
+}
+
+#[test]
+fn experiment_queries_retime_base_once_per_run() {
+    let service = Arc::new(ExperimentService::new(small_config(), None));
+    let server = RunningServer::start(Arc::clone(&service));
+    // The `retime.cell` spans in one request's trace: one per pass
+    // over the representative trace.
+    let passes = |id: &str, target: &str| {
+        let reply = http_get(server.addr, target, &[("X-Request-Id", id)]);
+        assert_eq!(reply.status, 200, "{target}: {}", reply.body);
+        let trace = http_get(server.addr, &format!("/v1/debug/trace/{id}"), &[]);
+        assert_eq!(trace.status, 200, "{}", trace.body);
+        parse_spans(&trace.body)
+            .iter()
+            .filter(|s| s.name == "retime.cell")
+            .count()
+    };
+    assert_eq!(
+        passes("base-1", "/v1/experiments?app=lu&model=base&window=16"),
+        1,
+        "the run's first query re-times BASE"
+    );
+    for model in ["ss", "ds"] {
+        assert_eq!(
+            passes(model, &format!("/v1/experiments?app=lu&model={model}")),
+            1,
+            "{model}: one pass for the model, none for BASE"
+        );
+    }
+    assert_eq!(
+        passes("base-2", "/v1/experiments?app=lu&model=base&window=32"),
+        0,
+        "a fresh BASE body reads the run's memo"
     );
 }
 

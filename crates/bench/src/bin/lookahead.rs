@@ -15,8 +15,8 @@
 //!
 //! `lookahead <report>` is the one way to print a report. Several
 //! reports in one process share trace generation, the
-//! content-addressed trace cache and the parallel re-timing pool, and
-//! print exactly the concatenation of their single-report runs.
+//! content-addressed trace cache and the DAG executor, and print
+//! exactly the concatenation of their single-report runs.
 //! Progress, timings and cache accounting go to stderr; report text
 //! goes to stdout.
 //!
@@ -39,7 +39,6 @@
 
 use lookahead_bench::{cache_from_env_or, config_from_env, fail_fast, reports, Runner, SizeTier};
 use lookahead_harness::cache::TraceCache;
-use lookahead_harness::dag::Scheduler;
 use lookahead_harness::parallel;
 use lookahead_harness::pipeline::AppRun;
 use std::collections::HashMap;
@@ -72,7 +71,6 @@ const USAGE: &str = "usage: lookahead [OPTIONS] REPORT [REPORT ...]
        lookahead query TARGET       answer one service query, print body
        lookahead bench generation   time cold trace generation, both engines
        lookahead bench obs          measure request-tracing overhead
-       lookahead bench dag          compare DAG vs flat sweep scheduling
 
 Regenerates the requested tables and figures, generating or
 cache-loading each application trace exactly once per process.
@@ -92,10 +90,6 @@ options:
                    environment variable). Not a thread bound: each
                    re-timing task is a gang with one engine thread per
                    unique cell
-  --scheduler S    sweep scheduler: dag (critical-path rank, generation
-                   overlapped with re-timing; the default) or flat (the
-                   plain worker pool). Output is byte-identical either
-                   way; the flag wins over LOOKAHEAD_SCHEDULER.
   --tier NAME      workload size tier: small, default, paper or large
                    (default: from the environment, see below)
   --obs-out DIR    write per-run observability artifacts under DIR
@@ -103,7 +97,7 @@ options:
 
 environment: LOOKAHEAD_SMALL=1, LOOKAHEAD_PAPER=1, LOOKAHEAD_LARGE=1,
 LOOKAHEAD_PROCS=n, LOOKAHEAD_APPS=LU,MP3D, LOOKAHEAD_CACHE=DIR|off,
-LOOKAHEAD_JOBS=n, LOOKAHEAD_SCHEDULER=dag|flat";
+LOOKAHEAD_JOBS=n";
 
 struct Options {
     reports: Vec<String>,
@@ -111,7 +105,6 @@ struct Options {
     no_cache: bool,
     jobs: Option<usize>,
     tier: Option<SizeTier>,
-    scheduler: Option<Scheduler>,
 }
 
 fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
@@ -121,7 +114,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         no_cache: false,
         jobs: None,
         tier: None,
-        scheduler: None,
     };
     let known: Vec<&str> = SHARED.iter().chain(STANDALONE).copied().collect();
     let mut it = args.iter();
@@ -141,9 +133,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--tier" => {
                 opts.tier = Some(parse_tier(&value(&mut it, "--tier")?)?);
             }
-            "--scheduler" => {
-                opts.scheduler = Some(parse_scheduler(&value(&mut it, "--scheduler")?)?);
-            }
             "--obs-out" => {
                 // Consumed here, parsed by obs_out_dir() from argv.
                 value(&mut it, "--obs-out")?;
@@ -155,8 +144,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                     opts.jobs = Some(parallel::parse_jobs("--jobs", v)?);
                 } else if let Some(v) = a.strip_prefix("--tier=") {
                     opts.tier = Some(parse_tier(v)?);
-                } else if let Some(v) = a.strip_prefix("--scheduler=") {
-                    opts.scheduler = Some(parse_scheduler(v)?);
                 } else if a.strip_prefix("--obs-out=").is_some() {
                     // Parsed by obs_out_dir().
                 } else if a == "all" {
@@ -186,11 +173,6 @@ fn parse_tier(name: &str) -> Result<SizeTier, String> {
         .ok_or_else(|| format!("unknown tier {name:?}; valid tiers: small, default, paper, large"))
 }
 
-fn parse_scheduler(name: &str) -> Result<Scheduler, String> {
-    Scheduler::from_name(name)
-        .ok_or_else(|| format!("unknown scheduler {name:?}; valid schedulers: flat, dag"))
-}
-
 fn cache_for(opts: &Options) -> Option<TraceCache> {
     if opts.no_cache {
         return None;
@@ -210,11 +192,10 @@ fn main() -> ExitCode {
             return match args.get(1).map(String::as_str) {
                 Some("generation") => lookahead_bench::generation::generation_main(&args[2..]),
                 Some("obs") => lookahead_bench::obsbench::obs_main(&args[2..]),
-                Some("dag") => lookahead_bench::dagbench::dag_main(&args[2..]),
                 other => {
                     let what = other.map_or("no subcommand".to_string(), |o| format!("{o:?}"));
                     eprintln!(
-                        "error: lookahead bench: {what}; subcommands: generation, obs, dag\n\n{USAGE}"
+                        "error: lookahead bench: {what}; subcommands: generation, obs\n\n{USAGE}"
                     );
                     ExitCode::from(2)
                 }
@@ -234,18 +215,6 @@ fn main() -> ExitCode {
         }
     };
 
-    // Fail-fast knob resolution: the flag wins, then the environment,
-    // then the DAG default (output is byte-identical either way).
-    let scheduler = match opts.scheduler {
-        Some(s) => s,
-        None => match Scheduler::from_env() {
-            Ok(s) => s.unwrap_or(Scheduler::Dag),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        },
-    };
     let workers = opts
         .jobs
         .unwrap_or_else(|| fail_fast(parallel::workers_from_env()));
@@ -256,14 +225,12 @@ fn main() -> ExitCode {
         workers,
     );
     eprintln!(
-        "lookahead: {} processors, {}-cycle miss penalty, tier {}, {} workers, cache {}, \
-         scheduler {}",
+        "lookahead: {} processors, {}-cycle miss penalty, tier {}, {} workers, cache {}",
         runner.config().num_procs,
         runner.config().mem.miss_penalty,
         runner.tier().name(),
         runner.workers(),
         if runner.cache_enabled() { "on" } else { "off" },
-        scheduler.name(),
     );
 
     let total = Instant::now();
@@ -271,37 +238,34 @@ fn main() -> ExitCode {
     // once per process, lazily on the first report that needs them.
     let mut shared_runs: Option<Vec<AppRun>> = None;
 
-    // Under the DAG scheduler, the figure3/figure4/summary sweeps and
-    // trace generation merge into one task graph: generation nodes
-    // overlap other applications' gangs and the per-report barriers
-    // disappear. Texts come out byte-identical to the flat
-    // path and the generated runs seed every other report.
+    // The figure3/figure4/summary sweeps and trace generation merge
+    // into one task graph: generation nodes overlap other
+    // applications' gangs, and there is no per-report barrier. The
+    // generated runs seed every other report.
     let mut dag_texts: HashMap<String, String> = HashMap::new();
-    if scheduler == Scheduler::Dag {
-        let wanted: Vec<&str> = opts
-            .reports
-            .iter()
-            .map(String::as_str)
-            .filter(|r| reports::DAG_REPORTS.contains(r))
-            .collect();
-        if !wanted.is_empty() {
-            let started = Instant::now();
-            let sweep = reports::dag_sweep(&runner, &wanted, workers);
-            eprintln!(
-                "dag sweep ({}): {} cells + {} generation nodes ({} collapsed), \
-                 critical path {} / total cost {}, peak ready {}, {:.2}s",
-                wanted.join(" "),
-                sweep.cells,
-                sweep.runs.len(),
-                sweep.stats.collapsed,
-                sweep.stats.critical_path,
-                sweep.stats.total_cost,
-                sweep.stats.peak_ready,
-                started.elapsed().as_secs_f64(),
-            );
-            dag_texts = sweep.texts.into_iter().collect();
-            shared_runs = Some(sweep.runs);
-        }
+    let wanted: Vec<&str> = opts
+        .reports
+        .iter()
+        .map(String::as_str)
+        .filter(|r| reports::DAG_REPORTS.contains(r))
+        .collect();
+    if !wanted.is_empty() {
+        let started = Instant::now();
+        let sweep = reports::dag_sweep(&runner, &wanted, workers);
+        eprintln!(
+            "dag sweep ({}): {} cells + {} generation nodes ({} collapsed), \
+             critical path {} / total cost {}, peak ready {}, {:.2}s",
+            wanted.join(" "),
+            sweep.cells,
+            sweep.runs.len(),
+            sweep.stats.collapsed,
+            sweep.stats.critical_path,
+            sweep.stats.total_cost,
+            sweep.stats.peak_ready,
+            started.elapsed().as_secs_f64(),
+        );
+        dag_texts = sweep.texts.into_iter().collect();
+        shared_runs = Some(sweep.runs);
     }
     macro_rules! shared {
         () => {
@@ -320,9 +284,6 @@ fn main() -> ExitCode {
         let text = match name.as_str() {
             _ if dag_texts.contains_key(name) => dag_texts[name].clone(),
             "figure1" => reports::figure1_report(),
-            "figure3" => reports::figure3_report(shared!()),
-            "figure4" => reports::figure4_report(shared!()),
-            "summary" => reports::summary_report(shared!(), workers),
             "table1" => reports::table1_report(shared!(), runner.config().num_procs),
             "table2" => reports::table2_report(shared!(), runner.config().num_procs),
             "table3" => reports::table3_report(shared!()),

@@ -410,6 +410,7 @@ fn profile(app: App, config: &lookahead_multiproc::SimConfig, top_n: usize) -> R
             &dir,
             &format!("{}-{}", run.app, model.name()),
             config,
+            SizeTier::from_env(),
             &[(
                 "breakdown",
                 format!(

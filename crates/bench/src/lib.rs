@@ -26,7 +26,6 @@
 //! wrong experiment.
 
 pub mod client;
-pub mod dagbench;
 pub mod generation;
 pub mod obsbench;
 pub mod reports;
@@ -34,6 +33,7 @@ pub mod serve_cli;
 pub mod servebench;
 
 use lookahead_harness::cache::{load_or_generate, CacheOutcome, TraceCache};
+use lookahead_harness::dag::{run_dag, TaskDag};
 use lookahead_harness::parallel;
 use lookahead_harness::pipeline::AppRun;
 use lookahead_multiproc::SimConfig;
@@ -162,9 +162,9 @@ pub fn obs_out_dir() -> Option<PathBuf> {
     std::env::var_os("LOOKAHEAD_OBS_OUT").map(PathBuf::from)
 }
 
-/// Flat key/value description of `config` for run manifests.
-pub fn config_kv(config: &SimConfig) -> Vec<(&'static str, String)> {
-    let tier = SizeTier::from_env();
+/// Flat key/value description of a run's `config` and size `tier`
+/// for run manifests.
+pub fn config_kv(config: &SimConfig, tier: SizeTier) -> Vec<(&'static str, String)> {
     vec![
         ("num_procs", config.num_procs.to_string()),
         ("hit_latency", config.mem.hit_latency.to_string()),
@@ -177,17 +177,19 @@ pub fn config_kv(config: &SimConfig) -> Vec<(&'static str, String)> {
     ]
 }
 
-/// Writes observability artifacts for a recorded run, logging instead
-/// of failing: artifact output must never break a benchmark run.
+/// Writes observability artifacts for a recorded run at `tier`,
+/// logging instead of failing: artifact output must never break a
+/// benchmark run.
 pub fn write_obs_artifacts(
     dir: &std::path::Path,
     name: &str,
     config: &SimConfig,
+    tier: SizeTier,
     extra: &[(&str, String)],
     rec: &lookahead_obs::Recorder,
 ) {
-    match lookahead_harness::obsout::write_run_artifacts(dir, name, &config_kv(config), extra, rec)
-    {
+    let kv = config_kv(config, tier);
+    match lookahead_harness::obsout::write_run_artifacts(dir, name, &kv, extra, rec) {
         Ok(a) => eprintln!("  wrote observability artifacts to {}", a.dir.display()),
         Err(e) => eprintln!("  failed to write observability artifacts for {name}: {e}"),
     }
@@ -342,6 +344,7 @@ impl Runner {
                     &dir,
                     &format!("generate-{}", run.app),
                     config,
+                    self.tier,
                     &[("mp_cycles", run.mp_cycles.to_string())],
                     &rec,
                 );
@@ -350,15 +353,20 @@ impl Runner {
         run
     }
 
-    /// All selected applications' runs, generated on the worker pool
-    /// (each trace exactly once per process).
+    /// All selected applications' runs, generated on up to `workers`
+    /// DAG workers as one independent node per application (each
+    /// trace exactly once per process), in application order.
     pub fn run_all(&self) -> Vec<AppRun> {
-        let jobs: Vec<_> = self
-            .apps()
+        let apps = self.apps();
+        let mut dag = TaskDag::new();
+        for _ in &apps {
+            dag.add_task(1, &[]);
+        }
+        let jobs: Vec<_> = apps
             .into_iter()
             .map(|app| move || self.run_app(app))
             .collect();
-        parallel::run_ordered(jobs, self.workers)
+        run_dag(&dag, jobs, self.workers)
     }
 }
 

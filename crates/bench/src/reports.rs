@@ -5,9 +5,11 @@
 //! them byte for byte. Reports that re-time the shared application
 //! runs take `&[AppRun]` (the traces are generated once per process);
 //! reports that need their own memory-system variants take a
-//! [`Runner`] and go through its cache. Each run's sweep goes through
-//! one call, [`run_cell_specs`], which re-times all of its cells as one
-//! gang.
+//! [`Runner`] and go through its cache. Figure 3, Figure 4 and the
+//! summary are rendered only by [`dag_sweep`], which merges their
+//! cells into one gang per application. Other multi-cell sweeps
+//! re-time each run's cells as one gang too, through
+//! [`run_cell_specs`] or, across all runs at once, `retime_matrix`.
 
 use crate::Runner;
 use lookahead_core::base::Base;
@@ -18,14 +20,13 @@ use lookahead_core::inorder::InOrder;
 use lookahead_core::model::{ExecutionResult, ProcessorModel};
 use lookahead_core::prefetch::{PrefetchConfig, StridePrefetcher};
 use lookahead_core::ConsistencyModel;
-use lookahead_harness::dag::{self, DagStats, Scheduler, TaskDag};
+use lookahead_harness::dag::{self, DagStats, TaskDag};
 use lookahead_harness::experiments::{
     columns_from_results, figure3_cells, figure4_cells, hidden_row, miss_delay, rc_sweep_cells,
     retime_matrix, retime_run, run_cell_specs, summary_cells, table1, table2, table3, CellSpec,
-    PAPER_WINDOWS,
+    ModelSpec, PAPER_WINDOWS,
 };
 use lookahead_harness::format::{count_with_rate, render_figure, render_table};
-use lookahead_harness::parallel::run_ordered;
 use lookahead_harness::pipeline::AppRun;
 use lookahead_isa::Program;
 use lookahead_memsys::{CacheConfig, MemoryParams};
@@ -86,45 +87,22 @@ pub fn figure1_report() -> String {
     out
 }
 
-/// One application's Figure 3 block — the single render path shared
-/// by the flat report and the DAG sweep, so both are byte-identical
-/// by construction.
-fn figure3_app_text(run: &AppRun, cols: &[lookahead_harness::Figure3Column]) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "{}",
-        render_figure(
-            &format!(
-                "Figure 3 — {} (trace: {} instructions, processor {})",
-                run.app,
-                run.trace_len(),
-                run.proc
-            ),
-            cols
+/// The heading of one application's block in Figure 3 or Figure 4.
+fn figure_title(report: &str, run: &AppRun) -> String {
+    if report == "figure3" {
+        format!(
+            "Figure 3 — {} (trace: {} instructions, processor {})",
+            run.app,
+            run.trace_len(),
+            run.proc
         )
-    )
-    .unwrap();
-    out
-}
-
-/// One application's Figure 4 block (see [`figure3_app_text`]).
-fn figure4_app_text(run: &AppRun, cols: &[lookahead_harness::Figure3Column]) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "{}",
-        render_figure(
-            &format!(
-                "Figure 4 — {} (bp = perfect branch prediction; \
-                 bp+nd = also ignoring data dependences)",
-                run.app
-            ),
-            cols
+    } else {
+        format!(
+            "Figure 4 — {} (bp = perfect branch prediction; \
+             bp+nd = also ignoring data dependences)",
+            run.app
         )
-    )
-    .unwrap();
-    out
+    }
 }
 
 /// The rendered §7 summary for an already-computed hidden-latency
@@ -160,40 +138,6 @@ fn summary_text(app_names: &[&str], windows: &[usize], matrix: &[Vec<f64>]) -> S
     )
     .unwrap();
     out
-}
-
-/// **Figure 3**: BASE and {SSBR, SS, DS} under SC/PC/RC with the
-/// window sweep, one stacked figure per application.
-pub fn figure3_report(runs: &[AppRun]) -> String {
-    let cells = figure3_cells(&PAPER_WINDOWS);
-    runs.iter()
-        .map(|run| figure3_app_text(run, &run_cell_specs(run, &cells)))
-        .collect()
-}
-
-/// **Figure 4**: the branch-prediction / data-dependence ablations on
-/// the RC window sweep.
-pub fn figure4_report(runs: &[AppRun]) -> String {
-    let cells = figure4_cells(&PAPER_WINDOWS);
-    runs.iter()
-        .map(|run| figure4_app_text(run, &run_cell_specs(run, &cells)))
-        .collect()
-}
-
-/// The §7 headline numbers: percentage of read latency hidden per
-/// application and window, plus the cross-application average. One
-/// gang per run, up to `workers` of them at once.
-pub fn summary_report(runs: &[AppRun], workers: usize) -> String {
-    let run_refs: Vec<&AppRun> = runs.iter().collect();
-    let rows = retime_matrix(
-        &run_refs,
-        &summary_cells(&PAPER_WINDOWS),
-        workers,
-        Scheduler::Flat,
-    );
-    let matrix: Vec<Vec<f64>> = rows.iter().map(|row| hidden_row(row)).collect();
-    let names: Vec<&str> = runs.iter().map(|r| r.app.as_str()).collect();
-    summary_text(&names, &PAPER_WINDOWS, &matrix)
 }
 
 /// **Table 1**: statistics on data references.
@@ -327,38 +271,37 @@ pub fn miss_delay_report(runs: &[AppRun]) -> String {
 }
 
 /// The §4.2 multiple-issue study: 4-wide RC window sweep plus the
-/// RC-over-SC speedup at window 128, single- and 4-wide (four small
-/// cells per run, up to `workers` of them at once).
+/// RC-over-SC speedup at window 128, single- and 4-wide. The speedup's
+/// four cells ride in each run's gang (one archive pass per run), and
+/// up to `workers` gangs run at once.
 pub fn multi_issue_report(runs: &[AppRun], workers: usize) -> String {
+    use ConsistencyModel::{Rc, Sc};
     let cells = rc_sweep_cells(&PAPER_WINDOWS, 4, "RCx4");
+    // The paper also observes the RC:SC gain is larger 4-wide.
+    let mut specs = cells.clone();
+    specs.extend([(1, Sc), (1, Rc), (4, Sc), (4, Rc)].map(|(width, model)| {
+        CellSpec::new(
+            "DS.128",
+            format!("{}x{width}", model.abbrev()),
+            ModelSpec::Ds(DsConfig {
+                issue_width: width,
+                ..DsConfig::with_model(model).window(128)
+            }),
+        )
+    }));
+    let run_refs: Vec<&AppRun> = runs.iter().collect();
+    let rows = retime_matrix(&run_refs, &specs, workers);
     let mut out = String::new();
-    for run in runs {
-        let cols = run_cell_specs(run, &cells);
+    for (run, row) in runs.iter().zip(&rows) {
+        let (sweep, gain) = row.split_at(cells.len());
+        let cols = columns_from_results(&cells, sweep);
         writeln!(
             out,
             "{}",
             render_figure(&format!("{} — 4-wide issue under RC", run.app), &cols)
         )
         .unwrap();
-        // The paper also observes the RC:SC gain is larger 4-wide.
-        let gain = |width: usize, model: ConsistencyModel| {
-            move || {
-                run.retime(&Ds::new(DsConfig {
-                    issue_width: width,
-                    ..DsConfig::with_model(model).window(128)
-                }))
-                .breakdown
-                .total() as f64
-            }
-        };
-        use ConsistencyModel::{Rc, Sc};
-        let jobs: Vec<Box<dyn FnOnce() -> f64 + Send + '_>> = vec![
-            Box::new(gain(1, Sc)),
-            Box::new(gain(1, Rc)),
-            Box::new(gain(4, Sc)),
-            Box::new(gain(4, Rc)),
-        ];
-        let t = run_ordered(jobs, workers);
+        let t: Vec<f64> = gain.iter().map(|r| r.breakdown.total() as f64).collect();
         writeln!(
             out,
             "  RC speedup over SC at window 128: {:.2}x single-issue, {:.2}x 4-wide\n",
@@ -371,42 +314,40 @@ pub fn multi_issue_report(runs: &[AppRun], workers: usize) -> String {
 }
 
 /// The §6 SC/PC boosting study: non-binding prefetch and speculative
-/// loads on the strict models, with RC as the ceiling.
+/// loads on the strict models, with RC as the ceiling. Each run's
+/// seven DS-64 cells are one gang, and up to `workers` gangs run at
+/// once.
 pub fn sc_boost_report(runs: &[AppRun], workers: usize) -> String {
-    let mut rows = vec![vec![
-        "Program".to_string(),
-        "SC".to_string(),
-        "SC+pf".to_string(),
-        "SC+spec".to_string(),
-        "SC+both".to_string(),
-        "PC".to_string(),
-        "PC+both".to_string(),
-        "RC".to_string(),
-    ]];
     use ConsistencyModel::{Pc, Rc, Sc};
     let variants = [
-        (Sc, false, false),
-        (Sc, true, false),
-        (Sc, false, true),
-        (Sc, true, true),
-        (Pc, false, false),
-        (Pc, true, true),
-        (Rc, false, false),
+        ("SC", Sc, false, false),
+        ("SC+pf", Sc, true, false),
+        ("SC+spec", Sc, false, true),
+        ("SC+both", Sc, true, true),
+        ("PC", Pc, false, false),
+        ("PC+both", Pc, true, true),
+        ("RC", Rc, false, false),
     ];
-    for run in runs {
-        let jobs: Vec<_> = variants
-            .iter()
-            .map(|&(model, pf, spec)| {
-                move || {
-                    run.retime(&Ds::new(DsConfig {
-                        nonbinding_prefetch: pf,
-                        speculative_loads: spec,
-                        ..DsConfig::with_model(model).window(64)
-                    }))
-                }
-            })
-            .collect();
-        let results = run_ordered(jobs, workers);
+    let cells: Vec<CellSpec> = variants
+        .iter()
+        .map(|&(name, model, pf, spec)| {
+            CellSpec::new(
+                "DS.64",
+                name,
+                ModelSpec::Ds(DsConfig {
+                    nonbinding_prefetch: pf,
+                    speculative_loads: spec,
+                    ..DsConfig::with_model(model).window(64)
+                }),
+            )
+        })
+        .collect();
+    let mut rows = vec![std::iter::once("Program")
+        .chain(variants.iter().map(|v| v.0))
+        .map(str::to_string)
+        .collect::<Vec<_>>()];
+    let run_refs: Vec<&AppRun> = runs.iter().collect();
+    for (run, results) in runs.iter().zip(retime_matrix(&run_refs, &cells, workers)) {
         let base = run.base().breakdown;
         let mut row = vec![run.app.clone()];
         row.extend(
@@ -745,8 +686,8 @@ pub const DAG_REPORTS: &[&str] = &["figure3", "figure4", "summary"];
 pub struct DagSweep {
     /// One generated (or cache-loaded) run per selected application.
     pub runs: Vec<AppRun>,
-    /// `(report name, rendered text)` in the requested order,
-    /// byte-identical to the flat report functions.
+    /// `(report name, rendered text)` in the requested order, exactly
+    /// as the driver prints them.
     pub texts: Vec<(String, String)>,
     /// What the DAG executor observed.
     pub stats: DagStats,
@@ -774,10 +715,12 @@ const COST_GENERATE: u64 = 600;
 /// the summary rows repeat figure 3's RC sweep); the union computes
 /// each once per app and shares its result.
 ///
+/// A workload that fails to simulate or verify exits the process with
+/// code 2 from its generation node (see [`Runner::run_workload`]).
+///
 /// # Panics
 ///
-/// Panics if `wanted` contains a report outside [`DAG_REPORTS`], or if
-/// a workload fails to simulate or verify.
+/// Panics if `wanted` contains a report outside [`DAG_REPORTS`].
 pub fn dag_sweep(runner: &Runner, wanted: &[&str], workers: usize) -> DagSweep {
     let apps = runner.apps();
     let windows = &PAPER_WINDOWS;
@@ -871,28 +814,20 @@ pub fn dag_sweep(runner: &Runner, wanted: &[&str], workers: usize) -> DagSweep {
         .iter()
         .enumerate()
         .map(|(ri, (name, specs))| {
-            let text: String = match *name {
-                "summary" => {
-                    let matrix: Vec<Vec<f64>> = (0..runs.len())
-                        .map(|ai| hidden_row(&results(ai, ri)))
-                        .collect();
-                    let names: Vec<&str> = runs.iter().map(|r| r.app.as_str()).collect();
-                    summary_text(&names, windows, &matrix)
-                }
-                "figure3" => runs
-                    .iter()
+            let text: String = if *name == "summary" {
+                let matrix: Vec<Vec<f64>> = (0..runs.len())
+                    .map(|ai| hidden_row(&results(ai, ri)))
+                    .collect();
+                let names: Vec<&str> = runs.iter().map(|r| r.app.as_str()).collect();
+                summary_text(&names, windows, &matrix)
+            } else {
+                runs.iter()
                     .enumerate()
                     .map(|(ai, run)| {
-                        figure3_app_text(run, &columns_from_results(specs, &results(ai, ri)))
+                        let cols = columns_from_results(specs, &results(ai, ri));
+                        format!("{}\n", render_figure(&figure_title(name, run), &cols))
                     })
-                    .collect(),
-                _ => runs
-                    .iter()
-                    .enumerate()
-                    .map(|(ai, run)| {
-                        figure4_app_text(run, &columns_from_results(specs, &results(ai, ri)))
-                    })
-                    .collect(),
+                    .collect()
             };
             ((*name).to_string(), text)
         })

@@ -9,7 +9,6 @@
 
 use crate::{cache_from_env_or, config_from_env, fail_fast};
 use lookahead_harness::cache::TraceCache;
-use lookahead_harness::dag::Scheduler;
 use lookahead_harness::parallel;
 use lookahead_harness::SizeTier;
 use lookahead_serve::{
@@ -49,9 +48,6 @@ options:
                    all cores; the flag wins over the environment
                    variable); each gang task runs one engine thread
                    per unique cell
-  --scheduler S    sweep cell scheduler: dag (critical-path rank,
-                   the default) or flat; bodies are byte-identical
-                   either way (the flag wins over LOOKAHEAD_SCHEDULER)
   --prewarm        speculatively pre-compute likely-next report bodies
                    (remaining apps, adjacent windows) while idle
   --cache-dir DIR  cache traces under DIR (default: target/trace-cache,
@@ -67,8 +63,7 @@ finish, byte-identical to the buffered body.
 
 environment: LOOKAHEAD_SMALL=1, LOOKAHEAD_PAPER=1, LOOKAHEAD_PROCS=n,
 LOOKAHEAD_SERVE_ADDR, LOOKAHEAD_SERVE_THREADS, LOOKAHEAD_CACHE=DIR|off,
-LOOKAHEAD_JOBS=n, LOOKAHEAD_SCHEDULER=dag|flat,
-LOOKAHEAD_SERVE_PREWARM=1, LOOKAHEAD_LOG=level|target=level,...";
+LOOKAHEAD_JOBS=n, LOOKAHEAD_SERVE_PREWARM=1, LOOKAHEAD_LOG=level|target=level,...";
 
 pub const QUERY_USAGE: &str = "usage: lookahead query TARGET [OPTIONS]
 
@@ -82,7 +77,6 @@ options:
   --jobs N         sweep tasks run at once, each gang with one engine
                    thread per unique cell (the flag wins over
                    LOOKAHEAD_JOBS)
-  --scheduler S    sweep cell scheduler: dag (default) or flat
   --cache-dir DIR  cache traces under DIR (default: target/trace-cache)
   --no-cache       disable the trace cache
   -h, --help       show this help
@@ -96,18 +90,12 @@ struct Options {
     addr_file: Option<String>,
     threads: Option<String>,
     jobs: Option<usize>,
-    scheduler: Option<Scheduler>,
     prewarm: bool,
     cache_dir: Option<String>,
     no_cache: bool,
     span_log: Option<String>,
     max_connections: Option<String>,
     target: Option<String>,
-}
-
-fn parse_scheduler(value: &str) -> Result<Scheduler, String> {
-    Scheduler::from_name(value)
-        .ok_or_else(|| format!("--scheduler must be \"flat\" or \"dag\", got {value:?}"))
 }
 
 /// Parses the flags shared by `serve` and `query`; positional
@@ -127,9 +115,6 @@ fn parse(args: &[String], usage: &'static str) -> Result<Option<Options>, String
             "--prewarm" => opts.prewarm = true,
             "--max-connections" => {
                 opts.max_connections = Some(value(&mut it, "--max-connections")?);
-            }
-            "--scheduler" => {
-                opts.scheduler = Some(parse_scheduler(&value(&mut it, "--scheduler")?)?);
             }
             "--addr" => opts.addr = Some(value(&mut it, "--addr")?),
             "--addr-file" => opts.addr_file = Some(value(&mut it, "--addr-file")?),
@@ -152,8 +137,6 @@ fn parse(args: &[String], usage: &'static str) -> Result<Option<Options>, String
                     opts.span_log = Some(v.to_string());
                 } else if let Some(v) = a.strip_prefix("--jobs=") {
                     opts.jobs = Some(parallel::parse_jobs("--jobs", v)?);
-                } else if let Some(v) = a.strip_prefix("--scheduler=") {
-                    opts.scheduler = Some(parse_scheduler(v)?);
                 } else if let Some(v) = a.strip_prefix("--max-connections=") {
                     opts.max_connections = Some(v.to_string());
                 } else if a.starts_with('-') {
@@ -193,16 +176,12 @@ fn prewarm_from_env() -> Result<bool, String> {
 }
 
 /// The service, built exactly as the report driver builds its runner:
-/// tier and simulation config from the environment, plus the cache,
-/// scheduler and worker knobs (flags win over environment variables).
+/// tier and simulation config from the environment, plus the cache
+/// and worker knobs (flags win over environment variables).
 fn build_service(opts: &Options) -> (Arc<ExperimentService>, usize) {
     let jobs = opts
         .jobs
         .unwrap_or_else(|| fail_fast(parallel::workers_from_env()));
-    let scheduler = opts
-        .scheduler
-        .or_else(|| fail_fast(Scheduler::from_env()))
-        .unwrap_or(Scheduler::Dag);
     let prewarm = opts.prewarm || fail_fast(prewarm_from_env());
     let service = ExperimentService::new(
         ServiceConfig {
@@ -210,8 +189,8 @@ fn build_service(opts: &Options) -> (Arc<ExperimentService>, usize) {
             sim: config_from_env(),
             retime_workers: jobs,
             span_log: opts.span_log.as_ref().map(std::path::PathBuf::from),
-            scheduler,
             prewarm,
+            ..ServiceConfig::default()
         },
         cache_for(opts),
     );
@@ -280,9 +259,8 @@ pub fn serve_main(args: &[String]) -> ExitCode {
     }
     eprintln!(
         "lookahead serve: http://{bound} ({threads} handler workers, {jobs} re-timing workers, \
-         tier {}, scheduler {}, cache {}, prewarm {}); Ctrl-C drains and exits",
+         tier {}, cache {}, prewarm {}); Ctrl-C drains and exits",
         service.config().default_tier.name(),
-        service.config().scheduler.name(),
         if service.disk_cache_enabled() {
             "on"
         } else {

@@ -1,36 +1,28 @@
-//! DAG-vs-flat equivalence gate: the merged critical-path sweep must
-//! reproduce the flat report functions byte for byte, on a cold cache
-//! and on a warm one (where every generation node collapses).
+//! DAG sweep gate: the merged critical-path sweep must print the bytes
+//! of `golden_small_tier.txt` on a cold cache and on a warm one (where
+//! every generation node collapses), at any worker count and for any
+//! subset of its reports.
 //!
 //! This is the in-process twin of the CI `dag-smoke` job's
-//! `cmp dag.out flat.out` check: if the DAG scheduler ever reorders a
-//! mutation it shouldn't, shares a cell it mustn't, or renders a
-//! report from the wrong result slot, these assertions catch it
-//! before the driver golden does.
+//! `cmp dag.out crates/bench/tests/golden_small_tier.txt` check: if
+//! the DAG scheduler ever reorders a mutation it shouldn't, shares a
+//! cell it mustn't, or renders a report from the wrong result slot,
+//! these assertions catch it before the driver golden does.
 
 use lookahead_bench::{reports, Runner, SizeTier};
 use lookahead_harness::cache::TraceCache;
 use lookahead_multiproc::SimConfig;
 
-fn flat_texts(runner: &Runner, workers: usize) -> Vec<(String, String)> {
-    let runs = runner.run_all();
-    vec![
-        ("figure3".to_string(), reports::figure3_report(&runs)),
-        ("figure4".to_string(), reports::figure4_report(&runs)),
-        (
-            "summary".to_string(),
-            reports::summary_report(&runs, workers),
-        ),
-    ]
+/// `LOOKAHEAD_SMALL=1 lookahead figure3 figure4 summary --no-cache`.
+const GOLDEN: &str = include_str!("golden_small_tier.txt");
+
+fn concatenated(texts: &[(String, String)]) -> String {
+    texts.iter().map(|(_, text)| text.as_str()).collect()
 }
 
 #[test]
 fn dag_sweep_matches_flat_reports_cold() {
     let workers = 4;
-    let flat = flat_texts(
-        &Runner::new(SimConfig::default(), SizeTier::Small, None, workers),
-        workers,
-    );
     let dag_runner = Runner::new(SimConfig::default(), SizeTier::Small, None, workers);
     let sweep = reports::dag_sweep(&dag_runner, reports::DAG_REPORTS, workers);
     assert_eq!(sweep.runs.len(), dag_runner.apps().len());
@@ -38,7 +30,7 @@ fn dag_sweep_matches_flat_reports_cold() {
         sweep.stats.collapsed, 0,
         "cold sweep has nothing to collapse"
     );
-    assert_eq!(flat, sweep.texts);
+    assert_eq!(concatenated(&sweep.texts), GOLDEN);
 }
 
 #[test]
@@ -60,12 +52,11 @@ fn dag_sweep_matches_flat_reports_warm_and_collapses_generation() {
     );
     assert!(warm.stats.critical_path < cold.stats.critical_path);
     assert_eq!(cold.texts, warm.texts);
+    assert_eq!(concatenated(&warm.texts), GOLDEN);
 
-    let no_cache = Runner::new(SimConfig::default(), SizeTier::Small, None, workers);
-    let flat = flat_texts(&no_cache, workers);
-    assert_eq!(flat, warm.texts);
     // With or without a cache, each app is one gang over the same
     // union of cells.
+    let no_cache = Runner::new(SimConfig::default(), SizeTier::Small, None, workers);
     let uncached = reports::dag_sweep(&no_cache, reports::DAG_REPORTS, workers);
     assert_eq!(uncached.cells, warm.cells);
     let _ = std::fs::remove_dir_all(&dir);

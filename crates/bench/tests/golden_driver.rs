@@ -125,12 +125,10 @@ fn every_report_matches_the_golden_on_every_path() {
     let uncached = run(driver, &["all", "--no-cache"], &[]);
     let cold = run(driver, &["all", &cache_arg], &[]);
     let warm = run(driver, &["all", &cache_arg], &[]);
-    let flat = run(driver, &["all", "--no-cache", "--scheduler", "flat"], &[]);
     for (path, out) in [
         ("--no-cache", &uncached),
         ("cold cache", &cold),
         ("warm cache", &warm),
-        ("--scheduler flat", &flat),
     ] {
         assert!(
             stdout_of(out) == golden,
@@ -260,22 +258,31 @@ fn unknown_app_in_apps_knob_fails_fast() {
 #[test]
 fn unknown_report_name_fails_with_usage() {
     let driver = env!("CARGO_BIN_EXE_lookahead");
-    let out = run(driver, &["figure99"], &[]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("figure99") && stderr.contains("usage"));
-}
-
-#[test]
-fn bench_without_a_known_subcommand_fails_with_usage() {
-    let driver = env!("CARGO_BIN_EXE_lookahead");
-    for args in [&["bench"][..], &["bench", "retiming"]] {
+    for (args, word) in [
+        (&["figure99"][..], "figure99"),
+        (&["summary", "--scheduler", "flat"], "--scheduler"),
+    ] {
         let out = run(driver, args, &[]);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            ["generation", "obs", "dag", "usage"]
+            stderr.contains(word) && stderr.contains("usage"),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn bench_without_a_known_subcommand_fails_with_usage() {
+    let driver = env!("CARGO_BIN_EXE_lookahead");
+    for args in [&["bench"][..], &["bench", "retiming"], &["bench", "dag"]] {
+        let out = run(driver, args, &[]);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            ["generation, obs", "usage"]
                 .iter()
                 .all(|word| stderr.contains(word)),
             "the error must name every subcommand: {stderr}"
@@ -323,6 +330,39 @@ fn failed_workload_self_check_exits_2_naming_the_configuration() {
              {stderr}"
         );
         assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
+
+/// `--tier` reaches the observability manifest: a generation at the
+/// small tier is recorded as small even with no `LOOKAHEAD_SMALL`.
+#[test]
+fn obs_manifest_records_the_tier_the_run_used() {
+    let driver = env!("CARGO_BIN_EXE_lookahead");
+    let dir = temp_dir("obs-tier");
+    let obs_dir = dir.display().to_string();
+    // `LOOKAHEAD_APPS=LU lookahead table1 --tier small --no-cache
+    // --obs-out DIR`, with no other knob set.
+    let mut cmd = command(
+        driver,
+        &[
+            "table1",
+            "--tier",
+            "small",
+            "--no-cache",
+            "--obs-out",
+            &obs_dir,
+        ],
+        &[("LOOKAHEAD_APPS", "LU")],
+    );
+    cmd.env_remove("LOOKAHEAD_SMALL")
+        .env_remove("LOOKAHEAD_PROCS");
+    let out = cmd.output().expect("binary runs");
+    let _ = stdout_of(&out);
+    assert_no_panic(&out);
+    let manifest = std::fs::read_to_string(dir.join("generate-LU").join("manifest.json"))
+        .expect("the generation wrote its manifest");
+    for kv in [r#""small":"true""#, r#""paper":"false""#] {
+        assert!(manifest.contains(kv), "manifest lacks {kv}: {manifest}");
     }
 }
 

@@ -193,6 +193,7 @@ fn malformed_serve_knobs_exit_2() {
         ["serve", "--addr", "not-an-addr"].as_slice(),
         ["serve", "--threads", "0"].as_slice(),
         ["serve", "--jobs", "zero"].as_slice(),
+        ["serve", "--scheduler", "dag"].as_slice(),
     ] {
         let out = lookahead_cmd(args).output().expect("runs");
         assert_eq!(out.status.code(), Some(2), "{args:?}");

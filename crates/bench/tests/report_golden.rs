@@ -21,13 +21,8 @@ use lookahead_multiproc::SimConfig;
 fn small_tier_reports_match_golden_bytes() {
     let workers = 2;
     let runner = Runner::new(SimConfig::default(), SizeTier::Small, None, workers);
-    let runs = runner.run_all();
-    let actual = format!(
-        "{}{}{}",
-        reports::figure3_report(&runs),
-        reports::figure4_report(&runs),
-        reports::summary_report(&runs, workers),
-    );
+    let sweep = reports::dag_sweep(&runner, reports::DAG_REPORTS, workers);
+    let actual: String = sweep.texts.iter().map(|(_, text)| text.as_str()).collect();
     let golden = include_str!("golden_small_tier.txt");
     assert_eq!(
         actual, golden,

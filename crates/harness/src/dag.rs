@@ -1,13 +1,13 @@
 //! Experiment-DAG scheduler: critical-path rank + earliest-finish
-//! placement over the sweep task graph.
+//! placement over the sweep task graph. [`run_dag`] is the harness's
+//! one parallel executor: report sweeps, multi-run re-timing and the
+//! driver's trace generation all run on it.
 //!
-//! A report sweep is really a DAG, not a flat job list: per-application
-//! trace **generation** feeds every re-timing **cell** of that
-//! application, and the cells feed report assembly. The flat
-//! [`parallel`](crate::parallel) pool cannot express that shape — the
-//! driver historically ran generation to a barrier, then each report's
-//! cells to another barrier, losing the tail of every phase to its
-//! slowest member. This module models the sweep explicitly:
+//! A report sweep is a DAG: per-application trace **generation** feeds
+//! that application's re-timing **gang** (one streamed pass driving
+//! every cell's engine), and the gangs feed report assembly. Modelling
+//! that shape explicitly means no phase waits at a barrier for its
+//! slowest member:
 //!
 //! - **Nodes** carry cost estimates (coarse weights calibrated from
 //!   measured generation and per-cell re-timing times: generation
@@ -16,16 +16,15 @@
 //!   cache or memo hit collapses a node to (near) zero cost via
 //!   [`TaskDag::add_collapsed`].
 //! - **Edges** carry the generated-run dependency: once a generation
-//!   node completes, its cells re-time through `AppRun::retime`'s
-//!   streamed `TraceCursor` path. (The representative processor is
-//!   chosen by `busiest_proc()` *after* generation, so a cell cannot
-//!   stream from its own app's in-flight generation; the overlap this
-//!   scheduler buys is across applications and reports — app A's cells
-//!   run while app B is still generating.)
+//!   node completes, its gang streams the run's representative trace.
+//!   (The representative processor is chosen by `busiest_proc()`
+//!   *after* generation, so a gang cannot stream from its own app's
+//!   in-flight generation; the overlap this scheduler buys is across
+//!   applications — app A's gang runs while app B is still generating.)
 //! - The **scheduler** orders ready work by *upward rank* (the
 //!   classic critical-path priority: a node's cost plus the most
 //!   expensive downstream chain hanging off it, after dslab-dag's
-//!   lookahead scheduler), so the long DS.256 chains start early and
+//!   lookahead scheduler), so the longest chains start early and
 //!   never straggle the makespan.
 //!
 //! [`TaskDag::plan`] is the deterministic earliest-finish *placement*
@@ -37,6 +36,9 @@
 //! the work-stealing fallback: an idle worker never waits while any
 //! node is ready. Results return in node-id order, so assembled output
 //! is byte-identical for any worker count or completion interleaving.
+//! When the submitting thread is inside a traced request
+//! ([`lookahead_obs::span`]), every worker adopts its trace scope, so
+//! spans recorded by the jobs land in the submitter's request tree.
 
 use lookahead_obs::span;
 use std::collections::{BinaryHeap, HashMap};
@@ -44,53 +46,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Environment knob selecting the sweep scheduler (`flat` or `dag`);
-/// the `--scheduler` flag wins over it.
-pub const SCHEDULER_ENV: &str = "LOOKAHEAD_SCHEDULER";
-
-/// Which engine runs a sweep's cells.
+/// The sweep executor, of which there is one: [`run_dag`]. Nothing
+/// reads this type. It remains only because the benchmark probe
+/// (`perfbench/probe/src/serve.rs`) names it in a
+/// `ServiceConfig` literal; delete it together with that literal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduler {
-    /// The flat [`parallel`](crate::parallel) pool (submission order,
-    /// atomic work index).
-    Flat,
     /// The rank-ordered DAG executor in this module.
     Dag,
-}
-
-impl Scheduler {
-    /// Parses a scheduler name as used by `--scheduler` and
-    /// [`SCHEDULER_ENV`].
-    pub fn from_name(name: &str) -> Option<Scheduler> {
-        match name.trim() {
-            "flat" => Some(Scheduler::Flat),
-            "dag" => Some(Scheduler::Dag),
-            _ => None,
-        }
-    }
-
-    /// The canonical name (`flat` / `dag`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Scheduler::Flat => "flat",
-            Scheduler::Dag => "dag",
-        }
-    }
-
-    /// Reads [`SCHEDULER_ENV`], failing fast on a malformed value.
-    ///
-    /// # Errors
-    ///
-    /// Returns a descriptive message when the variable is set to
-    /// anything other than `flat` or `dag`.
-    pub fn from_env() -> Result<Option<Scheduler>, String> {
-        match std::env::var(SCHEDULER_ENV) {
-            Ok(v) => Scheduler::from_name(&v)
-                .map(Some)
-                .ok_or_else(|| format!("{SCHEDULER_ENV} must be \"flat\" or \"dag\", got {v:?}")),
-            Err(_) => Ok(None),
-        }
-    }
 }
 
 /// The cost assigned to a collapsed (cache/memo-hit) node. Non-zero so
@@ -341,8 +304,8 @@ pub struct Plan {
 }
 
 /// What a [`run_dag_with_stats`] execution observed — exported to
-/// `/metrics` by serve and to `BENCH_dag.json` by `lookahead bench
-/// dag`.
+/// `/metrics` by serve and printed on the `lookahead` driver's
+/// `dag sweep` stderr line.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DagStats {
     /// Number of tasks executed.
@@ -524,8 +487,8 @@ where
                 let (ranks, task_ns) = (&ranks, &task_ns);
                 let scope_in = scope_in.clone();
                 s.spawn(move || {
-                    // Adopt the submitter's trace scope so per-cell
-                    // spans join the request's tree (as parallel.rs).
+                    // Workers are fresh threads; adopt the submitter's
+                    // trace scope so job spans join the request's tree.
                     span::set_scope(scope_in);
                     // If this worker's job panics, wake the others so
                     // they drain instead of waiting forever.
@@ -725,12 +688,30 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_names_round_trip() {
-        assert_eq!(Scheduler::from_name("flat"), Some(Scheduler::Flat));
-        assert_eq!(Scheduler::from_name(" dag "), Some(Scheduler::Dag));
-        assert_eq!(Scheduler::from_name("greedy"), None);
-        assert_eq!(Scheduler::Dag.name(), "dag");
-        assert_eq!(Scheduler::Flat.name(), "flat");
+    fn trace_scope_propagates_to_dag_workers() {
+        let ctx = lookahead_obs::TraceContext::new("req-dag");
+        let root = ctx.alloc_id();
+        let prev = span::set_scope(Some(span::TraceScope::new(ctx.clone(), root)));
+        let mut dag = TaskDag::new();
+        for _ in 0..12 {
+            dag.add_task(1, &[]);
+        }
+        let jobs: Vec<_> = (0..12)
+            .map(|i| move || span::record_current("cell", || i * 2))
+            .collect();
+        // With more than one worker, every job runs on a spawned
+        // worker thread, never on the submitter's.
+        let out = run_dag(&dag, jobs, 4);
+        span::set_scope(prev);
+        assert_eq!(out, (0..12).map(|i| i * 2).collect::<Vec<_>>());
+        let spans = ctx.spans();
+        let cells = spans.iter().filter(|s| s.name == "cell").count();
+        assert_eq!(cells, 12, "one span per node: {spans:?}");
+        // The executor's own dag.schedule / dag.run spans and every
+        // worker's job span hang off the submitter's root.
+        assert!(spans.iter().all(|s| s.parent == root), "{spans:?}");
+        // The caller's own thread is back to untraced.
+        assert!(span::current_scope().is_none());
     }
 
     #[test]

@@ -4,13 +4,12 @@
 //! Every sweep here is assembled from independent *cells* — one
 //! deterministic processor-model simulation each — and re-timed as a
 //! gang by [`retime_run`]: one streamed traversal of the run's trace
-//! feeds every unique cell's engine. A sweep over several runs
-//! schedules one gang per run. Results are collected in spec order, so
-//! the output is byte-for-byte identical whether the scheduler has one
-//! worker (`LOOKAHEAD_JOBS=1`) or one per core.
+//! feeds every unique cell's engine. A sweep over several runs is one
+//! gang node per run on the [`dag`] executor. Results are collected in
+//! spec order, so the output is byte-for-byte identical whether the
+//! executor has one worker (`LOOKAHEAD_JOBS=1`) or one per core.
 
-use crate::dag::{self, DagStats, Scheduler, TaskDag};
-use crate::parallel;
+use crate::dag::{self, DagStats, TaskDag};
 use crate::pipeline::{AppRun, PipelineError};
 use lookahead_core::base::Base;
 use lookahead_core::ds::{Ds, DsConfig};
@@ -61,7 +60,7 @@ fn column(label: &str, model: &str, result: &ExecutionResult, base: &Breakdown) 
 
 /// The processor model one sweep cell re-times a run under. `Copy`
 /// (every variant is plain configuration), so cells can be enumerated
-/// once and shipped to any scheduler.
+/// once and shipped to any gang.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ModelSpec {
     /// The BASE in-order reference processor.
@@ -135,8 +134,8 @@ impl ModelSpec {
 /// One labelled cell of a sweep: which model, under which figure
 /// label and group. Every report is enumerated as a `Vec<CellSpec>`
 /// (the first cell is always the BASE reference the others are
-/// normalized to), so the flat pool, the DAG scheduler, the driver and
-/// the serve endpoints all run literally the same cells.
+/// normalized to), so the driver and the serve endpoints run literally
+/// the same cells.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellSpec {
     /// Column label as in the figure ("BASE", "SSBR", "DS.64", ...).
@@ -148,7 +147,8 @@ pub struct CellSpec {
 }
 
 impl CellSpec {
-    fn new(label: impl Into<String>, group: impl Into<String>, model: ModelSpec) -> CellSpec {
+    /// A cell re-timing `model`, shown as `label` under `group`.
+    pub fn new(label: impl Into<String>, group: impl Into<String>, model: ModelSpec) -> CellSpec {
         CellSpec {
             label: label.into(),
             group: group.into(),
@@ -283,7 +283,7 @@ fn retime_gang_observed(
             let scope_in = scope_in.clone();
             s.spawn(move || {
                 // Adopt the submitter's trace scope so per-cell spans
-                // join the request's tree (as parallel.rs does).
+                // join the request's tree (as the DAG workers do).
                 span::set_scope(scope_in);
                 let engine = model.build();
                 let out = span::record_current("retime.cell", || {
@@ -361,49 +361,40 @@ pub fn retime_run(
     })
 }
 
-/// One [`retime_run`] job per run, on the flat pool or as one gang
-/// node per run in a rank-ordered DAG; rows in `runs` order, plus the
-/// DAG execution stats (None under the flat scheduler).
+/// One [`retime_run`] gang node per run, on up to `workers` DAG
+/// workers; rows in `runs` order, plus the DAG execution stats.
 fn retime_rows(
     runs: &[&AppRun],
     specs: &[CellSpec],
     workers: usize,
-    scheduler: Scheduler,
-) -> (Vec<Vec<ExecutionResult>>, Option<DagStats>) {
+) -> (Vec<Vec<ExecutionResult>>, DagStats) {
     let jobs: Vec<_> = runs
         .iter()
         .map(|&run| move || retime_run(run, specs, &|_, _| {}))
         .collect();
-    match scheduler {
-        Scheduler::Flat => (parallel::run_ordered(jobs, workers), None),
-        Scheduler::Dag => {
-            let mut dag = TaskDag::new();
-            for _ in runs {
-                dag.add_task_kind(gang_cost(specs), &[], "gang");
-            }
-            let (rows, stats) = dag::run_dag_with_stats(&dag, jobs, workers);
-            (rows, Some(stats))
-        }
+    let mut dag = TaskDag::new();
+    for _ in runs {
+        dag.add_task_kind(gang_cost(specs), &[], "gang");
     }
+    dag::run_dag_with_stats(&dag, jobs, workers)
 }
 
-/// Re-times the same cell list over several runs in one scheduler
-/// pass; returns one result row per run, each in spec order. Under
-/// [`Scheduler::Dag`] each run is one gang node, and the nodes share a
-/// single rank-ordered ready heap.
+/// Re-times the same cell list over several runs in one DAG pass;
+/// returns one result row per run, each in spec order. Each run is one
+/// gang node (one archive pass), and the nodes share a single
+/// rank-ordered ready heap on up to `workers` threads.
 #[must_use]
 pub fn retime_matrix(
     runs: &[&AppRun],
     specs: &[CellSpec],
     workers: usize,
-    scheduler: Scheduler,
 ) -> Vec<Vec<ExecutionResult>> {
-    retime_rows(runs, specs, workers, scheduler).0
+    retime_rows(runs, specs, workers).0
 }
 
 /// Normalizes spec-ordered results to the first (BASE) cell, yielding
-/// the figure columns. Shared by every execution path — flat pool,
-/// DAG executor, driver and serve — so their rendered output is
+/// the figure columns. Shared by every execution path — the driver's
+/// reports and serve's bodies — so their rendered output is
 /// byte-identical by construction.
 #[must_use]
 pub fn columns_from_results(specs: &[CellSpec], results: &[ExecutionResult]) -> Vec<Figure3Column> {
@@ -422,18 +413,15 @@ pub fn run_cell_specs(run: &AppRun, specs: &[CellSpec]) -> Vec<Figure3Column> {
     columns_from_results(specs, &retime_run(run, specs, &|_, _| {}))
 }
 
-/// [`run_cell_specs`] under an explicit scheduler, also returning the
-/// DAG execution stats (None under the flat scheduler) — serve exports
-/// them to `/metrics`. One run is one gang job, which both schedulers
-/// run on the calling thread.
+/// [`run_cell_specs`] as a one-node DAG, also returning the DAG
+/// execution stats — serve exports them to `/metrics`. One run is one
+/// gang node, which runs on the calling thread.
 #[must_use]
 pub fn run_cell_specs_with_stats(
     run: &AppRun,
     specs: &[CellSpec],
-    workers: usize,
-    scheduler: Scheduler,
-) -> (Vec<Figure3Column>, Option<DagStats>) {
-    let (rows, stats) = retime_rows(&[run], specs, workers, scheduler);
+) -> (Vec<Figure3Column>, DagStats) {
+    let (rows, stats) = retime_rows(&[run], specs, 1);
     (columns_from_results(specs, &rows[0]), stats)
 }
 
@@ -467,8 +455,8 @@ pub fn read_latency_hidden(run: &AppRun, window: usize) -> f64 {
 
 /// One summary-matrix row from spec-ordered results (`BASE` first,
 /// then one DS cell per window): the fraction of BASE's read latency
-/// each DS cell hides. Shared by the flat matrix, the DAG sweep and
-/// serve so the rendered summaries agree to the byte.
+/// each DS cell hides. Shared by the driver's DAG sweep and serve so
+/// the rendered summaries agree to the byte.
 #[must_use]
 pub fn hidden_row(results: &[ExecutionResult]) -> Vec<f64> {
     let base = results[0].breakdown;
@@ -634,7 +622,7 @@ mod tests {
         let h16 = read_latency_hidden(&run, 16);
         let h64 = read_latency_hidden(&run, 64);
         assert!(h64 >= h16 - 1e-9, "h16={h16} h64={h64}");
-        let rows = retime_matrix(&[&run], &summary_cells(&[16, 64]), 1, Scheduler::Flat);
+        let rows = retime_matrix(&[&run], &summary_cells(&[16, 64]), 1);
         let row = hidden_row(&rows[0]);
         assert_eq!(row.len(), 2);
         assert!((row[0] - h16).abs() < 1e-9);

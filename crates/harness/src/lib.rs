@@ -15,16 +15,16 @@
 //! [`experiments`] steps 4–5 for each table and figure of the paper,
 //! and [`format`](mod@format) renders text tables and stacked bars.
 //!
-//! Four execution-layer modules make the experiment suite cheap to
+//! Three execution-layer modules make the experiment suite cheap to
 //! rerun and safe to share: [`cache`] stores generated runs in a
 //! content-addressed on-disk cache so the multiprocessor simulation is
-//! pay-once, [`parallel`] fans independent re-timing cells across
-//! cores with deterministic, submission-ordered results, [`dag`]
-//! schedules a whole sweep as a costed task graph (critical-path rank,
-//! earliest-finish placement, generation overlapped with re-timing),
-//! and [`singleflight`] deduplicates concurrent requests for the same
-//! run onto a single computation (the substrate of the experiment
-//! service's coalescing).
+//! pay-once, [`dag`] is the one parallel executor — it schedules a
+//! whole sweep as a costed task graph (critical-path rank,
+//! earliest-finish placement, generation overlapped with re-timing)
+//! and returns results in node-id order at any worker count — and
+//! [`singleflight`] deduplicates concurrent requests for the same run
+//! onto a single computation (the substrate of the experiment
+//! service's coalescing). [`parallel`] parses the worker-count knobs.
 
 pub mod cache;
 pub mod dag;
@@ -37,9 +37,7 @@ pub mod singleflight;
 pub mod tier;
 
 pub use cache::{cache_key, load_or_generate, CacheOutcome, MissReason, TraceCache};
-pub use dag::{
-    cost_model, run_dag, run_dag_with_stats, CostModel, DagStats, Plan, Scheduler, TaskDag,
-};
+pub use dag::{cost_model, run_dag, run_dag_with_stats, CostModel, DagStats, Plan, TaskDag};
 pub use experiments::{
     latency_sweep, miss_delay, retime_gang, run_cell_specs, table1, table2, table3, CellSpec,
     Figure3Column, MissDelayReport, ModelSpec,

@@ -9,7 +9,7 @@
 use lookahead_harness::experiments::{
     figure3_cells, run_cell_specs, run_cell_specs_with_stats, Figure3Column,
 };
-use lookahead_harness::{AppRun, Scheduler, SharedRuns};
+use lookahead_harness::{AppRun, SharedRuns};
 use lookahead_multiproc::SimConfig;
 use lookahead_workloads::lu::Lu;
 use std::sync::{Arc, Barrier};
@@ -36,12 +36,7 @@ fn concurrent_dag_sweeps_share_one_generation() {
                 s.spawn(|| {
                     barrier.wait();
                     let run = runs.get(&Lu { n: 12 }, "small", &config).unwrap();
-                    let (cols, _) = run_cell_specs_with_stats(
-                        &run,
-                        &figure3_cells(&WINDOWS),
-                        2,
-                        Scheduler::Dag,
-                    );
+                    let (cols, _) = run_cell_specs_with_stats(&run, &figure3_cells(&WINDOWS));
                     (run, cols)
                 })
             })
@@ -70,10 +65,10 @@ fn concurrent_dag_sweeps_share_one_generation() {
         );
     }
 
-    // And the DAG schedule changes nothing about the numbers: a flat
-    // sweep over the same shared run agrees column for column.
-    let flat = run_cell_specs(&sweeps[0].0, &figure3_cells(&WINDOWS));
-    assert_eq!(flat, sweeps[0].1);
+    // And the DAG schedule changes nothing about the numbers: a plain
+    // gang over the same shared run agrees column for column.
+    let plain = run_cell_specs(&sweeps[0].0, &figure3_cells(&WINDOWS));
+    assert_eq!(plain, sweeps[0].1);
     assert_eq!(
         runs.stats().generations,
         1,

@@ -4,7 +4,6 @@
 //! and at any worker count — the in-process twin of the CI golden
 //! compares on the driver output.
 
-use lookahead_harness::dag::Scheduler;
 use lookahead_harness::experiments::{figure3_cells, retime_gang, retime_matrix, summary_cells};
 use lookahead_harness::{load_or_generate, AppRun, TraceCache};
 use lookahead_multiproc::SimConfig;
@@ -46,14 +45,12 @@ fn gang_matches_per_cell_at_any_worker_count() {
         .iter()
         .map(|run| specs.iter().map(|s| s.model.retime(run)).collect())
         .collect();
-    for scheduler in [Scheduler::Flat, Scheduler::Dag] {
-        for workers in [1, 2, 3] {
-            assert_eq!(
-                retime_matrix(&runs, &specs, workers, scheduler),
-                per_cell,
-                "gang must reproduce per-cell results ({scheduler:?}, {workers} workers)"
-            );
-        }
+    for workers in [1, 2, 3] {
+        assert_eq!(
+            retime_matrix(&runs, &specs, workers),
+            per_cell,
+            "gang must reproduce per-cell results ({workers} workers)"
+        );
     }
     let _ = std::fs::remove_dir_all(dir);
 }

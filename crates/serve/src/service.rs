@@ -73,16 +73,18 @@ pub struct ServiceConfig {
     pub default_tier: SizeTier,
     /// The simulation configuration queries run under.
     pub sim: SimConfig,
-    /// Worker threads for the re-timing pool of sweep queries.
+    /// DAG workers for multi-run sweeps (`/v1/summary`): how many
+    /// applications' gangs re-time at once.
     pub retime_workers: usize,
     /// Append every finished request's spans (flat JSONL, one span per
     /// line) to this file; `None` disables the sink. The in-memory
     /// `/v1/debug/trace/<id>` ring works either way.
     pub span_log: Option<PathBuf>,
-    /// How sweep bodies schedule their gangs, one per application
-    /// run: `Dag` (the default) runs them in critical-path rank order,
-    /// `Flat` keeps the submission-ordered pool. Bodies are
-    /// byte-identical either way.
+    /// Never read: sweep bodies always run on the DAG executor. The
+    /// field remains only because the benchmark probe
+    /// (`perfbench/probe/src/serve.rs`) names it in its
+    /// `ServiceConfig` literal; delete it together with that literal
+    /// and [`Scheduler`].
     pub scheduler: Scheduler,
     /// Speculatively pre-compute likely-next report bodies (remaining
     /// apps of a figure sweep, adjacent windows of an experiment
@@ -802,17 +804,14 @@ impl ExperimentService {
         }))
     }
 
-    /// Records what one DAG-scheduled sweep observed (no-op for the
-    /// flat scheduler, which reports no stats).
-    fn record_dag_stats(&self, stats: Option<&DagStats>) {
-        if let Some(s) = stats {
-            self.count("serve.dag.sweeps", 1);
-            self.count("serve.dag.cells", s.tasks as u64);
-            self.metrics.with(|r| {
-                r.observe("serve.dag.peak_ready", s.peak_ready as u64);
-                r.observe("serve.dag.critical_path", s.critical_path);
-            });
-        }
+    /// Records what one DAG-scheduled sweep observed.
+    fn record_dag_stats(&self, s: &DagStats) {
+        self.count("serve.dag.sweeps", 1);
+        self.count("serve.dag.cells", s.tasks as u64);
+        self.metrics.with(|r| {
+            r.observe("serve.dag.peak_ready", s.peak_ready as u64);
+            r.observe("serve.dag.critical_path", s.critical_path);
+        });
     }
 
     fn figure_cells<const N: u8>() -> Vec<CellSpec> {
@@ -827,15 +826,9 @@ impl ExperimentService {
         let tier = self.parse_tier(request)?;
         let run = self.resolve(app, tier)?;
         let specs = Self::figure_cells::<N>();
-        let (columns, stats) = span::record_current("retime", || {
-            run_cell_specs_with_stats(
-                &run,
-                &specs,
-                self.config.retime_workers,
-                self.config.scheduler,
-            )
-        });
-        self.record_dag_stats(stats.as_ref());
+        let (columns, stats) =
+            span::record_current("retime", || run_cell_specs_with_stats(&run, &specs));
+        self.record_dag_stats(&stats);
         let route = if N == 3 { "figure3" } else { "figure4" };
         Ok(span::record_current("render", || {
             figure_body(route, app, tier, &columns)
@@ -1053,9 +1046,9 @@ impl ExperimentService {
         let windows = PAPER_WINDOWS;
 
         // Resolve every app first (each at most one generation,
-        // process-wide), then re-time the whole matrix under the
-        // configured scheduler (one shared cell enumeration with the
-        // driver's summary report).
+        // process-wide), then re-time the whole matrix on the DAG
+        // executor (one shared cell enumeration with the driver's
+        // summary report).
         let mut runs = Vec::new();
         for app in App::ALL {
             runs.push((app, self.resolve(app, tier)?));
@@ -1063,12 +1056,7 @@ impl ExperimentService {
         let specs = summary_cells(&windows);
         let refs: Vec<&AppRun> = runs.iter().map(|(_, r)| r.as_ref()).collect();
         let matrix = span::record_current("retime", || {
-            retime_matrix(
-                &refs,
-                &specs,
-                self.config.retime_workers,
-                self.config.scheduler,
-            )
+            retime_matrix(&refs, &specs, self.config.retime_workers)
         });
 
         let per_app: Vec<(App, Vec<f64>)> = runs

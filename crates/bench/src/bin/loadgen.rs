@@ -29,13 +29,11 @@
 //! single-flight contract under real concurrency.
 
 use lookahead_bench::client::get;
+use lookahead_bench::knobs::{self, Bin, Flags};
 use lookahead_bench::servebench::{metric, percentile, run_load, LoadOptions};
-use lookahead_bench::{config_from_env, fail_fast};
-use lookahead_harness::parallel;
-use lookahead_harness::SizeTier;
-use lookahead_serve::{
-    parse_serve_addr, serve_addr_from_env, ExperimentService, Server, ServerConfig, ServiceConfig,
-};
+use lookahead_harness::parallel::parse_positive;
+use lookahead_serve::{parse_serve_addr, ExperimentService, Server, ServerConfig, ServiceConfig};
+use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -45,8 +43,7 @@ Drives mixed hot/cold traffic at an experiment service and reports
 latency percentiles plus cache-hit and coalescing rates.
 
 options:
-  --addr IP:PORT          target server (default: LOOKAHEAD_SERVE_ADDR
-                          or 127.0.0.1:7417)
+  --addr IP:PORT          target server (default: 127.0.0.1:7417)
   --spawn                 boot an in-process server (cold cache) on a
                           free port and drive that instead
   --connections N         concurrent connections, all driven from one
@@ -60,10 +57,7 @@ options:
                           distinct app and all requests coalesced
   --slo-p99-ms MS         fail the run when the measured p99 latency
                           exceeds MS milliseconds
-  -h, --help              show this help
-
-environment: LOOKAHEAD_SMALL=1, LOOKAHEAD_PROCS=n, LOOKAHEAD_JOBS=n,
-LOOKAHEAD_SERVE_ADDR";
+  -h, --help              show this help";
 
 /// The target pool: two applications (two distinct generation keys)
 /// across window sizes. `pool()[0]` is the hot target.
@@ -80,7 +74,7 @@ fn pool() -> Vec<String> {
 const DISTINCT_APPS: u64 = 2;
 
 struct Options {
-    addr: Option<String>,
+    addr: Option<SocketAddr>,
     spawn: bool,
     connections: usize,
     requests: usize,
@@ -99,54 +93,29 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         expect_single_flight: false,
         slo_p99_ms: None,
     };
-    let mut it = args.iter();
-    let positive = |v: &str, flag: &str| -> Result<usize, String> {
-        v.parse::<usize>()
-            .ok()
-            .filter(|n| *n >= 1)
-            .ok_or_else(|| format!("{flag} must be a positive integer, got {v:?}"))
-    };
+    let positive = |v: &str, flag: &str| parse_positive(flag, &flag[2..], v);
     let positive_ms = |v: &str, flag: &str| -> Result<f64, String> {
         v.parse::<f64>()
             .ok()
             .filter(|n| *n > 0.0 && n.is_finite())
             .ok_or_else(|| format!("{flag} must be a positive number of milliseconds, got {v:?}"))
     };
-    while let Some(a) = it.next() {
-        let value = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
+    let mut args = Flags::new(args);
+    while let Some(a) = args.next() {
         match a.as_str() {
             "-h" | "--help" => return Ok(None),
             "--spawn" => opts.spawn = true,
             "--keepalive" => opts.keepalive = true,
             "--expect-single-flight" => opts.expect_single_flight = true,
-            "--addr" => opts.addr = Some(value(&mut it, "--addr")?),
-            "--requests" => opts.requests = positive(&value(&mut it, "--requests")?, "--requests")?,
+            "--addr" => opts.addr = Some(parse_serve_addr(&args.value("--addr")?)?),
+            "--requests" => opts.requests = positive(&args.value("--requests")?, "--requests")?,
             "--connections" => {
-                opts.connections = positive(&value(&mut it, "--connections")?, "--connections")?
+                opts.connections = positive(&args.value("--connections")?, "--connections")?
             }
             "--slo-p99-ms" => {
-                opts.slo_p99_ms = Some(positive_ms(
-                    &value(&mut it, "--slo-p99-ms")?,
-                    "--slo-p99-ms",
-                )?)
+                opts.slo_p99_ms = Some(positive_ms(&args.value("--slo-p99-ms")?, "--slo-p99-ms")?)
             }
-            _ => {
-                if let Some(v) = a.strip_prefix("--addr=") {
-                    opts.addr = Some(v.to_string());
-                } else if let Some(v) = a.strip_prefix("--requests=") {
-                    opts.requests = positive(v, "--requests")?;
-                } else if let Some(v) = a.strip_prefix("--connections=") {
-                    opts.connections = positive(v, "--connections")?;
-                } else if let Some(v) = a.strip_prefix("--slo-p99-ms=") {
-                    opts.slo_p99_ms = Some(positive_ms(v, "--slo-p99-ms")?);
-                } else {
-                    return Err(format!("unknown option {a:?}"));
-                }
-            }
+            _ => return Err(format!("unknown option {a:?}")),
         }
     }
     if opts.spawn && opts.addr.is_some() {
@@ -156,28 +125,22 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
 }
 
 fn main() -> ExitCode {
+    let knobs = knobs::read();
+    let usage = knobs::usage(Bin::Loadgen, USAGE);
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(Some(o)) => o,
-        Ok(None) => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
+    let opts = match knobs::settle(parse_args(&args), &usage) {
+        Ok(opts) => opts,
+        Err(code) => return code,
     };
 
     // Either an in-process server (cold cache, free port) or a remote.
     let mut spawned: Option<(lookahead_serve::ShutdownHandle, std::thread::JoinHandle<_>)> = None;
     let addr = if opts.spawn {
-        let jobs = fail_fast(parallel::workers_from_env());
         let service = Arc::new(ExperimentService::new(
             ServiceConfig {
-                default_tier: SizeTier::from_env(),
-                sim: config_from_env(),
-                retime_workers: jobs,
+                default_tier: knobs.tier(None),
+                sim: knobs.config(),
+                retime_workers: knobs.jobs(None),
                 ..ServiceConfig::default()
             },
             None,
@@ -198,10 +161,7 @@ fn main() -> ExitCode {
         spawned = Some((handle, std::thread::spawn(move || server.run(service))));
         addr
     } else {
-        match &opts.addr {
-            Some(a) => fail_fast(parse_serve_addr(a)),
-            None => fail_fast(serve_addr_from_env()),
-        }
+        knobs.serve_addr(opts.addr)
     };
 
     let targets = pool();

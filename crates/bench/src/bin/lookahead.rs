@@ -23,25 +23,25 @@
 //! Options:
 //!
 //! ```text
-//! --cache-dir DIR   cache traces under DIR (default: target/trace-cache,
-//!                   or the LOOKAHEAD_CACHE environment variable)
+//! --cache-dir DIR   cache traces under DIR (default: target/trace-cache)
 //! --no-cache        disable the trace cache
 //! --jobs N          generation/re-timing tasks run at once (default:
-//!                   LOOKAHEAD_JOBS or all cores); each re-timing task
-//!                   is a gang with one engine thread per unique cell
+//!                   all cores); each re-timing task is a gang with one
+//!                   engine thread per unique cell
+//! --tier NAME       workload size tier: small, default, paper or large
 //! --obs-out DIR     write observability artifacts under DIR
 //! -h, --help        show this help
 //! ```
 //!
-//! Environment: `LOOKAHEAD_SMALL=1`, `LOOKAHEAD_PAPER=1`,
-//! `LOOKAHEAD_PROCS=n`, `LOOKAHEAD_APPS=LU,MP3D`,
-//! `LOOKAHEAD_CACHE=DIR|off`, `LOOKAHEAD_JOBS=n`.
+//! The environment variables are read once, at startup, through
+//! `lookahead_bench::knobs`; README.md § Environment lists them.
 
-use lookahead_bench::{cache_from_env_or, config_from_env, fail_fast, reports, Runner, SizeTier};
-use lookahead_harness::cache::TraceCache;
+use lookahead_bench::knobs::{self, Bin, Flags, DEFAULT_CACHE_DIR};
+use lookahead_bench::{reports, Runner, SizeTier};
 use lookahead_harness::parallel;
 use lookahead_harness::pipeline::AppRun;
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -64,8 +64,6 @@ const SHARED: &[&str] = &[
 /// through the runner's cache) or need no runs at all.
 const STANDALONE: &[&str] = &["figure1", "latency100", "assoc", "contention", "sched"];
 
-const DEFAULT_CACHE_DIR: &str = "target/trace-cache";
-
 const USAGE: &str = "usage: lookahead [OPTIONS] REPORT [REPORT ...]
        lookahead serve [OPTIONS]    serve the suite over HTTP
        lookahead query TARGET       answer one service query, print body
@@ -82,22 +80,14 @@ reports:
   sched, or `all` for every one of them
 
 options:
-  --cache-dir DIR  cache traces under DIR (default: target/trace-cache,
-                   or the LOOKAHEAD_CACHE environment variable)
+  --cache-dir DIR  cache traces under DIR (default: target/trace-cache)
   --no-cache       disable the trace cache
-  --jobs N         generation/re-timing tasks run at once (default:
-                   LOOKAHEAD_JOBS or all cores; the flag wins over the
-                   environment variable). Not a thread bound: each
-                   re-timing task is a gang with one engine thread per
-                   unique cell
+  --jobs N         generation/re-timing tasks run at once (default: all
+                   cores). Not a thread bound: each re-timing task is a
+                   gang with one engine thread per unique cell
   --tier NAME      workload size tier: small, default, paper or large
-                   (default: from the environment, see below)
   --obs-out DIR    write per-run observability artifacts under DIR
-  -h, --help       show this help
-
-environment: LOOKAHEAD_SMALL=1, LOOKAHEAD_PAPER=1, LOOKAHEAD_LARGE=1,
-LOOKAHEAD_PROCS=n, LOOKAHEAD_APPS=LU,MP3D, LOOKAHEAD_CACHE=DIR|off,
-LOOKAHEAD_JOBS=n";
+  -h, --help       show this help";
 
 struct Options {
     reports: Vec<String>,
@@ -105,6 +95,7 @@ struct Options {
     no_cache: bool,
     jobs: Option<usize>,
     tier: Option<SizeTier>,
+    obs_out: Option<PathBuf>,
 }
 
 fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
@@ -114,52 +105,31 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         no_cache: false,
         jobs: None,
         tier: None,
+        obs_out: None,
     };
     let known: Vec<&str> = SHARED.iter().chain(STANDALONE).copied().collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let value = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
+    let mut args = Flags::new(args);
+    while let Some(a) = args.next() {
         match a.as_str() {
             "-h" | "--help" => return Ok(None),
             "--no-cache" => opts.no_cache = true,
-            "--cache-dir" => opts.cache_dir = Some(value(&mut it, "--cache-dir")?),
-            "--jobs" => {
-                opts.jobs = Some(parallel::parse_jobs("--jobs", &value(&mut it, "--jobs")?)?);
-            }
-            "--tier" => {
-                opts.tier = Some(parse_tier(&value(&mut it, "--tier")?)?);
-            }
-            "--obs-out" => {
-                // Consumed here, parsed by obs_out_dir() from argv.
-                value(&mut it, "--obs-out")?;
-            }
-            _ => {
-                if let Some(v) = a.strip_prefix("--cache-dir=") {
-                    opts.cache_dir = Some(v.to_string());
-                } else if let Some(v) = a.strip_prefix("--jobs=") {
-                    opts.jobs = Some(parallel::parse_jobs("--jobs", v)?);
-                } else if let Some(v) = a.strip_prefix("--tier=") {
-                    opts.tier = Some(parse_tier(v)?);
-                } else if a.strip_prefix("--obs-out=").is_some() {
-                    // Parsed by obs_out_dir().
-                } else if a == "all" {
-                    for r in &known {
-                        if !opts.reports.iter().any(|x| x == r) {
-                            opts.reports.push((*r).to_string());
-                        }
+            "--cache-dir" => opts.cache_dir = Some(args.value("--cache-dir")?),
+            "--jobs" => opts.jobs = Some(parallel::parse_jobs("--jobs", &args.value("--jobs")?)?),
+            "--tier" => opts.tier = Some(parse_tier(&args.value("--tier")?)?),
+            "--obs-out" => opts.obs_out = Some(args.value("--obs-out")?.into()),
+            "all" => {
+                for r in &known {
+                    if !opts.reports.iter().any(|x| x == r) {
+                        opts.reports.push((*r).to_string());
                     }
-                } else if known.contains(&a.as_str()) {
-                    if !opts.reports.contains(a) {
-                        opts.reports.push(a.clone());
-                    }
-                } else {
-                    return Err(format!("unknown report or option {a:?}"));
                 }
             }
+            _ if known.contains(&a.as_str()) => {
+                if !opts.reports.contains(&a) {
+                    opts.reports.push(a);
+                }
+            }
+            _ => return Err(format!("unknown report or option {a:?}")),
         }
     }
     if opts.reports.is_empty() {
@@ -173,29 +143,23 @@ fn parse_tier(name: &str) -> Result<SizeTier, String> {
         .ok_or_else(|| format!("unknown tier {name:?}; valid tiers: small, default, paper, large"))
 }
 
-fn cache_for(opts: &Options) -> Option<TraceCache> {
-    if opts.no_cache {
-        return None;
-    }
-    match &opts.cache_dir {
-        Some(dir) => Some(TraceCache::new(dir.clone())),
-        None => cache_from_env_or(Some(DEFAULT_CACHE_DIR)),
-    }
-}
-
 fn main() -> ExitCode {
+    let knobs = knobs::read();
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let usage = knobs::usage(Bin::Reports, USAGE);
     match args.first().map(String::as_str) {
-        Some("serve") => return lookahead_bench::serve_cli::serve_main(&args[1..]),
-        Some("query") => return lookahead_bench::serve_cli::query_main(&args[1..]),
+        Some("serve") => return lookahead_bench::serve_cli::serve_main(&args[1..], &knobs),
+        Some("query") => return lookahead_bench::serve_cli::query_main(&args[1..], &knobs),
         Some("bench") => {
             return match args.get(1).map(String::as_str) {
-                Some("generation") => lookahead_bench::generation::generation_main(&args[2..]),
-                Some("obs") => lookahead_bench::obsbench::obs_main(&args[2..]),
+                Some("generation") => {
+                    lookahead_bench::generation::generation_main(&args[2..], &knobs)
+                }
+                Some("obs") => lookahead_bench::obsbench::obs_main(&args[2..], &knobs),
                 other => {
                     let what = other.map_or("no subcommand".to_string(), |o| format!("{o:?}"));
                     eprintln!(
-                        "error: lookahead bench: {what}; subcommands: generation, obs\n\n{USAGE}"
+                        "error: lookahead bench: {what}; subcommands: generation, obs\n\n{usage}"
                     );
                     ExitCode::from(2)
                 }
@@ -203,27 +167,24 @@ fn main() -> ExitCode {
         }
         _ => {}
     }
-    let opts = match parse_args(&args) {
-        Ok(Some(o)) => o,
-        Ok(None) => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
+    let opts = match knobs::settle(parse_args(&args), &usage) {
+        Ok(opts) => opts,
+        Err(code) => return code,
     };
 
-    let workers = opts
-        .jobs
-        .unwrap_or_else(|| fail_fast(parallel::workers_from_env()));
+    let workers = knobs.jobs(opts.jobs);
     let runner = Runner::new(
-        config_from_env(),
-        opts.tier.unwrap_or_else(SizeTier::from_env),
-        cache_for(&opts),
+        knobs.config(),
+        knobs.tier(opts.tier),
+        knobs.cache(
+            opts.no_cache,
+            opts.cache_dir.as_deref(),
+            Some(DEFAULT_CACHE_DIR),
+        ),
         workers,
-    );
+    )
+    .with_apps(knobs.apps())
+    .with_obs_out(knobs.obs_out(opts.obs_out.clone()));
     eprintln!(
         "lookahead: {} processors, {}-cycle miss penalty, tier {}, {} workers, cache {}",
         runner.config().num_procs,

@@ -12,12 +12,13 @@
 //! ```
 //!
 //! `profile` requires the `obs` cargo feature; with `--obs-out DIR`
-//! (or `LOOKAHEAD_OBS_OUT=DIR`) it also writes per-run artifacts
-//! (manifest.json, journal.jsonl, Perfetto-loadable trace.json).
+//! it also writes per-run artifacts (manifest.json, journal.jsonl,
+//! Perfetto-loadable trace.json).
 //!
 //! Run with `cargo run --release -p lookahead-bench --bin trace_tool -- stats LU`.
 
-use lookahead_bench::{config_from_env, generate_run, obs_out_dir, write_obs_artifacts, SizeTier};
+use lookahead_bench::knobs::{self, Bin, Flags};
+use lookahead_bench::{write_obs_artifacts, Runner};
 use lookahead_core::ds::{Ds, DsConfig};
 use lookahead_core::model::ProcessorModel;
 use lookahead_core::{Btb, BtbConfig};
@@ -60,10 +61,8 @@ APP is one of MP3D, LU, PTHOR, LOCUS, OCEAN (case-insensitive).
 
 options (all commands):
   --obs-out DIR   write per-run observability artifacts under DIR
-                  (also via the LOOKAHEAD_OBS_OUT environment variable)
   -h, --help      show this help
 
-environment: LOOKAHEAD_SMALL=1, LOOKAHEAD_PROCS=n, LOOKAHEAD_PAPER=1
 `profile` (and artifact capture) need a build with `--features obs`.";
 
 fn parse_app(name: &str) -> Result<App, String> {
@@ -75,31 +74,41 @@ fn parse_app(name: &str) -> Result<App, String> {
         })
 }
 
-/// Strips `--obs-out DIR` / `--obs-out=DIR` (consumed separately by
-/// [`obs_out_dir`]) so the command match sees only positional args.
-fn positional_args() -> Vec<String> {
-    let mut out = Vec::new();
-    let mut raw = std::env::args().skip(1);
-    while let Some(a) = raw.next() {
-        if a == "--obs-out" {
-            let _ = raw.next();
-        } else if !a.starts_with("--obs-out=") {
-            out.push(a);
+fn main() -> ExitCode {
+    let knobs = knobs::read();
+    let usage = knobs::usage(Bin::TraceTool, USAGE);
+    // `--obs-out` may come anywhere; the commands see the rest.
+    let mut args = Vec::new();
+    let mut obs_out = None;
+    let mut flags = Flags::new(&std::env::args().skip(1).collect::<Vec<_>>());
+    while let Some(a) = flags.next() {
+        if a != "--obs-out" {
+            args.push(a);
+        } else {
+            match flags.value("--obs-out") {
+                Ok(dir) => obs_out = Some(dir.into()),
+                Err(e) => {
+                    eprintln!("trace_tool: {e}\n\n{usage}");
+                    return ExitCode::from(2);
+                }
+            }
         }
     }
-    out
-}
-
-fn main() -> ExitCode {
-    let args = positional_args();
     if args.iter().any(|a| a == "-h" || a == "--help") {
-        println!("{USAGE}");
+        println!("{usage}");
         return ExitCode::SUCCESS;
     }
-    match run(&args) {
+    let runner = Runner::new(
+        knobs.config(),
+        knobs.tier(None),
+        knobs.cache(false, None, None),
+        knobs.jobs(None),
+    )
+    .with_obs_out(knobs.obs_out(obs_out));
+    match run(&args, &runner) {
         Ok(()) => ExitCode::SUCCESS,
         Err(UsageError::BadInvocation(msg)) => {
-            eprintln!("trace_tool: {msg}\n\n{USAGE}");
+            eprintln!("trace_tool: {msg}\n\n{usage}");
             ExitCode::from(2)
         }
         Err(UsageError::Failed(msg)) => {
@@ -116,13 +125,12 @@ enum UsageError {
     Failed(String),
 }
 
-fn run(args: &[String]) -> Result<(), UsageError> {
+fn run(args: &[String], runner: &Runner) -> Result<(), UsageError> {
     let bad = |m: String| UsageError::BadInvocation(m);
     let failed = |m: String| UsageError::Failed(m);
-    let config = config_from_env();
     match args {
         [cmd, app] if cmd == "stats" => {
-            let run = generate_run(parse_app(app).map_err(bad)?, &config);
+            let run = runner.run_app(parse_app(app).map_err(bad)?);
             let mut btb = Btb::new(BtbConfig::PAPER);
             let stats = TraceStats::collect(run.trace(), Some(&mut btb));
             println!(
@@ -140,15 +148,15 @@ fn run(args: &[String]) -> Result<(), UsageError> {
             let n: usize = n
                 .parse()
                 .map_err(|_| bad(format!("dump: N must be a non-negative integer, got {n:?}")))?;
-            let run = generate_run(parse_app(app).map_err(bad)?, &config);
+            let run = runner.run_app(parse_app(app).map_err(bad)?);
             print!("{}", run.trace().listing(&run.program, n));
             Ok(())
         }
         [cmd, app, file] if cmd == "save" => {
-            let run = generate_run(parse_app(app).map_err(bad)?, &config);
+            let run = runner.run_app(parse_app(app).map_err(bad)?);
             // The cache's own key and format: a saved file is a valid
             // cache entry, and any cache file can be re-timed.
-            let key = cache_key(&run.app, SizeTier::from_env().name(), &config);
+            let key = cache_key(&run.app, runner.tier().name(), runner.config());
             let f = File::create(file).map_err(|e| failed(format!("cannot create {file}: {e}")))?;
             write_run(BufWriter::new(f), &key, &run)
                 .and_then(|w| w.into_inner().map_err(|e| e.into_error()))
@@ -197,7 +205,7 @@ fn run(args: &[String]) -> Result<(), UsageError> {
                 ),
                 _ => return Err(bad("profile takes <APP> [N]".into())),
             };
-            profile(parse_app(app).map_err(bad)?, &config, top_n).map_err(failed)
+            profile(parse_app(app).map_err(bad)?, runner, top_n).map_err(failed)
         }
         [cmd, rest @ ..] if cmd == "spans" => {
             let (file, chrome) = match rest {
@@ -333,7 +341,7 @@ fn spans_report(file: &str, chrome: Option<&str>) -> Result<(), String> {
 
 /// Re-times `app` under DS-64/RC with a recorder installed, checks the
 /// attribution/breakdown reconciliation, and prints the profile.
-fn profile(app: App, config: &lookahead_multiproc::SimConfig, top_n: usize) -> Result<(), String> {
+fn profile(app: App, runner: &Runner, top_n: usize) -> Result<(), String> {
     if !cfg!(feature = "obs") {
         return Err(
             "profile needs the instrumentation hooks; rebuild with \
@@ -341,9 +349,9 @@ fn profile(app: App, config: &lookahead_multiproc::SimConfig, top_n: usize) -> R
                 .into(),
         );
     }
-    // Generation captures its own recorder inside generate_run when
+    // Generation captures its own recorder inside run_app when
     // --obs-out is set; the profile recorder covers only the re-timing.
-    let run = generate_run(app, config);
+    let run = runner.run_app(app);
     lookahead_obs::install(lookahead_obs::Recorder::new(run.proc as u32));
     let model = Ds::new(DsConfig::rc().window(64));
     let result = model.run(&run.program, run.trace());
@@ -405,12 +413,12 @@ fn profile(app: App, config: &lookahead_multiproc::SimConfig, top_n: usize) -> R
         println!("  (+ {fetch_limited} fetch-limited cycles charged to busy)");
     }
 
-    if let Some(dir) = obs_out_dir() {
+    if let Some(dir) = runner.obs_out() {
         write_obs_artifacts(
-            &dir,
+            dir,
             &format!("{}-{}", run.app, model.name()),
-            config,
-            SizeTier::from_env(),
+            runner.config(),
+            runner.tier(),
             &[(
                 "breakdown",
                 format!(

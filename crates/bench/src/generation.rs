@@ -16,7 +16,8 @@
 //! (sum of reference walls over sum of event walls); `--min-speedup`
 //! turns it into a gate for CI. Timing uses `std::time::Instant` only.
 
-use crate::{config_from_env, selected_apps, SizeTier};
+use crate::knobs::{self, Bin, Flags, Knobs};
+use crate::SizeTier;
 use lookahead_isa::program::DataImage;
 use lookahead_isa::{Program, SyncKind};
 use lookahead_memsys::MemoryParams;
@@ -331,75 +332,48 @@ options:
   --out PATH       result file (default: BENCH_generation.json)
   --iters N        timed repetitions per cell, best-of-N (default: 3)
   --tier NAME      workload size tier: small, default, paper or large
-                   (default: from the environment)
   --min-speedup X  fail unless the latency-100 speedup is at least X
   --skip-verify    skip the engine-equivalence pass (timing only)
-  -h, --help       show this help
-
-environment: LOOKAHEAD_SMALL=1, LOOKAHEAD_PROCS=n, LOOKAHEAD_APPS=...";
+  -h, --help       show this help";
 
 /// Entry point for `lookahead bench generation`.
-pub fn generation_main(args: &[String]) -> ExitCode {
+pub fn generation_main(args: &[String], knobs: &Knobs) -> ExitCode {
     let mut out_path = "BENCH_generation.json".to_string();
     let mut iters: u32 = 3;
     let mut tier: Option<SizeTier> = None;
     let mut min_speedup: Option<f64> = None;
     let mut verify = true;
-    let parse_tier = |v: &str| SizeTier::from_name(v);
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    let mut args = Flags::new(args);
+    while let Some(a) = args.next() {
         match a.as_str() {
             "-h" | "--help" => {
-                println!("{USAGE}");
+                println!("{}", knobs::usage(Bin::Bench, USAGE));
                 return ExitCode::SUCCESS;
             }
             "--skip-verify" => verify = false,
-            "--out" => match it.next() {
-                Some(v) => out_path = v.clone(),
+            "--out" => match args.next() {
+                Some(v) => out_path = v,
                 None => return usage_error("--out needs a value"),
             },
-            "--tier" => match it.next().map(|v| parse_tier(v)) {
-                Some(Some(t)) => tier = Some(t),
-                _ => return usage_error("--tier needs one of: small, default, paper, large"),
+            "--tier" => match args.next().as_deref().and_then(SizeTier::from_name) {
+                Some(t) => tier = Some(t),
+                None => return usage_error("--tier needs one of: small, default, paper, large"),
             },
-            "--iters" => match it.next().and_then(|v| v.parse().ok()) {
+            "--iters" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) if v > 0 => iters = v,
                 _ => return usage_error("--iters needs a positive integer"),
             },
-            "--min-speedup" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
+            "--min-speedup" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
                 Some(v) if v > 0.0 => min_speedup = Some(v),
                 _ => return usage_error("--min-speedup needs a positive number"),
             },
-            other => {
-                if let Some(v) = other.strip_prefix("--out=") {
-                    out_path = v.to_string();
-                } else if let Some(v) = other.strip_prefix("--tier=") {
-                    match parse_tier(v) {
-                        Some(t) => tier = Some(t),
-                        None => {
-                            return usage_error("--tier needs one of: small, default, paper, large")
-                        }
-                    }
-                } else if let Some(v) = other.strip_prefix("--iters=") {
-                    match v.parse() {
-                        Ok(n) if n > 0 => iters = n,
-                        _ => return usage_error("--iters needs a positive integer"),
-                    }
-                } else if let Some(v) = other.strip_prefix("--min-speedup=") {
-                    match v.parse::<f64>() {
-                        Ok(x) if x > 0.0 => min_speedup = Some(x),
-                        _ => return usage_error("--min-speedup needs a positive number"),
-                    }
-                } else {
-                    return usage_error(&format!("unknown option {other:?}"));
-                }
-            }
+            other => return usage_error(&format!("unknown option {other:?}")),
         }
     }
 
-    let tier = tier.unwrap_or_else(SizeTier::from_env);
-    let config = config_from_env();
-    let apps = selected_apps();
+    let tier = knobs.tier(tier);
+    let config = knobs.config();
+    let apps = knobs.apps();
     eprintln!(
         "bench generation: tier {}, {} processors, best of {iters} cold runs per cell",
         tier.name(),
@@ -470,7 +444,7 @@ pub fn generation_main(args: &[String]) -> ExitCode {
 }
 
 fn usage_error(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}\n\n{USAGE}");
+    eprintln!("error: {msg}\n\n{}", knobs::usage(Bin::Bench, USAGE));
     ExitCode::from(2)
 }
 

@@ -2,31 +2,19 @@
 //! subset of the paper's tables and figures in one process
 //! (`lookahead <report>`; see `DESIGN.md` for the index). A [`Runner`]
 //! owns the simulation configuration, the workload size tier, the
-//! optional content-addressed trace cache and the worker count, and
-//! the [`reports`] module renders each table or figure to a string.
+//! selected applications, the optional content-addressed trace cache,
+//! the worker count and the artifact directory, and the [`reports`]
+//! module renders each table or figure to a string.
 //!
-//! Environment knobs (useful when iterating):
-//!
-//! * `LOOKAHEAD_SMALL=1` — use the unit-test workload sizes;
-//! * `LOOKAHEAD_PAPER=1` — use the paper's published sizes;
-//! * `LOOKAHEAD_PROCS=n` — simulate `n` processors instead of 16;
-//! * `LOOKAHEAD_APPS=LU,MP3D` — restrict to a subset of applications;
-//! * `LOOKAHEAD_CACHE=DIR` — cache generated traces under `DIR`
-//!   (`off`/`0`/`none` disables; unset, the driver uses
-//!   `target/trace-cache`, and `trace_tool` caches nothing);
-//! * `LOOKAHEAD_JOBS=n` — worker threads for generation and re-timing
-//!   (`1` forces the serial path; output is identical either way);
-//! * `--obs-out DIR` (or `LOOKAHEAD_OBS_OUT=DIR`) — write per-run
-//!   observability artifacts (manifest, event journal, Chrome trace)
-//!   under `DIR`. Event/counter capture needs the `obs` cargo feature;
-//!   without it the artifacts are written but mostly empty.
-//!
-//! A malformed knob is a hard error (exit code 2), never a silent
+//! Every binary reads its configuration once, at startup, through the
+//! [`knobs`] table (README.md § Environment lists the variables). A
+//! malformed knob is a hard error (exit code 2), never a silent
 //! fallback: a typo in `LOOKAHEAD_PROCS` must not quietly run the
 //! wrong experiment.
 
 pub mod client;
 pub mod generation;
+pub mod knobs;
 pub mod obsbench;
 pub mod reports;
 pub mod serve_cli;
@@ -34,11 +22,11 @@ pub mod servebench;
 
 use lookahead_harness::cache::{load_or_generate, CacheOutcome, TraceCache};
 use lookahead_harness::dag::{run_dag, TaskDag};
-use lookahead_harness::parallel;
+use lookahead_harness::parallel::parse_positive;
 use lookahead_harness::pipeline::AppRun;
 use lookahead_multiproc::SimConfig;
 use lookahead_workloads::{App, Workload};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -49,12 +37,7 @@ use std::time::Instant;
 /// Returns a descriptive message when the value is not a positive
 /// integer.
 pub fn parse_procs(v: &str) -> Result<usize, String> {
-    match v.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!(
-            "LOOKAHEAD_PROCS must be a positive integer (processor count), got {v:?}"
-        )),
-    }
+    parse_positive("LOOKAHEAD_PROCS", "processor count", v)
 }
 
 /// Parses a `LOOKAHEAD_APPS` value into applications, preserving the
@@ -102,65 +85,9 @@ pub fn fail_fast<T>(result: Result<T, String>) -> T {
     })
 }
 
-/// Parses the environment knobs into a simulation configuration.
-/// Exits with code 2 on a malformed `LOOKAHEAD_PROCS`.
-pub fn config_from_env() -> SimConfig {
-    let mut config = SimConfig::default();
-    if let Ok(p) = std::env::var("LOOKAHEAD_PROCS") {
-        config.num_procs = fail_fast(parse_procs(&p));
-    }
-    config
-}
-
-/// The applications selected by `LOOKAHEAD_APPS` (all five by
-/// default). Exits with code 2 on an unknown name.
-pub fn selected_apps() -> Vec<App> {
-    match std::env::var("LOOKAHEAD_APPS") {
-        Ok(list) => fail_fast(parse_apps(&list)),
-        Err(_) => App::ALL.to_vec(),
-    }
-}
-
 // The size tier moved to the harness so the experiment service can
 // share it; re-exported here so the bench API is unchanged.
 pub use lookahead_harness::tier::SizeTier;
-
-/// Trace-cache selection from `LOOKAHEAD_CACHE`: unset uses `default`
-/// (the caller's policy), `off`/`0`/`none`/empty disables caching, and
-/// anything else is a cache directory.
-pub fn cache_from_env_or(default: Option<&str>) -> Option<TraceCache> {
-    match std::env::var("LOOKAHEAD_CACHE") {
-        Ok(v) => {
-            let t = v.trim();
-            let off = t.is_empty()
-                || t == "0"
-                || t.eq_ignore_ascii_case("off")
-                || t.eq_ignore_ascii_case("none");
-            if off {
-                None
-            } else {
-                Some(TraceCache::new(t))
-            }
-        }
-        Err(_) => default.map(TraceCache::new),
-    }
-}
-
-/// Directory for observability artifacts: `--obs-out DIR` (or
-/// `--obs-out=DIR`) on the command line, else `LOOKAHEAD_OBS_OUT`.
-/// `None` disables artifact writing.
-pub fn obs_out_dir() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--obs-out" {
-            return args.next().map(PathBuf::from);
-        }
-        if let Some(v) = a.strip_prefix("--obs-out=") {
-            return Some(PathBuf::from(v));
-        }
-    }
-    std::env::var_os("LOOKAHEAD_OBS_OUT").map(PathBuf::from)
-}
 
 /// Flat key/value description of a run's `config` and size `tier`
 /// for run manifests.
@@ -196,19 +123,23 @@ pub fn write_obs_artifacts(
 }
 
 /// Executes trace generation for the experiment suite: one
-/// configuration, one size tier, an optional content-addressed trace
-/// cache and a worker pool, with cache hit/miss accounting.
+/// configuration, one size tier, a set of applications, an optional
+/// content-addressed trace cache, a worker pool and an optional
+/// artifact directory, with cache hit/miss accounting.
 pub struct Runner {
     config: SimConfig,
     tier: SizeTier,
     cache: Option<TraceCache>,
     workers: usize,
+    apps: Vec<App>,
+    obs_out: Option<PathBuf>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
 
 impl Runner {
-    /// A runner with explicit policy.
+    /// A runner with explicit policy, over all five applications,
+    /// writing no observability artifacts.
     pub fn new(
         config: SimConfig,
         tier: SizeTier,
@@ -220,8 +151,26 @@ impl Runner {
             tier,
             cache,
             workers,
+            apps: App::ALL.to_vec(),
+            obs_out: None,
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
+        }
+    }
+
+    /// This runner over `apps` instead of all five.
+    #[must_use]
+    pub fn with_apps(self, apps: Vec<App>) -> Runner {
+        Runner { apps, ..self }
+    }
+
+    /// This runner writing observability artifacts for every
+    /// generation under `dir` (`None` writes none).
+    #[must_use]
+    pub fn with_obs_out(self, dir: Option<PathBuf>) -> Runner {
+        Runner {
+            obs_out: dir,
+            ..self
         }
     }
 
@@ -245,9 +194,14 @@ impl Runner {
         self.cache.is_some()
     }
 
-    /// The applications this runner covers (`LOOKAHEAD_APPS`).
-    pub fn apps(&self) -> Vec<App> {
-        selected_apps()
+    /// The applications this runner covers.
+    pub fn apps(&self) -> &[App] {
+        &self.apps
+    }
+
+    /// Where this runner writes observability artifacts, if anywhere.
+    pub fn obs_out(&self) -> Option<&Path> {
+        self.obs_out.as_deref()
     }
 
     /// Whether `app`'s trace at this tier and configuration is already
@@ -299,8 +253,7 @@ impl Runner {
     /// loses too many racy updates (EXPERIMENTS.md lists the supported
     /// counts), which calls for another configuration, not a crash.
     pub fn run_workload(&self, workload: &dyn Workload, config: &SimConfig) -> AppRun {
-        let obs_dir = obs_out_dir();
-        if obs_dir.is_some() {
+        if self.obs_out.is_some() {
             lookahead_obs::install(lookahead_obs::Recorder::new(0));
         }
         let started = Instant::now();
@@ -337,11 +290,11 @@ impl Runner {
                 );
             }
         }
-        if let Some(dir) = obs_dir {
+        if let Some(dir) = &self.obs_out {
             // Artifacts describe a simulation; a cache hit ran none.
             if let (Some(rec), CacheOutcome::Generated(_)) = (lookahead_obs::take(), &outcome) {
                 write_obs_artifacts(
-                    &dir,
+                    dir,
                     &format!("generate-{}", run.app),
                     config,
                     self.tier,
@@ -357,30 +310,17 @@ impl Runner {
     /// DAG workers as one independent node per application (each
     /// trace exactly once per process), in application order.
     pub fn run_all(&self) -> Vec<AppRun> {
-        let apps = self.apps();
         let mut dag = TaskDag::new();
-        for _ in &apps {
+        for _ in &self.apps {
             dag.add_task(1, &[]);
         }
-        let jobs: Vec<_> = apps
-            .into_iter()
-            .map(|app| move || self.run_app(app))
+        let jobs: Vec<_> = self
+            .apps
+            .iter()
+            .map(|&app| move || self.run_app(app))
             .collect();
         run_dag(&dag, jobs, self.workers)
     }
-}
-
-/// Generates one application's run (for single-app binaries). Honors
-/// `LOOKAHEAD_CACHE` when set. Exits with code 2 if the workload
-/// fails to simulate or verify.
-pub fn generate_run(app: App, config: &SimConfig) -> AppRun {
-    Runner::new(
-        *config,
-        SizeTier::from_env(),
-        cache_from_env_or(None),
-        fail_fast(parallel::workers_from_env()),
-    )
-    .run_app(app)
 }
 
 #[cfg(test)]
@@ -398,9 +338,13 @@ mod tests {
 
     #[test]
     fn selected_apps_defaults_to_all() {
-        if std::env::var("LOOKAHEAD_APPS").is_err() {
-            assert_eq!(selected_apps().len(), 5);
-        }
+        // Through the knob table with LOOKAHEAD_APPS unset, and for a
+        // runner nobody restricted.
+        let knobs = knobs::Knobs::from_vars(Vec::new()).unwrap();
+        assert_eq!(knobs.apps(), App::ALL);
+        let runner = Runner::new(SimConfig::default(), SizeTier::Small, None, 1);
+        assert_eq!(runner.apps(), App::ALL);
+        assert_eq!(runner.with_apps(vec![App::Lu]).apps(), [App::Lu]);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! Results land in `BENCH_obs.json`; timing is best-of-N with
 //! `std::time::Instant` only.
 
-use crate::{config_from_env, Runner, SizeTier};
+use crate::knobs::{self, Bin, Flags, Knobs, DEFAULT_CACHE_DIR};
+use crate::Runner;
 use lookahead_harness::cache::TraceCache;
 use lookahead_harness::experiments::{figure3_cells, run_cell_specs, PAPER_WINDOWS};
 use lookahead_harness::pipeline::AppRun;
@@ -82,58 +83,46 @@ options:
   --iters N        timed repetitions per side, best-of-N (default: 3)
   --cache-dir DIR  cache traces under DIR (default: target/trace-cache)
   --no-cache       disable the trace cache
-  -h, --help       show this help
-
-environment: LOOKAHEAD_SMALL=1, LOOKAHEAD_PROCS=n, LOOKAHEAD_APPS=...";
+  -h, --help       show this help";
 
 /// Entry point for `lookahead bench obs`.
-pub fn obs_main(args: &[String]) -> ExitCode {
+pub fn obs_main(args: &[String], knobs: &Knobs) -> ExitCode {
     let mut out_path = "BENCH_obs.json".to_string();
     let mut iters: u32 = 3;
-    let mut cache_dir: Option<String> = Some("target/trace-cache".to_string());
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    let mut cache_dir: Option<String> = Some(DEFAULT_CACHE_DIR.to_string());
+    let mut args = Flags::new(args);
+    while let Some(a) = args.next() {
         match a.as_str() {
             "-h" | "--help" => {
-                println!("{USAGE}");
+                println!("{}", knobs::usage(Bin::Bench, USAGE));
                 return ExitCode::SUCCESS;
             }
             "--no-cache" => cache_dir = None,
-            "--out" => match it.next() {
-                Some(v) => out_path = v.clone(),
+            "--out" => match args.next() {
+                Some(v) => out_path = v,
                 None => return usage_error("--out needs a value"),
             },
-            "--cache-dir" => match it.next() {
-                Some(v) => cache_dir = Some(v.clone()),
+            "--cache-dir" => match args.next() {
+                Some(v) => cache_dir = Some(v),
                 None => return usage_error("--cache-dir needs a value"),
             },
-            "--iters" => match it.next().and_then(|v| v.parse().ok()) {
+            "--iters" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) if v > 0 => iters = v,
                 _ => return usage_error("--iters needs a positive integer"),
             },
-            other => {
-                if let Some(v) = other.strip_prefix("--out=") {
-                    out_path = v.to_string();
-                } else if let Some(v) = other.strip_prefix("--cache-dir=") {
-                    cache_dir = Some(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--iters=") {
-                    match v.parse() {
-                        Ok(n) if n > 0 => iters = n,
-                        _ => return usage_error("--iters needs a positive integer"),
-                    }
-                } else {
-                    return usage_error(&format!("unknown option {other:?}"));
-                }
-            }
+            other => return usage_error(&format!("unknown option {other:?}")),
         }
     }
 
+    // Each application is generated on this thread in turn, so the
+    // runner's worker count is never used.
     let runner = Runner::new(
-        config_from_env(),
-        SizeTier::from_env(),
+        knobs.config(),
+        knobs.tier(None),
         cache_dir.map(TraceCache::new),
-        crate::fail_fast(lookahead_harness::parallel::workers_from_env()),
-    );
+        1,
+    )
+    .with_apps(knobs.apps());
     eprintln!(
         "bench obs: tier {}, {} processors, best of {iters} sweeps per side",
         runner.tier().name(),
@@ -141,8 +130,8 @@ pub fn obs_main(args: &[String]) -> ExitCode {
     );
     let runs: Vec<AppRun> = runner
         .apps()
-        .into_iter()
-        .map(|app| runner.run_workload(runner.tier().workload(app).as_ref(), runner.config()))
+        .iter()
+        .map(|&app| runner.run_app(app))
         .collect();
     // Materialize every trace up front so neither side pays archive
     // I/O inside the timed region.
@@ -184,6 +173,6 @@ pub fn obs_main(args: &[String]) -> ExitCode {
 }
 
 fn usage_error(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}\n\n{USAGE}");
+    eprintln!("error: {msg}\n\n{}", knobs::usage(Bin::Bench, USAGE));
     ExitCode::from(2)
 }

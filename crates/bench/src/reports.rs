@@ -464,7 +464,7 @@ pub fn contexts_report(runs: &[AppRun]) -> String {
 /// each penalty is a separate (cached) generation.
 pub fn latency100_report(runner: &Runner) -> String {
     let mut out = String::new();
-    for app in runner.apps() {
+    for &app in runner.apps() {
         let workload = runner.tier().workload(app);
         for penalty in [50u32, 100] {
             let config = SimConfig {
@@ -626,7 +626,7 @@ pub fn sched_report(runner: &Runner) -> String {
         "DS-16+sched".to_string(),
         "DS-64".to_string(),
     ]];
-    for app in runner.apps() {
+    for &app in runner.apps() {
         let workload = runner.tier().workload(app);
         let original = workload.build(runner.config().num_procs).program;
         let (scheduled, stats, ustats) = optimize_program(&original, 4);
@@ -760,7 +760,7 @@ pub fn dag_sweep(runner: &Runner, wanted: &[&str], workers: usize) -> DagSweep {
     // Node 2·ai generates app ai; node 2·ai + 1 is its gang.
     let mut task_dag = TaskDag::new();
     let gang_cost = union.iter().map(|c| c.model.cost()).sum();
-    for &app in &apps {
+    for &app in apps {
         let gen = if runner.trace_cached(app) {
             task_dag.add_collapsed(&[])
         } else {

@@ -479,8 +479,10 @@ where
     let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let state = Mutex::new(ExecState::new(dag, &ranks));
     let ready_cv = Condvar::new();
-    let scope_in = span::current_scope();
     span::record_current("dag.run", || {
+        // Taken inside `dag.run`, so job spans nest under it on this
+        // path exactly as on the serial one.
+        let scope_in = span::current_scope();
         std::thread::scope(|s| {
             for _ in 0..workers.min(n) {
                 let (slots, results, state, ready_cv) = (&slots, &results, &state, &ready_cv);
@@ -689,29 +691,40 @@ mod tests {
 
     #[test]
     fn trace_scope_propagates_to_dag_workers() {
-        let ctx = lookahead_obs::TraceContext::new("req-dag");
-        let root = ctx.alloc_id();
-        let prev = span::set_scope(Some(span::TraceScope::new(ctx.clone(), root)));
         let mut dag = TaskDag::new();
         for _ in 0..12 {
             dag.add_task(1, &[]);
         }
-        let jobs: Vec<_> = (0..12)
-            .map(|i| move || span::record_current("cell", || i * 2))
-            .collect();
-        // With more than one worker, every job runs on a spawned
-        // worker thread, never on the submitter's.
-        let out = run_dag(&dag, jobs, 4);
-        span::set_scope(prev);
-        assert_eq!(out, (0..12).map(|i| i * 2).collect::<Vec<_>>());
-        let spans = ctx.spans();
-        let cells = spans.iter().filter(|s| s.name == "cell").count();
-        assert_eq!(cells, 12, "one span per node: {spans:?}");
-        // The executor's own dag.schedule / dag.run spans and every
-        // worker's job span hang off the submitter's root.
-        assert!(spans.iter().all(|s| s.parent == root), "{spans:?}");
-        // The caller's own thread is back to untraced.
-        assert!(span::current_scope().is_none());
+        // One worker runs every job on the submitter's thread; four
+        // run them on spawned worker threads. The tree is the same.
+        for workers in [1, 4] {
+            let ctx = lookahead_obs::TraceContext::new("req-dag");
+            let root = ctx.alloc_id();
+            let prev = span::set_scope(Some(span::TraceScope::new(ctx.clone(), root)));
+            let jobs: Vec<_> = (0..12)
+                .map(|i| move || span::record_current("cell", || i * 2))
+                .collect();
+            let out = run_dag(&dag, jobs, workers);
+            span::set_scope(prev);
+            assert_eq!(out, (0..12).map(|i| i * 2).collect::<Vec<_>>());
+            let spans = ctx.spans();
+            let named = |name: &'static str| spans.iter().filter(move |s| s.name == name);
+            assert_eq!(named("cell").count(), 12, "one span per node: {spans:?}");
+            // The executor's own dag.schedule / dag.run spans hang off
+            // the submitter's root, and every job span off dag.run.
+            let run: Vec<_> = named("dag.run").collect();
+            assert_eq!(run.len(), 1, "{workers} workers: {spans:?}");
+            assert_eq!(named("dag.schedule").count(), 1, "{spans:?}");
+            for s in named("dag.run").chain(named("dag.schedule")) {
+                assert_eq!(s.parent, root, "{workers} workers: {spans:?}");
+            }
+            assert!(
+                named("cell").all(|s| s.parent == run[0].id),
+                "{workers} workers: {spans:?}"
+            );
+            // The caller's own thread is back to untraced.
+            assert!(span::current_scope().is_none());
+        }
     }
 
     #[test]

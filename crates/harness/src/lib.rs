@@ -24,7 +24,8 @@
 //! and returns results in node-id order at any worker count — and
 //! [`singleflight`] deduplicates concurrent requests for the same run
 //! onto a single computation (the substrate of the experiment
-//! service's coalescing). [`parallel`] parses the worker-count knobs.
+//! service's coalescing). [`parallel`] parses worker counts and the
+//! other positive-count knobs.
 
 pub mod cache;
 pub mod dag;

@@ -8,7 +8,7 @@
 //!   key/values, every metric, and the full stall-attribution matrix;
 //! * `journal.jsonl` — the event journal, one JSON object per line;
 //! * `trace.json` — the same journal as Chrome `trace_event` JSON,
-//!   loadable directly in chrome://tracing or https://ui.perfetto.dev.
+//!   loadable directly in chrome://tracing or <https://ui.perfetto.dev>.
 //!
 //! The writers live in the harness (not the obs crate) because only
 //! here do runs have names, configurations, and a place on disk.

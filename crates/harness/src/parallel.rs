@@ -1,22 +1,24 @@
-//! The worker-count knobs: `--jobs N` and `LOOKAHEAD_JOBS`.
+//! Positive-count parsing: the worker count (`--jobs N`,
+//! `LOOKAHEAD_JOBS`) and every other knob that takes a count.
 //!
 //! A worker count bounds how many sweep tasks the [`dag`](crate::dag)
 //! executor runs at once. Output never depends on it: results come
 //! back in node-id order at any worker count.
 
-/// Number of workers to use by default: the `LOOKAHEAD_JOBS`
-/// environment variable if set, otherwise the machine's available
-/// parallelism.
+/// Parses a positive integer given through `knob`. The error names the
+/// knob and `what` it counts, so a typo is obvious; binaries report it
+/// and exit with code 2.
 ///
 /// # Errors
 ///
-/// Returns a descriptive message if `LOOKAHEAD_JOBS` is set but is not
-/// a positive integer — a misspelled knob must fail fast, not silently
-/// run serial. Binaries report it and exit with code 2.
-pub fn workers_from_env() -> Result<usize, String> {
-    match std::env::var("LOOKAHEAD_JOBS") {
-        Ok(v) => parse_jobs("LOOKAHEAD_JOBS", &v),
-        Err(_) => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
+/// Returns a descriptive message when the value is not a positive
+/// integer.
+pub fn parse_positive(knob: &str, what: &str, v: &str) -> Result<usize, String> {
+    match v.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!(
+            "{knob} must be a positive integer ({what}), got {v:?}"
+        )),
     }
 }
 
@@ -28,12 +30,7 @@ pub fn workers_from_env() -> Result<usize, String> {
 /// Returns a descriptive message when the value is not a positive
 /// integer.
 pub fn parse_jobs(knob: &str, v: &str) -> Result<usize, String> {
-    match v.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!(
-            "{knob} must be a positive integer (worker count), got {v:?}"
-        )),
-    }
+    parse_positive(knob, "worker count", v)
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! Trace generation is the expensive half of the pipeline, and under a
 //! concurrent caller (the experiment service, a parallel sweep) the
 //! same cold key can be requested many times at once. The on-disk
-//! [`TraceCache`](crate::cache::TraceCache) makes generation pay-once
+//! [`TraceCache`] makes generation pay-once
 //! *across* processes; [`SingleFlight`] makes it pay-once *within* a
 //! process under concurrency: all callers asking for the same key
 //! while a computation is in flight block and receive the shared

@@ -9,18 +9,18 @@
 
 use lookahead_workloads::{App, Workload};
 
-/// Which workload size every application runs at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which workload size every application runs at, ordered by size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SizeTier {
-    /// Unit-test sizes (`LOOKAHEAD_SMALL=1`).
+    /// Unit-test sizes (`--tier small`, `LOOKAHEAD_SMALL=1`).
     Small,
     /// The experiment-harness defaults.
     Default,
-    /// The paper's published sizes (`LOOKAHEAD_PAPER=1`).
+    /// The paper's published sizes (`--tier paper`, `LOOKAHEAD_PAPER=1`).
     Paper,
-    /// Beyond the paper's sizes (`LOOKAHEAD_LARGE=1`): traces big
-    /// enough that only the streamed bounded-memory pipeline keeps the
-    /// working set flat.
+    /// Beyond the paper's sizes (`--tier large`, `LOOKAHEAD_LARGE=1`):
+    /// traces big enough that only the streamed bounded-memory pipeline
+    /// keeps the working set flat.
     Large,
 }
 
@@ -32,21 +32,6 @@ impl SizeTier {
         SizeTier::Paper,
         SizeTier::Large,
     ];
-
-    /// Reads the tier from the environment; `LOOKAHEAD_SMALL` wins
-    /// over `LOOKAHEAD_PAPER`, which wins over `LOOKAHEAD_LARGE`.
-    pub fn from_env() -> SizeTier {
-        let on = |k: &str| std::env::var(k).is_ok_and(|v| v != "0");
-        if on("LOOKAHEAD_SMALL") {
-            SizeTier::Small
-        } else if on("LOOKAHEAD_PAPER") {
-            SizeTier::Paper
-        } else if on("LOOKAHEAD_LARGE") {
-            SizeTier::Large
-        } else {
-            SizeTier::Default
-        }
-    }
 
     /// The tier's name as spelled into cache keys.
     pub fn name(self) -> &'static str {

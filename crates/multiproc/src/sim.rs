@@ -9,7 +9,7 @@
 //! [`Simulator::run_with_sink`]) keeps one pending event per processor
 //! — the next cycle it can make progress: instruction issue, load
 //! return, full-write-buffer drain, lock grant, event-set visibility,
-//! barrier release — in an [`EventQueue`](crate::event::EventQueue)
+//! barrier release — in an [`EventQueue`]
 //! ordered by `(cycle, processor id)`. The simulator pops the earliest
 //! event, jumps `now` there in one step, and executes; cross-processor
 //! wakeups (an unlock making a queued acquirer grantable, a set-event

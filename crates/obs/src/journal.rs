@@ -335,7 +335,7 @@ impl EventJournal {
 
     /// Writes the journal in Chrome `trace_event` format (the JSON
     /// object form, `{"traceEvents": [...]}`), loadable directly in
-    /// chrome://tracing or https://ui.perfetto.dev.
+    /// chrome://tracing or <https://ui.perfetto.dev>.
     ///
     /// Span events (`stall`, `acquire_wait`, `contention`) become
     /// complete (`"ph":"X"`) events with their duration; everything

@@ -21,7 +21,7 @@
 //!   parent/child links and deterministic request ids, threaded from
 //!   the serve tier through the harness pipeline.
 //! * [`log`] — leveled, structured JSONL logging to stderr, filtered
-//!   by the `LOOKAHEAD_LOG` environment variable.
+//!   by the `LOOKAHEAD_LOG` value a binary installs at startup.
 //! * [`prom`] — Prometheus text-exposition rendering of a registry
 //!   (plus [`metrics::ShardedMetrics`] for contention-free serving).
 //!

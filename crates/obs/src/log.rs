@@ -6,9 +6,8 @@
 //! server logs correlate with `X-Request-Id` headers and span files
 //! without any plumbing at the call sites.
 //!
-//! Filtering follows the workspace's env-knob style via
-//! `LOOKAHEAD_LOG`: a default level, optionally refined per target
-//! prefix:
+//! A [`Filter`] is a default level, optionally refined per target
+//! prefix; [`parse_filter`] reads the `LOOKAHEAD_LOG` syntax:
 //!
 //! ```text
 //! LOOKAHEAD_LOG=info                 # info and up, everywhere
@@ -16,11 +15,11 @@
 //! LOOKAHEAD_LOG=off                  # silence
 //! ```
 //!
-//! The default (unset) level is `warn`: a healthy server is silent.
-//! A malformed filter never breaks logging — the parse error is
-//! reported once on stderr and the default is used — but fail-fast
-//! callers (the `lookahead serve` CLI) can validate the knob up front
-//! with [`check_env_filter`].
+//! This module never reads the environment: binaries parse the
+//! variable with the rest of their knobs at startup and hand the
+//! result to [`install_filter`]. Until then, and in every process that
+//! installs none, the filter is the default, `warn`: a healthy server
+//! is silent.
 
 use crate::json::JsonObject;
 use std::io::Write as _;
@@ -142,28 +141,16 @@ pub fn parse_filter(value: &str) -> Result<Filter, String> {
     Ok(filter)
 }
 
-/// Validates the `LOOKAHEAD_LOG` environment variable without
-/// installing anything (for fail-fast CLI startup).
-///
-/// # Errors
-///
-/// Returns the parse error for a malformed filter value.
-pub fn check_env_filter() -> Result<(), String> {
-    match std::env::var(LOG_ENV) {
-        Ok(v) => parse_filter(&v).map(|_| ()),
-        Err(_) => Ok(()),
-    }
+static FILTER: OnceLock<Filter> = OnceLock::new();
+
+/// Installs the process's log filter. Call it once, before the first
+/// log line; a filter installed later, or a second one, is ignored.
+pub fn install_filter(filter: Filter) {
+    let _ = FILTER.set(filter);
 }
 
 fn active_filter() -> &'static Filter {
-    static FILTER: OnceLock<Filter> = OnceLock::new();
-    FILTER.get_or_init(|| match std::env::var(LOG_ENV) {
-        Ok(v) => parse_filter(&v).unwrap_or_else(|e| {
-            eprintln!("warning: {e}; using the default filter (warn)");
-            Filter::default()
-        }),
-        Err(_) => Filter::default(),
-    })
+    FILTER.get_or_init(Filter::default)
 }
 
 /// Whether a log call at `level` for `target` would be emitted (guard

@@ -4,7 +4,7 @@
 //! The registry's dotted paths become underscore-separated metric
 //! names (`serve.http.requests` → `serve_http_requests_total`);
 //! counters get the conventional `_total` suffix, gauges render
-//! plainly, and the log2 [`Histogram`]s render as *cumulative*
+//! plainly, and the log2 [`Histogram`](crate::metrics::Histogram)s render as *cumulative*
 //! `_bucket{le="..."}` series with `_sum` and `_count` — each log2
 //! bucket's inclusive upper bound (`2^i - 1`) becomes its `le` label,
 //! so any Prometheus-compatible scraper can compute quantile estimates

@@ -13,7 +13,7 @@
 //! ```
 //!
 //! * **Reading** — the connection owns a resumable
-//!   [`HeadParser`](crate::http::HeadParser); bytes are fed as they
+//!   [`HeadParser`]; bytes are fed as they
 //!   arrive and the state survives `EAGAIN`. A per-request
 //!   header-completion deadline (the slow-loris fix) bounds how long a
 //!   stalled client may hold the state, and it costs a table entry,
@@ -25,7 +25,7 @@
 //!   wake.
 //! * **Writing** — response bytes flush as `EPOLLOUT` allows; streamed
 //!   bodies are pulled from a bounded producer queue chunk-by-chunk
-//!   (see [`StreamHandle`]), so a slow client backpressures the
+//!   (see `StreamHandle`), so a slow client backpressures the
 //!   producer instead of buffering the whole body.
 //! * **Idle** — HTTP/1.1 keep-alive: the connection returns to the
 //!   table awaiting the next request (or a pipelined one already

@@ -153,40 +153,64 @@ fn read_head(stream: &mut impl Read) -> Result<Vec<u8>, RequestError> {
             Err(e) => return Err(RequestError::Io(e)),
         };
         head.extend_from_slice(&buf[..n]);
-        if find_head_end(&head).is_some() {
+        if head_end(&head, 0).is_some() {
             return Ok(head);
         }
-        if head.len() > MAX_HEAD_BYTES {
-            return Err(RequestError::HeadersTooLarge);
-        }
-        // An endless first line is a 414, not a 431.
-        if !head.contains(&b'\n') && head.len() > MAX_REQUEST_LINE {
-            return Err(RequestError::UriTooLong);
-        }
+        check_limits(&head, first_newline(&head, 0))?;
     }
 }
 
-/// Offset one past the head terminator, if present.
-fn find_head_end(bytes: &[u8]) -> Option<usize> {
-    bytes
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .map(|i| i + 4)
-        .or_else(|| bytes.windows(2).position(|w| w == b"\n\n").map(|i| i + 2))
+/// Offset one past the earliest head terminator (`\r\n\r\n`, or a
+/// lenient `\n\n`) that ends after `from`. The earliest, so that a
+/// prefix of the bytes finds the same head as all of them.
+fn head_end(bytes: &[u8], from: usize) -> Option<usize> {
+    ((from + 1).max(2)..=bytes.len())
+        .find(|&e| bytes[..e].ends_with(b"\n\n") || bytes[..e].ends_with(b"\r\n\r\n"))
+}
+
+/// The offset of the first `\n` at or after `from`.
+fn first_newline(bytes: &[u8], from: usize) -> Option<usize> {
+    bytes[from..]
+        .iter()
+        .position(|&b| b == b'\n')
+        .map(|i| from + i)
+}
+
+/// Rejects a head, complete or not, whose request line (without its
+/// `\r\n`) is over [`MAX_REQUEST_LINE`] (414), or that is over the head
+/// limit (431); `newline` is where the first line ends, if it has.
+/// Both only grow as bytes arrive and [`parse_head`] checks them
+/// first, so the verdict does not depend on how the bytes were split
+/// across reads.
+fn check_limits(head: &[u8], newline: Option<usize>) -> Result<(), RequestError> {
+    let line_too_long = match newline {
+        Some(nl) => {
+            let line = &head[..nl];
+            line.strip_suffix(b"\r").unwrap_or(line).len() > MAX_REQUEST_LINE
+        }
+        // A trailing `\r` may still turn out to start the line's `\r\n`.
+        None => head.len() > MAX_REQUEST_LINE + 1,
+    };
+    if line_too_long {
+        return Err(RequestError::UriTooLong);
+    }
+    if head.len() > MAX_HEAD_BYTES {
+        return Err(RequestError::HeadersTooLarge);
+    }
+    Ok(())
 }
 
 fn parse_head(head: &[u8]) -> Result<Request, RequestError> {
-    let end = find_head_end(head).unwrap_or(head.len());
-    let text = std::str::from_utf8(&head[..end])
+    let end = head_end(head, 0).unwrap_or(head.len());
+    let head = &head[..end];
+    check_limits(head, first_newline(head, 0))?;
+    let text = std::str::from_utf8(head)
         .map_err(|_| RequestError::BadRequest("request head is not UTF-8".into()))?;
     let mut lines = text.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));
 
     let request_line = lines
         .next()
         .ok_or_else(|| RequestError::BadRequest("empty request".into()))?;
-    if request_line.len() > MAX_REQUEST_LINE {
-        return Err(RequestError::UriTooLong);
-    }
     let mut parts = request_line.split(' ').filter(|p| !p.is_empty());
     let method = parts
         .next()
@@ -291,11 +315,17 @@ fn parse_head(head: &[u8]) -> Result<Request, RequestError> {
 #[derive(Default)]
 pub struct HeadParser {
     buf: Vec<u8>,
+    /// `buf[..scanned]` has been searched for a terminator and a
+    /// newline, so each feed scans only the new bytes: a head trickled
+    /// in byte by byte costs linear time, not quadratic.
+    scanned: usize,
+    /// Where the first line of `buf` ends, once it has.
+    newline: Option<usize>,
 }
 
 impl HeadParser {
     pub fn new() -> HeadParser {
-        HeadParser { buf: Vec::new() }
+        HeadParser::default()
     }
 
     /// Appends freshly-read bytes and tries to complete a head.
@@ -316,22 +346,18 @@ impl HeadParser {
     ///
     /// See [`HeadParser::feed`].
     pub fn advance(&mut self) -> Result<Option<Request>, RequestError> {
-        match find_head_end(&self.buf) {
-            Some(end) => {
-                let request = parse_head(&self.buf[..end]);
-                self.buf.drain(..end);
-                request.map(Some)
-            }
-            None => {
-                if self.buf.len() > MAX_HEAD_BYTES {
-                    return Err(RequestError::HeadersTooLarge);
-                }
-                if !self.buf.contains(&b'\n') && self.buf.len() > MAX_REQUEST_LINE {
-                    return Err(RequestError::UriTooLong);
-                }
-                Ok(None)
-            }
+        if let Some(end) = head_end(&self.buf, self.scanned) {
+            let request = parse_head(&self.buf[..end]);
+            self.buf.drain(..end);
+            (self.scanned, self.newline) = (0, None);
+            return request.map(Some);
         }
+        self.newline = self
+            .newline
+            .or_else(|| first_newline(&self.buf, self.scanned));
+        self.scanned = self.buf.len();
+        check_limits(&self.buf, self.newline)?;
+        Ok(None)
     }
 
     /// Whether any bytes of a (possibly partial) next request are

@@ -1,10 +1,12 @@
-//! Environment knobs for the serve layer, with fail-fast parsing.
+//! Parsers for the serve layer's knobs, with fail-fast errors.
 //!
-//! Same convention as `LOOKAHEAD_PROCS`/`LOOKAHEAD_JOBS` (PR 2): a
-//! malformed knob is a hard error the driver turns into exit code 2,
-//! never a silent fallback — a typo in `LOOKAHEAD_SERVE_ADDR` must not
-//! quietly bind the wrong interface.
+//! The binaries read the environment through one table
+//! (`lookahead_bench::knobs`), which calls these parsers. A malformed
+//! knob is a hard error the binary turns into exit code 2, never a
+//! silent fallback: a typo in `LOOKAHEAD_SERVE_ADDR` must not quietly
+//! bind the wrong interface.
 
+use lookahead_harness::parallel::parse_positive;
 use std::net::SocketAddr;
 use std::str::FromStr;
 
@@ -36,38 +38,7 @@ pub fn parse_serve_addr(v: &str) -> Result<SocketAddr, String> {
 ///
 /// Returns a message naming the knob.
 pub fn parse_serve_threads(v: &str) -> Result<usize, String> {
-    match v.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!(
-            "LOOKAHEAD_SERVE_THREADS must be a positive integer (worker threads), got {v:?}"
-        )),
-    }
-}
-
-/// The bind address from `LOOKAHEAD_SERVE_ADDR`, or the default.
-///
-/// # Errors
-///
-/// Returns the parse error for a set-but-malformed value (fail fast:
-/// the caller exits 2).
-pub fn serve_addr_from_env() -> Result<SocketAddr, String> {
-    match std::env::var("LOOKAHEAD_SERVE_ADDR") {
-        Ok(v) => parse_serve_addr(&v),
-        Err(_) => Ok(SocketAddr::from_str(DEFAULT_ADDR).expect("default address parses")),
-    }
-}
-
-/// The worker-thread count from `LOOKAHEAD_SERVE_THREADS`, or `None`
-/// when unset (the caller picks its own default).
-///
-/// # Errors
-///
-/// Returns the parse error for a set-but-malformed value.
-pub fn serve_threads_from_env() -> Result<Option<usize>, String> {
-    match std::env::var("LOOKAHEAD_SERVE_THREADS") {
-        Ok(v) => parse_serve_threads(&v).map(Some),
-        Err(_) => Ok(None),
-    }
+    parse_positive("LOOKAHEAD_SERVE_THREADS", "worker threads", v)
 }
 
 /// Parses a `--max-connections` value: the server's open-connection
@@ -77,12 +48,7 @@ pub fn serve_threads_from_env() -> Result<Option<usize>, String> {
 ///
 /// Returns a message naming the knob.
 pub fn parse_max_connections(v: &str) -> Result<usize, String> {
-    match v.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!(
-            "--max-connections must be a positive integer (open-connection cap), got {v:?}"
-        )),
-    }
+    parse_positive("--max-connections", "open-connection cap", v)
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@
 //! metrics), [`reactor`] (raw-syscall epoll + eventfd wakeups),
 //! [`conn`] (per-connection state machines and the reactor event
 //! loop), [`server`] (listener, reactor setup, worker pool, drain),
-//! [`knobs`] (fail-fast env configuration), [`signal`] (SIGINT →
+//! [`knobs`] (fail-fast knob parsers), [`signal`] (SIGINT →
 //! flag).
 //!
 //! The server needs epoll, so it runs on x86_64/aarch64 Linux; on any
@@ -51,10 +51,7 @@ pub mod service;
 pub mod signal;
 
 pub use http::{Request, RequestError, Response};
-pub use knobs::{
-    parse_max_connections, parse_serve_addr, parse_serve_threads, serve_addr_from_env,
-    serve_threads_from_env, DEFAULT_ADDR,
-};
+pub use knobs::{parse_max_connections, parse_serve_addr, parse_serve_threads, DEFAULT_ADDR};
 pub use server::{Server, ServerConfig, ServerStats, ShutdownHandle};
 pub use service::{handle_target, ApiError, ExperimentService, ServiceConfig};
 pub use signal::{install_sigint, sigint_received};

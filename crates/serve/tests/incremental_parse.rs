@@ -10,7 +10,9 @@
 //!
 //! Split points are exhaustive at byte granularity (feed one byte at a
 //! time) and sampled for multi-byte chunks with a seeded LCG, so runs
-//! are deterministic.
+//! are deterministic. A seeded mutation fuzzer holds the parser to the
+//! same contract on damaged heads, including heads that never
+//! complete.
 
 use lookahead_serve::http::{self, HeadParser, Request, RequestError};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -24,6 +26,8 @@ use std::sync::Arc;
 enum Outcome {
     Parsed(Request),
     Rejected(Option<u16>),
+    /// The bytes ran out before the head completed.
+    EndOfInput,
 }
 
 impl Outcome {
@@ -35,9 +39,17 @@ impl Outcome {
     }
 }
 
-/// The one-shot parser's verdict on a complete head.
+/// The one-shot parser's verdict on the bytes: the request, the
+/// rejection, or (its "connection closed" and "truncated request
+/// head" errors) the end of input.
 fn one_shot(raw: &[u8]) -> Outcome {
-    Outcome::of(http::read_request(&mut &raw[..]))
+    match http::read_request(&mut &raw[..]) {
+        Err(RequestError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+            Outcome::EndOfInput
+        }
+        Err(RequestError::BadRequest(m)) if m == "truncated request head" => Outcome::EndOfInput,
+        other => Outcome::of(other),
+    }
 }
 
 /// The incremental parser's verdict when the head arrives in the given
@@ -52,6 +64,12 @@ fn incremental(chunks: &[&[u8]]) -> Option<Outcome> {
         }
     }
     None
+}
+
+/// [`incremental`], reporting a head that never completed as the end
+/// of input: the parser must still be waiting for bytes.
+fn fed(chunks: &[&[u8]]) -> Outcome {
+    incremental(chunks).unwrap_or(Outcome::EndOfInput)
 }
 
 /// A minimal deterministic PRNG (64-bit LCG, Knuth constants) so the
@@ -84,6 +102,24 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
             raw.extend_from_slice(format!("X-H{i}: v\r\n").as_bytes());
         }
         raw.extend_from_slice(b"\r\n");
+        raw
+    };
+    // Cases the mutation fuzzer below found, and one boundary beside
+    // them; each once depended on how the head was split.
+    let long_line_unterminated = {
+        let mut raw = long_line.clone();
+        raw.truncate(raw.len() - 2);
+        raw
+    };
+    let long_line_not_utf8 = {
+        let mut raw = long_line.clone();
+        raw[100] = 0x80;
+        raw
+    };
+    let line_at_limit = {
+        let mut raw = b"GET /".to_vec();
+        raw.extend(std::iter::repeat_n(b'a', http::MAX_REQUEST_LINE - 14));
+        raw.extend_from_slice(b" HTTP/1.1\r\n\r\n");
         raw
     };
     let huge_header = {
@@ -132,6 +168,13 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
             b"GET / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello".to_vec(),
         ),
         ("uri too long", long_line),
+        ("uri too long, no blank line", long_line_unterminated),
+        ("uri too long, not UTF-8", long_line_not_utf8),
+        ("request line at the limit", line_at_limit),
+        (
+            "bare-LF blank line, then more bytes",
+            b"GET / HTTP/1.1\r\nHost: t\n\n\x80\r\n\r\n".to_vec(),
+        ),
         ("too many headers", many_headers),
         ("huge header line", huge_header),
     ]
@@ -147,24 +190,29 @@ fn byte_at_a_time_matches_one_shot() {
     }
 }
 
+/// 1..=4 sampled split points, sorted and deduplicated, carving `raw`
+/// into contiguous chunks.
+fn random_chunks<'a>(rng: &mut Lcg, raw: &'a [u8]) -> Vec<&'a [u8]> {
+    let mut cuts: Vec<usize> = (0..1 + rng.next(4)).map(|_| rng.next(raw.len())).collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+    let mut chunks: Vec<&[u8]> = Vec::new();
+    let mut last = 0;
+    for cut in cuts {
+        chunks.push(&raw[last..cut]);
+        last = cut;
+    }
+    chunks.push(&raw[last..]);
+    chunks
+}
+
 #[test]
 fn random_split_points_match_one_shot() {
     let mut rng = Lcg(0x5eed_cafe);
     for (name, raw) in corpus() {
         let expected = one_shot(&raw);
         for trial in 0..32 {
-            // 1..=4 split points, sorted and deduplicated, carve the
-            // head into contiguous chunks.
-            let mut cuts: Vec<usize> = (0..1 + rng.next(4)).map(|_| rng.next(raw.len())).collect();
-            cuts.sort_unstable();
-            cuts.dedup();
-            let mut chunks: Vec<&[u8]> = Vec::new();
-            let mut last = 0;
-            for cut in cuts {
-                chunks.push(&raw[last..cut]);
-                last = cut;
-            }
-            chunks.push(&raw[last..]);
+            let chunks = random_chunks(&mut rng, &raw);
             let got = incremental(&chunks);
             assert_eq!(
                 got,
@@ -174,6 +222,95 @@ fn random_split_points_match_one_shot() {
             );
         }
     }
+}
+
+/// Bytes a head's structure hangs on. Overwritten and inserted bytes
+/// come from here half the time, and are uniform otherwise.
+const STRUCTURAL: [u8; 7] = [b'\r', b'\n', b':', b'%', b' ', 0, 0x80];
+
+fn mutant_byte(rng: &mut Lcg) -> u8 {
+    if rng.next(2) == 0 {
+        STRUCTURAL[rng.next(STRUCTURAL.len())]
+    } else {
+        rng.next(256) as u8
+    }
+}
+
+/// Offset one past the first blank line (`\r\n\r\n` or `\n\n`).
+fn head_end(raw: &[u8]) -> Option<usize> {
+    (2..=raw.len()).find(|&e| raw[..e].ends_with(b"\n\n") || raw[..e].ends_with(b"\r\n\r\n"))
+}
+
+/// One seeded mutation of a head: overwrite 1–8 bytes, insert or
+/// delete 1–16 bytes, or drop or duplicate the blank line.
+fn mutate(rng: &mut Lcg, raw: &mut Vec<u8>) {
+    let pos = rng.next(raw.len());
+    match rng.next(5) {
+        0 => {
+            let n = (1 + rng.next(8)).min(raw.len() - pos);
+            for b in &mut raw[pos..pos + n] {
+                *b = mutant_byte(rng);
+            }
+        }
+        1 => {
+            let n = 1 + rng.next(16);
+            let bytes: Vec<u8> = (0..n).map(|_| mutant_byte(rng)).collect();
+            raw.splice(pos..pos, bytes);
+        }
+        2 => {
+            let n = (1 + rng.next(16)).min(raw.len() - pos);
+            raw.drain(pos..pos + n);
+        }
+        op => {
+            if let Some(end) = head_end(raw) {
+                let blank = if raw[..end].ends_with(b"\r\n\r\n") {
+                    2
+                } else {
+                    1
+                };
+                let line = raw[end - blank..end].to_vec();
+                if op == 3 {
+                    raw.drain(end - blank..end);
+                } else {
+                    raw.splice(end..end, line);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn seeded_mutations_match_one_shot_however_fed() {
+    let corpus = corpus();
+    let mut rng = Lcg(0xf022_4ead);
+    let cases = 3000;
+    let mut incomplete = 0;
+    for case in 0..cases {
+        let (name, clean) = &corpus[case % corpus.len()];
+        let mut raw = clean.clone();
+        mutate(&mut rng, &mut raw);
+        let expected = one_shot(&raw);
+        incomplete += usize::from(expected == Outcome::EndOfInput);
+        let bytes: Vec<&[u8]> = raw.chunks(1).collect();
+        for (how, chunks) in [
+            ("whole", vec![&raw[..]]),
+            ("byte at a time", bytes),
+            ("at sampled split points", random_chunks(&mut rng, &raw)),
+        ] {
+            assert_eq!(
+                fed(&chunks),
+                expected,
+                "case {case}, a mutant of {name:?}, fed {how}: {:?}",
+                String::from_utf8_lossy(&raw)
+            );
+        }
+    }
+    // Dropped blank lines and deleted terminators must reach the
+    // end-of-input path; a fuzzer that never did would pass vacuously.
+    assert!(
+        incomplete * 20 > cases,
+        "only {incomplete}/{cases} never completed"
+    );
 }
 
 #[test]

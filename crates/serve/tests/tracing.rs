@@ -132,6 +132,7 @@ fn http_get(addr: SocketAddr, target: &str, extra: &[(&str, &str)]) -> Reply {
 /// A span as parsed back out of a `/v1/debug/trace/<id>` body.
 #[derive(Debug)]
 struct Span {
+    id: u64,
     parent: u64,
     name: String,
     dur_us: u64,
@@ -155,6 +156,12 @@ fn parse_spans(body: &str) -> Vec<Span> {
                 .collect()
         };
         spans.push(Span {
+            id: chunk
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect::<String>()
+                .parse()
+                .unwrap(),
             parent: field("\"parent\":").parse().unwrap(),
             name: field("\"name\":\"").to_string(),
             dur_us: field("\"dur_us\":").parse().unwrap(),
@@ -289,6 +296,27 @@ fn experiment_queries_retime_base_once_per_run() {
         passes("base-2", "/v1/experiments?app=lu&model=base&window=32"),
         0,
         "a fresh BASE body reads the run's memo"
+    );
+}
+
+#[test]
+fn summary_cells_nest_under_dag_run() {
+    // `small_config()` re-times on two DAG workers, so every gang runs
+    // on a spawned worker thread; its cells still nest under dag.run.
+    let service = Arc::new(ExperimentService::new(small_config(), None));
+    let server = RunningServer::start(Arc::clone(&service));
+    let reply = http_get(server.addr, "/v1/summary", &[("X-Request-Id", "summary-1")]);
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let trace = http_get(server.addr, "/v1/debug/trace/summary-1", &[]);
+    assert_eq!(trace.status, 200, "{}", trace.body);
+    let spans = parse_spans(&trace.body);
+    let runs: Vec<&Span> = spans.iter().filter(|s| s.name == "dag.run").collect();
+    assert_eq!(runs.len(), 1, "{spans:?}");
+    let cells: Vec<&Span> = spans.iter().filter(|s| s.name == "retime.cell").collect();
+    assert!(!cells.is_empty(), "{spans:?}");
+    assert!(
+        cells.iter().all(|s| s.parent == runs[0].id),
+        "every retime.cell hangs off dag.run: {spans:?}"
     );
 }
 

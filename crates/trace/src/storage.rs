@@ -9,7 +9,7 @@
 //! ([`ArchiveWriter`]/[`ArchiveInfo`]/[`ChunkReader`]): a complete
 //! generated run in *chunked* form — a checksummed header (cache key,
 //! application, program), a stream of per-chunk-checksummed
-//! [`TraceChunk`](crate::stream::TraceChunk) records (interleavable
+//! [`TraceChunk`] records (interleavable
 //! across processors, so the writer can run concurrently with trace
 //! generation), and a checksummed trailer (run statistics) found via a
 //! trailing length word. Readers stream one processor's chunks

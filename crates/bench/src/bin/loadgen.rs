@@ -107,7 +107,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--spawn" => opts.spawn = true,
             "--keepalive" => opts.keepalive = true,
             "--expect-single-flight" => opts.expect_single_flight = true,
-            "--addr" => opts.addr = Some(parse_serve_addr(&args.value("--addr")?)?),
+            "--addr" => opts.addr = Some(parse_serve_addr("--addr", &args.value("--addr")?)?),
             "--requests" => opts.requests = positive(&args.value("--requests")?, "--requests")?,
             "--connections" => {
                 opts.connections = positive(&args.value("--connections")?, "--connections")?

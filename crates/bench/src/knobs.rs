@@ -159,7 +159,7 @@ pub const KNOBS: &[Knob] = &[
         name: "LOOKAHEAD_SERVE_ADDR",
         flag: Some("--addr"),
         bins: &[Serve, Loadgen],
-        parse: |k, v| parse_serve_addr(v).map(|a| k.serve_addr = Some(a)),
+        parse: |k, v| parse_serve_addr("LOOKAHEAD_SERVE_ADDR", v).map(|a| k.serve_addr = Some(a)),
         value: "IP:PORT",
         help: "service address (default 127.0.0.1:7417)",
     },
@@ -167,17 +167,11 @@ pub const KNOBS: &[Knob] = &[
         name: "LOOKAHEAD_SERVE_THREADS",
         flag: Some("--threads"),
         bins: &[Serve],
-        parse: |k, v| parse_serve_threads(v).map(|n| k.serve_threads = Some(n)),
+        parse: |k, v| {
+            parse_serve_threads("LOOKAHEAD_SERVE_THREADS", v).map(|n| k.serve_threads = Some(n))
+        },
         value: "N",
         help: "handler threads (default 4)",
-    },
-    Knob {
-        name: "LOOKAHEAD_SERVE_PREWARM",
-        flag: Some("--prewarm"),
-        bins: &[Serve],
-        parse: |k, v| parse_bool("LOOKAHEAD_SERVE_PREWARM", v).map(|on| k.prewarm = Some(on)),
-        value: "1",
-        help: "prewarm likely-next bodies when idle",
     },
 ];
 
@@ -217,7 +211,6 @@ pub struct Knobs {
     log: Option<Filter>,
     serve_addr: Option<SocketAddr>,
     serve_threads: Option<usize>,
-    prewarm: Option<bool>,
 }
 
 impl Knobs {
@@ -330,12 +323,6 @@ impl Knobs {
     pub fn serve_threads(&self, flag: Option<usize>) -> usize {
         resolve(flag, self.serve_threads, || DEFAULT_SERVE_THREADS)
     }
-
-    /// Speculative pre-warm: `--prewarm`, else
-    /// `LOOKAHEAD_SERVE_PREWARM`, else off.
-    pub fn prewarm(&self, flag: bool) -> bool {
-        resolve(flag.then_some(true), self.prewarm, || false)
-    }
 }
 
 /// Reads the process environment through the table and installs the
@@ -441,7 +428,12 @@ mod tests {
 
     #[test]
     fn unknown_names_are_rejected_by_name() {
-        for name in ["LOOKAHEAD_SCHEDULER", "LOOKAHEAD_JOB", "LOOKAHEAD_"] {
+        for name in [
+            "LOOKAHEAD_SCHEDULER",
+            "LOOKAHEAD_SERVE_PREWARM",
+            "LOOKAHEAD_JOB",
+            "LOOKAHEAD_",
+        ] {
             let err = parse(&[(name, "1")]).unwrap_err();
             assert!(err.contains(&format!("variable {name};")), "{err}");
         }
@@ -451,12 +443,7 @@ mod tests {
 
     #[test]
     fn booleans_share_one_dialect() {
-        for name in [
-            "LOOKAHEAD_SMALL",
-            "LOOKAHEAD_PAPER",
-            "LOOKAHEAD_LARGE",
-            "LOOKAHEAD_SERVE_PREWARM",
-        ] {
+        for name in ["LOOKAHEAD_SMALL", "LOOKAHEAD_PAPER", "LOOKAHEAD_LARGE"] {
             for on in ["1", " 1 "] {
                 assert!(parse(&[(name, on)]).is_ok(), "{name}={on:?}");
             }
@@ -467,12 +454,6 @@ mod tests {
         }
         let off = parse(&[("LOOKAHEAD_SMALL", "0"), ("LOOKAHEAD_PAPER", "")]).unwrap();
         assert_eq!(off.tier(None), SizeTier::Default);
-        assert!(!parse(&[("LOOKAHEAD_SERVE_PREWARM", "0")])
-            .unwrap()
-            .prewarm(false));
-        assert!(parse(&[("LOOKAHEAD_SERVE_PREWARM", "1")])
-            .unwrap()
-            .prewarm(false));
     }
 
     #[test]
@@ -574,7 +555,7 @@ mod tests {
             }
         }
         // Every line fits a terminal, flag included.
-        let widest = usage(Serve, "--jobs --addr --threads --prewarm --cache-dir");
+        let widest = usage(Serve, "--jobs --addr --threads --cache-dir");
         assert!(widest.lines().all(|l| l.len() <= 80), "{widest}");
         // A flag is named only where the usage documents it.
         let with = usage(Serve, "  --threads N  handler threads");

@@ -40,8 +40,6 @@ options:
                    503 + Retry-After at accept (default: 4096)
   --jobs N         sweep tasks run at once (default: all cores); each
                    gang task runs one engine thread per unique cell
-  --prewarm        speculatively pre-compute likely-next report bodies
-                   (remaining apps, adjacent windows) while idle
   --cache-dir DIR  cache traces under DIR (default: target/trace-cache)
   --no-cache       disable the trace cache
   --span-log FILE  append every request's spans to FILE as JSONL
@@ -76,7 +74,6 @@ struct Options {
     addr_file: Option<String>,
     threads: Option<usize>,
     jobs: Option<usize>,
-    prewarm: bool,
     cache_dir: Option<String>,
     no_cache: bool,
     span_log: Option<String>,
@@ -93,14 +90,15 @@ fn parse(args: &[String]) -> Result<Option<Options>, String> {
         match a.as_str() {
             "-h" | "--help" => return Ok(None),
             "--no-cache" => opts.no_cache = true,
-            "--prewarm" => opts.prewarm = true,
             "--max-connections" => {
                 opts.max_connections =
                     Some(parse_max_connections(&args.value("--max-connections")?)?);
             }
-            "--addr" => opts.addr = Some(parse_serve_addr(&args.value("--addr")?)?),
+            "--addr" => opts.addr = Some(parse_serve_addr("--addr", &args.value("--addr")?)?),
             "--addr-file" => opts.addr_file = Some(args.value("--addr-file")?),
-            "--threads" => opts.threads = Some(parse_serve_threads(&args.value("--threads")?)?),
+            "--threads" => {
+                opts.threads = Some(parse_serve_threads("--threads", &args.value("--threads")?)?);
+            }
             "--cache-dir" => opts.cache_dir = Some(args.value("--cache-dir")?),
             "--span-log" => opts.span_log = Some(args.value("--span-log")?),
             "--jobs" => opts.jobs = Some(parallel::parse_jobs("--jobs", &args.value("--jobs")?)?),
@@ -123,7 +121,6 @@ fn build_service(opts: &Options, knobs: &Knobs) -> (Arc<ExperimentService>, usiz
             sim: knobs.config(),
             retime_workers: jobs,
             span_log: opts.span_log.as_ref().map(std::path::PathBuf::from),
-            prewarm: knobs.prewarm(opts.prewarm),
             ..ServiceConfig::default()
         },
         knobs.cache(
@@ -175,14 +172,9 @@ pub fn serve_main(args: &[String], knobs: &Knobs) -> ExitCode {
     }
     eprintln!(
         "lookahead serve: http://{bound} ({threads} handler workers, {jobs} re-timing workers, \
-         tier {}, cache {}, prewarm {}); Ctrl-C drains and exits",
+         tier {}, cache {}); Ctrl-C drains and exits",
         service.config().default_tier.name(),
         if service.disk_cache_enabled() {
-            "on"
-        } else {
-            "off"
-        },
-        if service.prewarm_enabled() {
             "on"
         } else {
             "off"
@@ -221,7 +213,6 @@ pub fn query_main(args: &[String], knobs: &Knobs) -> ExitCode {
         ("--addr-file", opts.addr_file.is_some()),
         ("--threads", opts.threads.is_some()),
         ("--span-log", opts.span_log.is_some()),
-        ("--prewarm", opts.prewarm),
         ("--max-connections", opts.max_connections.is_some()),
     ];
     if let Some((flag, _)) = serve_only.iter().find(|(_, set)| *set) {

@@ -189,17 +189,31 @@ fn http_body_equals_cli_query_body_and_sigint_drains() {
 
 #[test]
 fn malformed_serve_knobs_exit_2() {
+    // A bad flag value names the flag, not the variable it overrides;
+    // a retired flag is an unknown option.
     for args in [
         ["serve", "--addr", "not-an-addr"].as_slice(),
         ["serve", "--threads", "0"].as_slice(),
         ["serve", "--jobs", "zero"].as_slice(),
         ["serve", "--scheduler", "dag"].as_slice(),
+        ["serve", "--prewarm"].as_slice(),
     ] {
         let out = lookahead_cmd(args).output().expect("runs");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("error"), "{args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with("error: ") && first.contains(args[1]),
+            "the error must name {}: {stderr}",
+            args[1]
+        );
     }
+    let mut loadgen = Command::new(env!("CARGO_BIN_EXE_loadgen"));
+    fast_env(&mut loadgen);
+    let out = loadgen.args(["--addr", "bogus"]).output().expect("runs");
+    assert_eq!(out.status.code(), Some(2), "loadgen --addr bogus");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("error: --addr must"), "{stderr}");
 
     // The same fail-fast convention for the environment knobs.
     for (knob, value) in [

@@ -17,8 +17,8 @@ const FAST: [(&str, &str); 3] = [
     ("LOOKAHEAD_APPS", "LU,MP3D"),
 ];
 
-/// One malformed value per row that has one, then two names the table
-/// does not hold: a retired knob and a typo.
+/// One malformed value per row that has one, then three names the
+/// table does not hold: two retired knobs and a typo.
 const MALFORMED: &[(&str, &str)] = &[
     ("LOOKAHEAD_SMALL", "false"),
     ("LOOKAHEAD_PAPER", "yes"),
@@ -29,8 +29,8 @@ const MALFORMED: &[(&str, &str)] = &[
     ("LOOKAHEAD_LOG", "bogus"),
     ("LOOKAHEAD_SERVE_ADDR", "localhost:80"),
     ("LOOKAHEAD_SERVE_THREADS", "0"),
-    ("LOOKAHEAD_SERVE_PREWARM", "yes"),
     ("LOOKAHEAD_SCHEDULER", "flat"),
+    ("LOOKAHEAD_SERVE_PREWARM", "1"),
     ("LOOKAHEAD_JOB", "2"),
 ];
 

@@ -88,22 +88,6 @@ impl<V> SingleFlight<V> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Whether `key` already has a memoized result, without blocking
-    /// on an in-flight leader. Conservative: an in-flight or
-    /// lock-contended key reads as not completed — callers probing
-    /// before speculative work (the serve pre-warm path) then simply
-    /// coalesce instead of skipping.
-    pub fn completed(&self, key: &str) -> bool {
-        let flight = {
-            let map = self.flights.lock().expect("flight map poisoned");
-            map.get(key).map(Arc::clone)
-        };
-        match flight {
-            None => false,
-            Some(f) => matches!(f.state.try_lock().as_deref(), Ok(FlightState::Done(_))),
-        }
-    }
 }
 
 impl<V: Clone> SingleFlight<V> {

@@ -210,19 +210,6 @@ impl MetricsRegistry {
         self.metrics.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// All metrics under a path prefix (`"core.ds"` matches
-    /// `core.ds.rob_occupancy` but not `core.dsx.y`).
-    pub fn iter_prefix<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a str, &'a Metric)> {
-        self.metrics
-            .range(prefix.to_owned()..)
-            .take_while(move |(k, _)| k.as_str().starts_with(prefix))
-            .filter(move |(k, _)| k.len() == prefix.len() || k.as_bytes()[prefix.len()] == b'.')
-            .map(|(k, v)| (k.as_str(), v))
-    }
-
     pub fn len(&self) -> usize {
         self.metrics.len()
     }

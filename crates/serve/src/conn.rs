@@ -82,8 +82,8 @@ enum State {
 /// Why the response write finished — carries what the transport must
 /// record once the last byte is flushed.
 enum Finish {
-    /// A handled request with a full trace: close the span tree, file
-    /// it, and release the in-flight slot the dispatch took.
+    /// A handled request with a full trace: close the span tree and
+    /// file it.
     Traced {
         ctx: TraceContext,
         root: u32,
@@ -430,14 +430,6 @@ pub(crate) fn run_reactor(
         jobs.close();
     });
 
-    // Orphaned completions (connections that died mid-drain) still
-    // hold in-flight slots.
-    for completion in completions.lock().expect("completions poisoned").drain(..) {
-        if let Some(stream) = &completion.stream {
-            stream.abort();
-        }
-        service.in_flight_exit();
-    }
     service.set_open_connections(0);
     r.stats
 }
@@ -806,10 +798,6 @@ impl Reactor<'_> {
             conn.interest = Some((false, false));
         }
         let request_start = conn.request_start;
-        // The in-flight slot is held from dispatch to write
-        // completion, so streamed bodies keep the pre-warm thread
-        // parked until their last byte is flushed.
-        self.service.in_flight_enter();
         self.jobs.push(Job {
             token,
             request,
@@ -862,9 +850,6 @@ impl Reactor<'_> {
             // The connection died while its request was in flight.
             if let Some(stream) = &stream {
                 stream.abort();
-            }
-            if matches!(finish, Finish::Traced { .. }) {
-                self.service.in_flight_exit();
             }
             return;
         };
@@ -1001,7 +986,6 @@ impl Reactor<'_> {
                 self.service.finish_request(&ctx, &path, status);
                 self.service
                     .record_http(popped.elapsed().as_micros() as u64);
-                self.service.in_flight_exit();
             }
             Finish::Plain { start } => {
                 self.service.record_http(start.elapsed().as_micros() as u64);
@@ -1108,16 +1092,9 @@ impl Reactor<'_> {
         if conn.interest.is_some() {
             let _ = self.epoll.delete(conn.stream.as_raw_fd());
         }
-        if let Some(w) = conn.write {
-            if let Some(stream) = &w.stream {
-                stream.abort();
-            }
-            if matches!(w.finish, Finish::Traced { .. }) {
-                self.service.in_flight_exit();
-            }
+        if let Some(stream) = conn.write.and_then(|w| w.stream) {
+            stream.abort();
         }
-        // A connection closed while Dispatched keeps its in-flight
-        // slot until the orphaned completion drains.
         if aborted {
             self.stats.aborted += 1;
         }

@@ -14,31 +14,31 @@ use std::str::FromStr;
 /// `LOOKAHEAD_SERVE_ADDR` says otherwise.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7417";
 
-/// Parses a `LOOKAHEAD_SERVE_ADDR` / `--addr` value: an explicit
-/// `IP:PORT` socket address (IPv6 bracketed, e.g. `[::1]:7417`).
-/// Port 0 is allowed — the OS picks a free port, which `--addr-file`
-/// exposes to scripts.
+/// Parses an address given through `knob` (`--addr` or
+/// `LOOKAHEAD_SERVE_ADDR`): an explicit `IP:PORT` socket address (IPv6
+/// bracketed, e.g. `[::1]:7417`). Port 0 is allowed — the OS picks a
+/// free port, which `--addr-file` exposes to scripts.
 ///
 /// # Errors
 ///
 /// Returns a message naming the knob and the accepted shape.
-pub fn parse_serve_addr(v: &str) -> Result<SocketAddr, String> {
+pub fn parse_serve_addr(knob: &str, v: &str) -> Result<SocketAddr, String> {
     SocketAddr::from_str(v.trim()).map_err(|_| {
         format!(
-            "LOOKAHEAD_SERVE_ADDR must be an IP:PORT socket address \
+            "{knob} must be an IP:PORT socket address \
              (e.g. 127.0.0.1:7417 or [::1]:0), got {v:?}"
         )
     })
 }
 
-/// Parses a `LOOKAHEAD_SERVE_THREADS` / `--threads` value: a positive
-/// worker-thread count.
+/// Parses a handler-thread count given through `knob` (`--threads` or
+/// `LOOKAHEAD_SERVE_THREADS`): a positive integer.
 ///
 /// # Errors
 ///
 /// Returns a message naming the knob.
-pub fn parse_serve_threads(v: &str) -> Result<usize, String> {
-    parse_positive("LOOKAHEAD_SERVE_THREADS", "worker threads", v)
+pub fn parse_serve_threads(knob: &str, v: &str) -> Result<usize, String> {
+    parse_positive(knob, "worker threads", v)
 }
 
 /// Parses a `--max-connections` value: the server's open-connection
@@ -57,16 +57,11 @@ mod tests {
 
     #[test]
     fn addr_accepts_socket_addresses() {
-        assert_eq!(
-            parse_serve_addr("127.0.0.1:7417").unwrap().to_string(),
-            "127.0.0.1:7417"
-        );
-        assert_eq!(
-            parse_serve_addr(" 0.0.0.0:80 ").unwrap().to_string(),
-            "0.0.0.0:80"
-        );
-        assert_eq!(parse_serve_addr("[::1]:0").unwrap().port(), 0);
-        assert_eq!(parse_serve_addr("127.0.0.1:0").unwrap().port(), 0);
+        let parse = |v| parse_serve_addr("--addr", v).unwrap();
+        assert_eq!(parse("127.0.0.1:7417").to_string(), "127.0.0.1:7417");
+        assert_eq!(parse(" 0.0.0.0:80 ").to_string(), "0.0.0.0:80");
+        assert_eq!(parse("[::1]:0").port(), 0);
+        assert_eq!(parse("127.0.0.1:0").port(), 0);
     }
 
     #[test]
@@ -80,24 +75,28 @@ mod tests {
             "127.0.0.1:99999",
             "http://127.0.0.1:80",
         ] {
-            let err = parse_serve_addr(bad).unwrap_err();
-            assert!(err.contains("LOOKAHEAD_SERVE_ADDR"), "{bad:?}: {err}");
+            for knob in ["LOOKAHEAD_SERVE_ADDR", "--addr"] {
+                let err = parse_serve_addr(knob, bad).unwrap_err();
+                assert!(err.starts_with(&format!("{knob} must")), "{bad:?}: {err}");
+            }
         }
     }
 
     #[test]
     fn threads_accepts_positive_integers_only() {
-        assert_eq!(parse_serve_threads("8"), Ok(8));
-        assert_eq!(parse_serve_threads(" 1 "), Ok(1));
+        assert_eq!(parse_serve_threads("--threads", "8"), Ok(8));
+        assert_eq!(parse_serve_threads("--threads", " 1 "), Ok(1));
         for bad in ["0", "", "eight", "-2", "1.5"] {
-            let err = parse_serve_threads(bad).unwrap_err();
-            assert!(err.contains("LOOKAHEAD_SERVE_THREADS"), "{bad:?}: {err}");
+            for knob in ["LOOKAHEAD_SERVE_THREADS", "--threads"] {
+                let err = parse_serve_threads(knob, bad).unwrap_err();
+                assert!(err.starts_with(&format!("{knob} must")), "{bad:?}: {err}");
+            }
         }
     }
 
     #[test]
     fn default_addr_is_valid() {
-        assert!(parse_serve_addr(DEFAULT_ADDR).is_ok());
+        assert!(parse_serve_addr("--addr", DEFAULT_ADDR).is_ok());
     }
 
     #[test]

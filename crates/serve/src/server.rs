@@ -20,7 +20,6 @@
 use crate::conn::Poller;
 use crate::http::{RequestError, Response};
 use crate::service::ExperimentService;
-use crate::signal::sigint_received;
 use lookahead_obs::json::JsonObject;
 use lookahead_obs::span::TraceContext;
 use std::io;
@@ -99,11 +98,6 @@ impl ShutdownHandle {
     pub fn shutdown(&self) {
         self.0.store(true, Ordering::SeqCst);
     }
-
-    /// Whether shutdown has been requested.
-    pub fn is_shutdown(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
 }
 
 /// The HTTP server: owns the listener and the reactor's kernel
@@ -159,36 +153,7 @@ impl Server {
             shutdown,
             ..
         } = self;
-        let mut stats = ServerStats::default();
-        std::thread::scope(|scope| {
-            // Speculative pre-warm: strictly idle-priority. The thread
-            // only computes a predicted body when no client request is
-            // in flight (or being written), and parks otherwise; it
-            // observes the same shutdown signals as the event loop.
-            if service.prewarm_enabled() {
-                let service = Arc::clone(&service);
-                let shutdown = Arc::clone(&shutdown);
-                let watch_sigint = config.watch_sigint;
-                std::thread::Builder::new()
-                    .name("serve-prewarm".to_string())
-                    .spawn_scoped(scope, move || loop {
-                        if shutdown.load(Ordering::SeqCst) || (watch_sigint && sigint_received()) {
-                            return;
-                        }
-                        let worked = service.idle() && service.prewarm_tick();
-                        if !worked {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                    })
-                    .expect("spawn prewarm");
-            }
-
-            stats = crate::conn::run_reactor(&listener, poller, &config, &shutdown, &service);
-            // Make shutdown visible to the pre-warm thread even when
-            // it was requested via SIGINT rather than the handle.
-            shutdown.store(true, Ordering::SeqCst);
-        });
-        stats
+        crate::conn::run_reactor(&listener, poller, &config, &shutdown, &service)
     }
 }
 

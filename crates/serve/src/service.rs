@@ -52,7 +52,7 @@ use lookahead_obs::span::{self, TraceContext};
 use lookahead_obs::{log, prom};
 use lookahead_trace::Breakdown;
 use lookahead_workloads::App;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,11 +86,10 @@ pub struct ServiceConfig {
     /// `ServiceConfig` literal; delete it together with that literal
     /// and [`Scheduler`].
     pub scheduler: Scheduler,
-    /// Speculatively pre-compute likely-next report bodies (remaining
-    /// apps of a figure sweep, adjacent windows of an experiment
-    /// query) while the server is idle. Off by default: pre-warm runs
-    /// extra generations in the background, which changes the
-    /// process-wide run accounting that cold-start smoke checks pin.
+    /// Never read: every body is computed because a client asked for
+    /// it. The field remains only because the benchmark probe
+    /// (`perfbench/probe/src/serve.rs`) names it in its
+    /// `ServiceConfig` literal; delete it together with that literal.
     pub prewarm: bool,
 }
 
@@ -202,29 +201,8 @@ pub struct ExperimentService {
     /// Most recent finished request traces, newest at the back.
     traces: Mutex<VecDeque<(String, String)>>,
     span_sink: Option<Mutex<std::io::BufWriter<std::fs::File>>>,
-    /// Client requests currently being handled (or written); the
-    /// pre-warm thread only runs speculative work when this is zero.
-    in_flight: AtomicU64,
-    /// Predicted-next targets waiting for an idle tick, oldest first.
-    prewarm_queue: Mutex<VecDeque<String>>,
-    /// Every target ever enqueued (so a prediction is tried once per
-    /// process, not re-queued on every request that implies it).
-    prewarm_seen: Mutex<HashSet<String>>,
-    /// Body keys the pre-warm thread computed that no client has asked
-    /// for yet — the measure of speculative work not (yet) paid back.
-    prewarm_unclaimed: Mutex<HashSet<String>>,
     /// Connections currently open on the reactor (gauge).
     reactor_open_connections: AtomicU64,
-}
-
-/// RAII marker for a client request in flight; the pre-warm thread
-/// stays off the CPU while any exist.
-struct InFlightGuard<'a>(&'a ExperimentService);
-
-impl Drop for InFlightGuard<'_> {
-    fn drop(&mut self) {
-        self.0.in_flight.fetch_sub(1, Ordering::SeqCst);
-    }
 }
 
 impl ExperimentService {
@@ -261,10 +239,6 @@ impl ExperimentService {
             flights_memoized: AtomicU64::new(0),
             traces: Mutex::new(VecDeque::new()),
             span_sink,
-            in_flight: AtomicU64::new(0),
-            prewarm_queue: Mutex::new(VecDeque::new()),
-            prewarm_seen: Mutex::new(HashSet::new()),
-            prewarm_unclaimed: Mutex::new(HashSet::new()),
             reactor_open_connections: AtomicU64::new(0),
         }
     }
@@ -284,38 +258,10 @@ impl ExperimentService {
         self.runs.disk_cache_enabled()
     }
 
-    /// Marks a client request as in flight until the guard drops
-    /// (around the handler call; the reactor also holds a slot across
-    /// the response write, see [`ExperimentService::in_flight_enter`]).
-    fn in_flight_guard(&self) -> InFlightGuard<'_> {
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        InFlightGuard(self)
-    }
-
-    /// True when no client request is being handled or written —
-    /// the only state in which speculative pre-warm work is admitted.
-    pub fn idle(&self) -> bool {
-        self.in_flight.load(Ordering::SeqCst) == 0
-    }
-
-    /// Whether speculative pre-warm is enabled.
-    pub fn prewarm_enabled(&self) -> bool {
-        self.config.prewarm
-    }
-
     /// Routes one parsed request to a response. Bodies are
     /// deterministic for every route except `/metrics`,
     /// `/metrics.json` and `/v1/debug/trace/<id>`.
     pub fn handle(&self, request: &Request) -> Response {
-        let _guard = self.in_flight_guard();
-        let response = self.handle_inner(request);
-        if self.config.prewarm && response.status == 200 {
-            self.predict(request);
-        }
-        response
-    }
-
-    fn handle_inner(&self, request: &Request) -> Response {
         self.count("serve.http.requests", 1);
         let result = match request.path.as_str() {
             "/healthz" => Ok(Response::json(
@@ -398,18 +344,6 @@ impl ExperimentService {
                 }
             }
         };
-        // A shared result may be speculative pre-warm work paying off:
-        // claim it so the hit/wasted accounting stays exact.
-        if self.config.prewarm && !matches!(outcome, FlightOutcome::Led) {
-            let claimed = self
-                .prewarm_unclaimed
-                .lock()
-                .expect("prewarm unclaimed poisoned")
-                .remove(&key);
-            if claimed {
-                self.count("serve.prewarm.hits", 1);
-            }
-        }
         result.map(|b| Response::json(200, (*b).clone()))
     }
 
@@ -449,19 +383,6 @@ impl ExperimentService {
     /// Records a backpressure rejection (called by the transport).
     pub fn record_rejected(&self) {
         self.count("serve.http.rejected_503", 1);
-    }
-
-    /// Raw in-flight accounting for the reactor, which cannot hold a
-    /// borrow-scoped guard across event-loop iterations: enter when a request is dispatched, exit when its
-    /// response write completes (or the connection dies). Must be
-    /// balanced, or the pre-warm thread starves forever.
-    pub fn in_flight_enter(&self) {
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// See [`ExperimentService::in_flight_enter`].
-    pub fn in_flight_exit(&self) {
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Reactor loop accounting, batched once per `epoll_wait` round:
@@ -724,22 +645,6 @@ impl ExperimentService {
             self.flights_memoized.load(Ordering::Relaxed),
         );
         snapshot.gauge_set(
-            "serve.prewarm.queue_depth",
-            self.prewarm_queue
-                .lock()
-                .expect("prewarm queue poisoned")
-                .len() as i64,
-        );
-        // Speculative bodies no client has asked for (yet): the
-        // wasted-work side of the pre-warm ledger.
-        snapshot.gauge_set(
-            "serve.prewarm.unclaimed",
-            self.prewarm_unclaimed
-                .lock()
-                .expect("prewarm unclaimed poisoned")
-                .len() as i64,
-        );
-        snapshot.gauge_set(
             "serve.reactor.open_connections",
             self.reactor_open_connections.load(Ordering::Relaxed) as i64,
         );
@@ -907,136 +812,6 @@ impl ExperimentService {
                 sink.write_all(b"]}")
             })
         }))
-    }
-
-    // ---- speculative pre-warm ------------------------------------
-
-    /// Enqueues the targets a just-served request makes likely next:
-    /// the same figure for the remaining applications, or the adjacent
-    /// windows of an experiment sweep. Predictions are computed on the
-    /// request path (cheap string work); the bodies are computed by
-    /// [`prewarm_tick`](Self::prewarm_tick) only while the server is
-    /// idle.
-    fn predict(&self, request: &Request) {
-        let mut targets = Vec::new();
-        match request.path.as_str() {
-            "/v1/figure3" | "/v1/figure4" => {
-                let (Some(app), Ok(tier)) = (request.param("app"), self.parse_tier(request)) else {
-                    return;
-                };
-                for other in App::ALL {
-                    if !other.name().eq_ignore_ascii_case(app) {
-                        targets.push(format!(
-                            "{}?app={}&tier={}",
-                            request.path,
-                            other.name(),
-                            tier.name()
-                        ));
-                    }
-                }
-            }
-            "/v1/experiments" => {
-                let Ok(q) = self.parse_experiment_query(request) else {
-                    return;
-                };
-                let Some(at) = PAPER_WINDOWS.iter().position(|&w| w == q.window) else {
-                    return;
-                };
-                let neighbors = [at.checked_sub(1), Some(at + 1)];
-                for w in neighbors
-                    .into_iter()
-                    .flatten()
-                    .filter_map(|i| PAPER_WINDOWS.get(i))
-                {
-                    targets.push(format!(
-                        "/v1/experiments?app={}&tier={}&model={}&consistency={}&window={}&width={}",
-                        q.app.name(),
-                        q.tier.name(),
-                        q.model.name(),
-                        q.consistency.abbrev(),
-                        w,
-                        q.width
-                    ));
-                }
-            }
-            _ => {}
-        }
-        if targets.is_empty() {
-            return;
-        }
-        let mut seen = self.prewarm_seen.lock().expect("prewarm seen poisoned");
-        let mut queue = self.prewarm_queue.lock().expect("prewarm queue poisoned");
-        for target in targets {
-            if seen.insert(target.clone()) {
-                queue.push_back(target);
-                self.count("serve.prewarm.enqueued", 1);
-            }
-        }
-    }
-
-    /// Pops one predicted target and computes its body through the
-    /// same single-flight map client requests use, so a client asking
-    /// mid-computation coalesces instead of duplicating. Returns
-    /// `false` when the queue is empty. Call only from an idle
-    /// context (the transport's pre-warm thread checks
-    /// [`idle`](Self::idle) first).
-    pub fn prewarm_tick(&self) -> bool {
-        let target = self
-            .prewarm_queue
-            .lock()
-            .expect("prewarm queue poisoned")
-            .pop_front();
-        let Some(target) = target else {
-            return false;
-        };
-        let (path, query) = match target.split_once('?') {
-            Some((p, q)) => (p, q),
-            None => (target.as_str(), ""),
-        };
-        let request = Request {
-            method: "GET".to_string(),
-            path: path.to_string(),
-            query: crate::http::parse_query(query),
-            request_id: None,
-            keep_alive: false,
-        };
-        type KeyFn = fn(&ExperimentService, &Request) -> Result<String, ApiError>;
-        type BodyFn = fn(&ExperimentService, &Request) -> Result<String, ApiError>;
-        let fns: Option<(KeyFn, BodyFn)> = match path {
-            "/v1/figure3" => Some((Self::figure_key::<3>, Self::figure3_body)),
-            "/v1/figure4" => Some((Self::figure_key::<4>, Self::figure4_body)),
-            "/v1/experiments" => Some((Self::experiments_key, Self::experiments_body)),
-            _ => None,
-        };
-        let Some((key_fn, body_fn)) = fns else {
-            self.count("serve.prewarm.skipped", 1);
-            return true;
-        };
-        let Ok(key) = key_fn(self, &request) else {
-            self.count("serve.prewarm.skipped", 1);
-            return true;
-        };
-        if self.bodies.completed(&key) {
-            self.count("serve.prewarm.skipped", 1);
-            return true;
-        }
-        let (result, outcome) = self
-            .bodies
-            .run(&key, || body_fn(self, &request).map(Arc::new));
-        match outcome {
-            FlightOutcome::Led if result.is_ok() => {
-                self.prewarm_unclaimed
-                    .lock()
-                    .expect("prewarm unclaimed poisoned")
-                    .insert(key);
-                self.count("serve.prewarm.computed", 1);
-            }
-            FlightOutcome::Led => self.count("serve.prewarm.failed", 1),
-            // Someone computed or started it meanwhile; the
-            // speculation was redundant, not wasted compute.
-            _ => self.count("serve.prewarm.skipped", 1),
-        }
-        true
     }
 
     /// The §7 headline matrix: per-app hidden-read-latency fractions

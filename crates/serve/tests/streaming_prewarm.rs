@@ -1,13 +1,7 @@
-//! Integration tests for the two new serve behaviours riding on the
-//! DAG scheduler:
-//!
-//! * **incremental streaming** — `stream=1` on the figure routes sends
-//!   the body with chunked framing, one fragment per finished column,
-//!   and the reassembled bytes are identical to the buffered body;
-//! * **speculative pre-warm** — after a figure query, the idle service
-//!   pre-computes the remaining apps; a later client asking for one of
-//!   them gets a memoized body (a recorded pre-warm hit) that is
-//!   byte-identical to what a cold service would have produced.
+//! Integration tests for **incremental streaming**: `stream=1` on the
+//! figure routes sends the body with chunked framing, one fragment per
+//! finished column, and the reassembled bytes are identical to the
+//! buffered body.
 //!
 //! Everything runs at the small tier so cold sweeps are fast.
 
@@ -31,20 +25,6 @@ fn small_config() -> ServiceConfig {
 
 fn small_service() -> Arc<ExperimentService> {
     Arc::new(ExperimentService::new(small_config(), None))
-}
-
-/// Reads one counter out of the /metrics.json JSON (flat "path":value).
-fn metric(body: &str, path: &str) -> u64 {
-    let needle = format!("\"{path}\":");
-    let at = body
-        .find(&needle)
-        .unwrap_or_else(|| panic!("{path} not in {body}"));
-    body[at + needle.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap()
 }
 
 /// Splits a chunked transfer encoding body into its chunk payloads
@@ -167,77 +147,4 @@ fn stream_errors_stay_buffered() {
         assert!(r.body.contains("error"), "{target}: {}", r.body);
     }
     assert_eq!(service.run_stats().generations, 0);
-}
-
-#[test]
-fn prewarm_precomputes_likely_next_figures_and_records_hits() {
-    let service = Arc::new(ExperimentService::new(
-        ServiceConfig {
-            prewarm: true,
-            ..small_config()
-        },
-        None,
-    ));
-
-    // A figure query predicts the same sweep over the remaining apps.
-    let first = handle_target(&service, "/v1/figure3?app=mp3d");
-    assert_eq!(first.status, 200, "{}", first.body);
-
-    // Drain the queue the way the server's pre-warm thread would.
-    let mut ticks = 0;
-    while service.prewarm_tick() {
-        ticks += 1;
-        assert!(ticks < 64, "pre-warm queue must drain");
-    }
-    assert!(ticks >= 1, "the first query must enqueue predictions");
-
-    // A later client asking for a predicted figure is a memoized hit...
-    let warmed = handle_target(&service, "/v1/figure3?app=lu");
-    assert_eq!(warmed.status, 200, "{}", warmed.body);
-
-    // ...whose bytes match a service that never pre-warmed.
-    let cold = handle_target(&small_service(), "/v1/figure3?app=lu");
-    assert_eq!(
-        warmed.body, cold.body,
-        "pre-warmed bodies must be byte-identical to cold ones"
-    );
-
-    let m = handle_target(&service, "/metrics.json");
-    assert_eq!(m.status, 200);
-    assert!(metric(&m.body, "serve.prewarm.computed") >= 1, "{}", m.body);
-    assert!(
-        metric(&m.body, "serve.prewarm.hits") >= 1,
-        "the LU figure must be claimed from the pre-warm set: {}",
-        m.body
-    );
-}
-
-#[test]
-fn prewarm_is_off_by_default_and_skips_known_bodies() {
-    // Off by default: no predictions, no queue.
-    let service = small_service();
-    let r = handle_target(&service, "/v1/figure3?app=lu");
-    assert_eq!(r.status, 200);
-    assert!(!service.prewarm_enabled());
-    assert!(!service.prewarm_tick(), "nothing may be queued");
-
-    // On, but the predicted body was already computed by a client:
-    // the tick skips instead of re-leading the flight.
-    let service = Arc::new(ExperimentService::new(
-        ServiceConfig {
-            prewarm: true,
-            ..small_config()
-        },
-        None,
-    ));
-    let a = handle_target(&service, "/v1/figure3?app=mp3d");
-    let b = handle_target(&service, "/v1/figure3?app=lu");
-    assert_eq!((a.status, b.status), (200, 200));
-    let generations_before = service.run_stats().generations;
-    while service.prewarm_tick() {}
-    let m = handle_target(&service, "/metrics.json");
-    assert!(metric(&m.body, "serve.prewarm.skipped") >= 1, "{}", m.body);
-    // Pre-warming the remaining apps may generate their runs, but the
-    // two already-served figures must not be recomputed.
-    assert!(service.run_stats().generations >= generations_before);
 }

@@ -8,17 +8,21 @@
 //! LOOKAHEAD_SMALL=1 cargo run --release --bin lookahead -- serve --addr 127.0.0.1:7417
 //! ```
 //!
-//! then run this client:
+//! then run this client, optionally with the server's `IP:PORT`
+//! (default `127.0.0.1:7417`; a malformed address exits 2):
 //!
 //! ```text
 //! cargo run --release --example query_service
-//! LOOKAHEAD_SERVE_ADDR=127.0.0.1:7417 cargo run --release --example query_service
+//! cargo run --release --example query_service -- 127.0.0.1:7417
 //! ```
 
+use lookahead_serve::{parse_serve_addr, DEFAULT_ADDR};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 
-fn get(addr: &str, target: &str) -> std::io::Result<(u16, String)> {
+const USAGE: &str = "usage: query_service [IP:PORT]";
+
+fn get(addr: SocketAddr, target: &str) -> std::io::Result<(u16, String)> {
     let mut conn = TcpStream::connect(addr)?;
     write!(
         conn,
@@ -39,8 +43,13 @@ fn get(addr: &str, target: &str) -> std::io::Result<(u16, String)> {
 }
 
 fn main() {
-    let addr =
-        std::env::var("LOOKAHEAD_SERVE_ADDR").unwrap_or_else(|_| "127.0.0.1:7417".to_string());
+    let mut args = std::env::args().skip(1);
+    let arg = args.next().unwrap_or_else(|| DEFAULT_ADDR.to_string());
+    let addr = match parse_serve_addr("the address argument", &arg) {
+        Ok(addr) if args.next().is_none() => addr,
+        Ok(_) => exit_usage("expected at most one argument, the server's IP:PORT"),
+        Err(e) => exit_usage(&e),
+    };
 
     let queries = [
         "/healthz",
@@ -50,7 +59,7 @@ fn main() {
         "/metrics",
     ];
     for target in queries {
-        match get(&addr, target) {
+        match get(addr, target) {
             Ok((status, body)) => {
                 println!("GET {target}\n  -> {status}, {} bytes", body.len());
                 // Bodies are compact JSON; show the small ones whole.
@@ -68,4 +77,9 @@ fn main() {
             }
         }
     }
+}
+
+fn exit_usage(error: &str) -> ! {
+    eprintln!("error: {error}\n\n{USAGE}");
+    std::process::exit(2);
 }

@@ -67,8 +67,6 @@ const STANDALONE: &[&str] = &["figure1", "latency100", "assoc", "contention", "s
 const USAGE: &str = "usage: lookahead [OPTIONS] REPORT [REPORT ...]
        lookahead serve [OPTIONS]    serve the suite over HTTP
        lookahead query TARGET       answer one service query, print body
-       lookahead bench generation   time cold trace generation, both engines
-       lookahead bench obs          measure request-tracing overhead
 
 Regenerates the requested tables and figures, generating or
 cache-loading each application trace exactly once per process.
@@ -150,21 +148,6 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("serve") => return lookahead_bench::serve_cli::serve_main(&args[1..], &knobs),
         Some("query") => return lookahead_bench::serve_cli::query_main(&args[1..], &knobs),
-        Some("bench") => {
-            return match args.get(1).map(String::as_str) {
-                Some("generation") => {
-                    lookahead_bench::generation::generation_main(&args[2..], &knobs)
-                }
-                Some("obs") => lookahead_bench::obsbench::obs_main(&args[2..], &knobs),
-                other => {
-                    let what = other.map_or("no subcommand".to_string(), |o| format!("{o:?}"));
-                    eprintln!(
-                        "error: lookahead bench: {what}; subcommands: generation, obs\n\n{usage}"
-                    );
-                    ExitCode::from(2)
-                }
-            }
-        }
         _ => {}
     }
     let opts = match knobs::settle(parse_args(&args), &usage) {

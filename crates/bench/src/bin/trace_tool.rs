@@ -18,7 +18,7 @@
 //! Run with `cargo run --release -p lookahead-bench --bin trace_tool -- stats LU`.
 
 use lookahead_bench::knobs::{self, Bin, Flags};
-use lookahead_bench::{write_obs_artifacts, Runner};
+use lookahead_bench::{write_obs_artifacts, write_stdout, Runner};
 use lookahead_core::ds::{Ds, DsConfig};
 use lookahead_core::model::ProcessorModel;
 use lookahead_core::{Btb, BtbConfig};
@@ -28,6 +28,7 @@ use lookahead_obs::{StallCause, StallClass};
 use lookahead_trace::storage::{read_archive_info, validate_archive_chunks};
 use lookahead_trace::TraceStats;
 use lookahead_workloads::App;
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::PathBuf;
@@ -95,8 +96,9 @@ fn main() -> ExitCode {
         }
     }
     if args.iter().any(|a| a == "-h" || a == "--help") {
-        println!("{usage}");
-        return ExitCode::SUCCESS;
+        return write_stdout(format!("{usage}\n").as_bytes())
+            .err()
+            .unwrap_or(ExitCode::SUCCESS);
     }
     let runner = Runner::new(
         knobs.config(),
@@ -105,8 +107,13 @@ fn main() -> ExitCode {
         knobs.jobs(None),
     )
     .with_obs_out(knobs.obs_out(obs_out));
-    match run(&args, &runner) {
-        Ok(()) => ExitCode::SUCCESS,
+    // Output is written once, at the end, so a reader that stops early
+    // (`trace_tool dump LU 5000 | head`) ends the program quietly.
+    let mut out = String::new();
+    let result = run(&args, &runner, &mut out);
+    let written = write_stdout(out.as_bytes());
+    match result {
+        Ok(()) => written.err().unwrap_or(ExitCode::SUCCESS),
         Err(UsageError::BadInvocation(msg)) => {
             eprintln!("trace_tool: {msg}\n\n{usage}");
             ExitCode::from(2)
@@ -125,7 +132,7 @@ enum UsageError {
     Failed(String),
 }
 
-fn run(args: &[String], runner: &Runner) -> Result<(), UsageError> {
+fn run(args: &[String], runner: &Runner, out: &mut String) -> Result<(), UsageError> {
     let bad = |m: String| UsageError::BadInvocation(m);
     let failed = |m: String| UsageError::Failed(m);
     match args {
@@ -133,15 +140,16 @@ fn run(args: &[String], runner: &Runner) -> Result<(), UsageError> {
             let run = runner.run_app(parse_app(app).map_err(bad)?);
             let mut btb = Btb::new(BtbConfig::PAPER);
             let stats = TraceStats::collect(run.trace(), Some(&mut btb));
-            println!(
+            let _ = writeln!(
+                out,
                 "{}: {} instructions (processor {})",
                 run.app,
                 run.trace_len(),
                 run.proc
             );
-            println!("  data:   {}", stats.data);
-            println!("  sync:   {}", stats.sync);
-            println!("  branch: {}", stats.branch);
+            let _ = writeln!(out, "  data:   {}", stats.data);
+            let _ = writeln!(out, "  sync:   {}", stats.sync);
+            let _ = writeln!(out, "  branch: {}", stats.branch);
             Ok(())
         }
         [cmd, app, n] if cmd == "dump" => {
@@ -149,7 +157,7 @@ fn run(args: &[String], runner: &Runner) -> Result<(), UsageError> {
                 .parse()
                 .map_err(|_| bad(format!("dump: N must be a non-negative integer, got {n:?}")))?;
             let run = runner.run_app(parse_app(app).map_err(bad)?);
-            print!("{}", run.trace().listing(&run.program, n));
+            out.push_str(&run.trace().listing(&run.program, n));
             Ok(())
         }
         [cmd, app, file] if cmd == "save" => {
@@ -161,7 +169,8 @@ fn run(args: &[String], runner: &Runner) -> Result<(), UsageError> {
             write_run(BufWriter::new(f), &key, &run)
                 .and_then(|w| w.into_inner().map_err(|e| e.into_error()))
                 .map_err(|e| failed(format!("writing {file}: {e}")))?;
-            println!(
+            let _ = writeln!(
+                out,
                 "wrote {} processors' traces of {} to {file} ({} representative entries, {} bytes)",
                 run.num_procs(),
                 run.app,
@@ -186,9 +195,10 @@ fn run(args: &[String], runner: &Runner) -> Result<(), UsageError> {
             let run = AppRun::from_archive(PathBuf::from(file), info);
             let base = run.base();
             let ds = run.retime(&Ds::new(DsConfig::rc().window(64)));
-            println!("BASE:     {}", base.breakdown);
-            println!("DS-64/RC: {}", ds.breakdown);
-            println!(
+            let _ = writeln!(out, "BASE:     {}", base.breakdown);
+            let _ = writeln!(out, "DS-64/RC: {}", ds.breakdown);
+            let _ = writeln!(
+                out,
                 "normalized: {:.1}",
                 ds.breakdown.normalized_to(&base.breakdown)
             );
@@ -205,7 +215,7 @@ fn run(args: &[String], runner: &Runner) -> Result<(), UsageError> {
                 ),
                 _ => return Err(bad("profile takes <APP> [N]".into())),
             };
-            profile(parse_app(app).map_err(bad)?, runner, top_n).map_err(failed)
+            profile(parse_app(app).map_err(bad)?, runner, top_n, out).map_err(failed)
         }
         [cmd, rest @ ..] if cmd == "spans" => {
             let (file, chrome) = match rest {
@@ -213,14 +223,15 @@ fn run(args: &[String], runner: &Runner) -> Result<(), UsageError> {
                 [file, flag, out] if flag == "--chrome" => (file, Some(out.as_str())),
                 _ => return Err(bad("spans takes <FILE> [--chrome OUT]".into())),
             };
-            spans_report(file, chrome).map_err(failed)
+            spans_report(file, chrome, out).map_err(failed)
         }
         [cmd, file] if cmd == "promcheck" => {
             let text = std::fs::read_to_string(file)
                 .map_err(|e| failed(format!("cannot read {file}: {e}")))?;
             let summary = lookahead_obs::prom::check_exposition(&text)
                 .map_err(|e| failed(format!("{file}: invalid Prometheus exposition: {e}")))?;
-            println!(
+            let _ = writeln!(
+                out,
                 "{file}: valid Prometheus text exposition ({} families, {} samples)",
                 summary.families, summary.samples
             );
@@ -272,7 +283,7 @@ fn read_spans(file: &str) -> Result<Vec<LoggedSpan>, String> {
 /// `trace_tool spans`: per-stage latency table over a span JSONL file,
 /// plus an optional Chrome `trace_event` export (load it in
 /// `chrome://tracing` or Perfetto; each request renders as one track).
-fn spans_report(file: &str, chrome: Option<&str>) -> Result<(), String> {
+fn spans_report(file: &str, chrome: Option<&str>, out: &mut String) -> Result<(), String> {
     let spans = read_spans(file)?;
     if spans.is_empty() {
         return Err(format!("{file}: no spans"));
@@ -280,7 +291,8 @@ fn spans_report(file: &str, chrome: Option<&str>) -> Result<(), String> {
     let mut requests: Vec<&str> = spans.iter().map(|s| s.request_id.as_str()).collect();
     requests.sort_unstable();
     requests.dedup();
-    println!(
+    let _ = writeln!(
+        out,
         "{file}: {} spans across {} requests",
         spans.len(),
         requests.len()
@@ -296,14 +308,16 @@ fn spans_report(file: &str, chrome: Option<&str>) -> Result<(), String> {
         durs.sort_unstable();
     }
     rows.sort_by_key(|(_, durs)| std::cmp::Reverse(durs.iter().sum::<u64>()));
-    println!(
+    let _ = writeln!(
+        out,
         "{:<14} {:>7} {:>14} {:>12} {:>12} {:>12}",
         "stage", "count", "total_us", "mean_us", "p95_us", "max_us"
     );
     for (name, durs) in &rows {
         let total: u64 = durs.iter().sum();
         let p95 = durs[((durs.len() - 1) as f64 * 0.95).round() as usize];
-        println!(
+        let _ = writeln!(
+            out,
             "{name:<14} {:>7} {total:>14} {:>12} {p95:>12} {:>12}",
             durs.len(),
             total / durs.len() as u64,
@@ -311,7 +325,7 @@ fn spans_report(file: &str, chrome: Option<&str>) -> Result<(), String> {
         );
     }
 
-    if let Some(out) = chrome {
+    if let Some(path) = chrome {
         let body = lookahead_obs::json::JsonObject::render(|o| {
             o.array("traceEvents", |a| {
                 for s in &spans {
@@ -333,15 +347,15 @@ fn spans_report(file: &str, chrome: Option<&str>) -> Result<(), String> {
                 }
             });
         });
-        std::fs::write(out, body).map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("wrote Chrome trace_event JSON to {out}");
+        std::fs::write(path, body).map_err(|e| format!("cannot write {path}: {e}"))?;
+        let _ = writeln!(out, "wrote Chrome trace_event JSON to {path}");
     }
     Ok(())
 }
 
 /// Re-times `app` under DS-64/RC with a recorder installed, checks the
 /// attribution/breakdown reconciliation, and prints the profile.
-fn profile(app: App, runner: &Runner, top_n: usize) -> Result<(), String> {
+fn profile(app: App, runner: &Runner, top_n: usize, out: &mut String) -> Result<(), String> {
     if !cfg!(feature = "obs") {
         return Err(
             "profile needs the instrumentation hooks; rebuild with \
@@ -359,18 +373,26 @@ fn profile(app: App, runner: &Runner, top_n: usize) -> Result<(), String> {
     let attr = &rec.attribution;
     let b = &result.breakdown;
 
-    println!(
+    let _ = writeln!(
+        out,
         "{} under {}: {} cycles ({} instructions)",
         run.app,
         model.name(),
         result.cycles(),
         result.stats.instructions
     );
-    println!("\nstall matrix (cycles by class x cause):");
+    let _ = writeln!(out, "\nstall matrix (cycles by class x cause):");
     for (class, cause, n) in attr.cells() {
-        println!("  {:>5} / {:<15} {:>12}", class.name(), cause.name(), n);
+        let _ = writeln!(
+            out,
+            "  {:>5} / {:<15} {:>12}",
+            class.name(),
+            cause.name(),
+            n
+        );
     }
-    println!(
+    let _ = writeln!(
+        out,
         "  {:>5}   {:<15} {:>12}",
         "busy", "(retired)", attr.busy_cycles
     );
@@ -389,18 +411,22 @@ fn profile(app: App, runner: &Runner, top_n: usize) -> Result<(), String> {
         ),
         ("total", attr.total_cycles(), result.cycles()),
     ];
-    println!("\nreconciliation vs execution-time breakdown:");
+    let _ = writeln!(out, "\nreconciliation vs execution-time breakdown:");
     let mut ok = true;
     for (name, got, want) in checks {
         let mark = if got == want { "ok" } else { "MISMATCH" };
         ok &= got == want;
-        println!("  {name:>5}: attribution {got:>12}  breakdown {want:>12}  {mark}");
+        let _ = writeln!(
+            out,
+            "  {name:>5}: attribution {got:>12}  breakdown {want:>12}  {mark}"
+        );
     }
 
-    println!("\ntop {top_n} stall sites:");
+    let _ = writeln!(out, "\ntop {top_n} stall sites:");
     let total_stall = attr.stall_cycles().max(1);
     for site in attr.top_sites(top_n) {
-        println!(
+        let _ = writeln!(
+            out,
             "  pc {:>6}  {:<15} {:>12} cycles ({:>5.1}%)",
             site.pc,
             site.cause.name(),
@@ -410,7 +436,10 @@ fn profile(app: App, runner: &Runner, top_n: usize) -> Result<(), String> {
     }
     let fetch_limited = attr.cell(StallClass::Fetch, StallCause::FetchLimit);
     if fetch_limited > 0 {
-        println!("  (+ {fetch_limited} fetch-limited cycles charged to busy)");
+        let _ = writeln!(
+            out,
+            "  (+ {fetch_limited} fetch-limited cycles charged to busy)"
+        );
     }
 
     if let Some(dir) = runner.obs_out() {

@@ -47,17 +47,15 @@ pub enum Bin {
     Serve,
     /// `lookahead query`
     Query,
-    /// `lookahead bench generation` and `lookahead bench obs`
-    Bench,
     /// `loadgen`
     Loadgen,
     /// `trace_tool`
     TraceTool,
 }
 
-use Bin::{Bench, Loadgen, Query, Reports, Serve, TraceTool};
+use Bin::{Loadgen, Query, Reports, Serve, TraceTool};
 
-const EVERY_BIN: &[Bin] = &[Reports, Serve, Query, Bench, Loadgen, TraceTool];
+const EVERY_BIN: &[Bin] = &[Reports, Serve, Query, Loadgen, TraceTool];
 
 /// One row of the table: one environment variable.
 pub struct Knob {
@@ -112,7 +110,7 @@ pub const KNOBS: &[Knob] = &[
     Knob {
         name: "LOOKAHEAD_APPS",
         flag: None,
-        bins: &[Reports, Bench],
+        bins: &[Reports],
         parse: |k, v| parse_apps(v).map(|apps| k.apps = Some(apps)),
         value: "LU,MP3D",
         help: "applications to run (default: all five)",
@@ -375,14 +373,14 @@ impl Iterator for Flags {
 }
 
 /// A command line's parse, settled: the options, or the exit code once
-/// `--help` printed `usage` (success) or an error printed it (2).
+/// `--help` printed `usage` (success, even to a closed pipe) or an
+/// error printed it (2).
 pub fn settle<T>(parsed: Result<Option<T>, String>, usage: &str) -> Result<T, ExitCode> {
     match parsed {
         Ok(Some(opts)) => Ok(opts),
-        Ok(None) => {
-            println!("{usage}");
-            Err(ExitCode::SUCCESS)
-        }
+        Ok(None) => Err(crate::write_stdout(format!("{usage}\n").as_bytes())
+            .err()
+            .unwrap_or(ExitCode::SUCCESS)),
         Err(e) => {
             eprintln!("error: {e}\n\n{usage}");
             Err(ExitCode::from(2))

@@ -13,9 +13,7 @@
 //! wrong experiment.
 
 pub mod client;
-pub mod generation;
 pub mod knobs;
-pub mod obsbench;
 pub mod reports;
 pub mod serve_cli;
 pub mod servebench;
@@ -26,7 +24,9 @@ use lookahead_harness::parallel::parse_positive;
 use lookahead_harness::pipeline::AppRun;
 use lookahead_multiproc::SimConfig;
 use lookahead_workloads::{App, Workload};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -83,6 +83,22 @@ pub fn fail_fast<T>(result: Result<T, String>) -> T {
         eprintln!("error: {e}");
         std::process::exit(2);
     })
+}
+
+/// Writes `bytes` to stdout and flushes them, for output a reader may
+/// stop consuming early (`| head`). A closed pipe is a quiet success:
+/// the reader took all it wanted. Any other write error prints one
+/// `error:` line. `Err` carries the code to exit with in either case.
+pub fn write_stdout(bytes: &[u8]) -> Result<(), ExitCode> {
+    let mut stdout = std::io::stdout().lock();
+    match stdout.write_all(bytes).and_then(|()| stdout.flush()) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Err(ExitCode::SUCCESS),
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            Err(ExitCode::FAILURE)
+        }
+    }
 }
 
 // The size tier moved to the harness so the experiment service can

@@ -696,10 +696,12 @@ pub struct DagSweep {
     pub cells: usize,
 }
 
-/// Cost estimate for a cold generation node, calibrated from the
-/// `BENCH_generation` artifact: generating a trace costs one to two
-/// orders of magnitude more than the most expensive re-timing cell,
-/// so generation nodes carry the critical path and are started first.
+/// Cost estimate for a cold generation node, calibrated from measured
+/// cold-generation walls (PERFORMANCE.md § "The discrete-event
+/// generation engine"; perfbench's `multiproc.simulate_s` row times
+/// them today): generating a trace costs one to two orders of
+/// magnitude more than the most expensive re-timing cell, so
+/// generation nodes carry the critical path and are started first.
 const COST_GENERATE: u64 = 600;
 
 /// Runs the requested subset of [`DAG_REPORTS`] as **one** task graph:

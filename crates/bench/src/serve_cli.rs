@@ -228,23 +228,8 @@ pub fn query_main(args: &[String], knobs: &Knobs) -> ExitCode {
     let body = response.full_body();
     // The body goes to stdout verbatim (no trailing newline): the
     // bytes must equal the HTTP response body for the same target.
-    // Written by hand rather than print! so a closed pipe (query piped
-    // into `head`, a consumer that went away mid-body) is a quiet
-    // success or a clean error line, never a broken-pipe panic.
-    {
-        use std::io::Write as _;
-        let mut stdout = std::io::stdout().lock();
-        let write_result = stdout
-            .write_all(body.as_bytes())
-            .and_then(|()| stdout.flush());
-        if let Err(e) = write_result {
-            if e.kind() == std::io::ErrorKind::BrokenPipe {
-                // The reader stopped consuming; nothing is wrong.
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("error: cannot write response body: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Err(code) = crate::write_stdout(body.as_bytes()) {
+        return code;
     }
     if response.status == 200 {
         ExitCode::SUCCESS

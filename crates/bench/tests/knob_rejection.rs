@@ -87,16 +87,10 @@ fn every_row_with_a_malformed_value_is_covered() {
 
 #[test]
 fn every_binary_rejects_every_malformed_knob() {
-    let out_file = std::env::temp_dir().join(format!("knob-rejection-{}.json", std::process::id()));
-    let out_file = out_file.to_str().unwrap();
-    let invocations: [(&str, &[&str]); 6] = [
+    let invocations: [(&str, &[&str]); 5] = [
         (LOOKAHEAD, &["summary", "--no-cache"]),
         (LOOKAHEAD, &["serve", "--addr", "127.0.0.1:0", "--no-cache"]),
         (LOOKAHEAD, &["query", "/healthz", "--no-cache"]),
-        (
-            LOOKAHEAD,
-            &["bench", "generation", "--tier", "small", "--out", out_file],
-        ),
         (LOADGEN, &["--spawn"]),
         (TRACE_TOOL, &["stats", "LU"]),
     ];
@@ -117,17 +111,14 @@ fn every_binary_rejects_every_malformed_knob() {
             assert!(out.stdout.is_empty(), "{what}: nothing may reach stdout");
         }
     }
-    let _ = std::fs::remove_file(out_file);
 }
 
 #[test]
 fn every_help_names_the_variables_its_binary_reads() {
-    let helps: [(Bin, &str, &[&str]); 7] = [
+    let helps: [(Bin, &str, &[&str]); 5] = [
         (Bin::Reports, LOOKAHEAD, &["--help"]),
         (Bin::Serve, LOOKAHEAD, &["serve", "--help"]),
         (Bin::Query, LOOKAHEAD, &["query", "--help"]),
-        (Bin::Bench, LOOKAHEAD, &["bench", "generation", "--help"]),
-        (Bin::Bench, LOOKAHEAD, &["bench", "obs", "--help"]),
         (Bin::Loadgen, LOADGEN, &["--help"]),
         (Bin::TraceTool, TRACE_TOOL, &["--help"]),
     ];

@@ -14,13 +14,17 @@
 //!   shared-array sweeps, lock-protected counters, producer/consumer
 //!   event phases, and barriers, generated from an in-tree XorShift64
 //!   so failures reproduce from the printed seed.
+//!
+//! One `#[ignore]`d test also holds the event engine to being faster:
+//! run the suite in release with `-- --include-ignored` to include it.
 
 use lookahead_isa::program::DataImage;
 use lookahead_isa::{AluOp, Assembler, BranchCond, IntReg, Program};
 use lookahead_memsys::MemoryParams;
 use lookahead_multiproc::{SimConfig, SimOutcome, Simulator};
-use lookahead_trace::{TraceChunk, TraceEntry, TraceSink};
-use lookahead_workloads::App;
+use lookahead_trace::{NullSink, TraceChunk, TraceEntry, TraceSink};
+use lookahead_workloads::{App, BuiltWorkload};
+use std::time::{Duration, Instant};
 
 /// A sink that records the exact arrival order and boundaries of every
 /// chunk, plus the reassembled per-processor entry streams.
@@ -155,6 +159,14 @@ fn small_apps_match_under_high_latency_and_bandwidth_limit() {
             &config(4, 50, Some(2)),
             &format!("{app} small, bandwidth 2"),
         );
+        // The speed gate's own inputs: whatever it times must agree.
+        let built = w.build(16);
+        assert_engines_agree(
+            &built.program,
+            &built.image,
+            &config(16, 100, None),
+            &format!("{app} small, 16 procs, latency 100"),
+        );
     }
 }
 
@@ -179,6 +191,63 @@ fn small_app_matches_at_64_cpus() {
         &built.image,
         &config(64, 50, None),
         "OCEAN small, 64 procs",
+    );
+}
+
+/// The event engine must stay at least this much faster than the
+/// reference stepper on [`event_engine_outruns_the_reference_stepper`]'s
+/// workload.
+const MIN_SPEEDUP: f64 = 1.2;
+
+/// Best-of-3 wall time of one cold generation, simulator construction
+/// included, chunks discarded.
+fn best_of_3(built: &BuiltWorkload, config: &SimConfig, event: bool) -> Duration {
+    (0..3)
+        .map(|_| {
+            let started = Instant::now();
+            let sim = Simulator::new(built.program.clone(), built.image.clone(), *config).unwrap();
+            let out = if event {
+                sim.run_with_sink(&mut NullSink)
+            } else {
+                sim.run_reference_with_sink(&mut NullSink)
+            };
+            let wall = started.elapsed();
+            out.unwrap();
+            wall
+        })
+        .min()
+        .unwrap()
+}
+
+/// The speed gate: cold generation of the five small-tier applications
+/// at 16 processors and a 100-cycle miss penalty, best of 3 per engine.
+/// The summed reference walls over the summed event walls must reach
+/// [`MIN_SPEEDUP`].
+#[test]
+#[ignore = "timing: run in release with --include-ignored"]
+fn event_engine_outruns_the_reference_stepper() {
+    let config = SimConfig {
+        num_procs: 16,
+        mem: MemoryParams::with_miss_penalty(100),
+        ..SimConfig::default()
+    };
+    let (mut event, mut reference) = (Duration::ZERO, Duration::ZERO);
+    for app in App::ALL {
+        let built = app.small_workload().build(config.num_procs);
+        let (ev, rf) = (
+            best_of_3(&built, &config, true),
+            best_of_3(&built, &config, false),
+        );
+        eprintln!("{app}: event {ev:?}, reference {rf:?}");
+        event += ev;
+        reference += rf;
+    }
+    let speedup = reference.as_secs_f64() / event.as_secs_f64();
+    eprintln!("event-engine speedup: {speedup:.2}x (gate {MIN_SPEEDUP}x)");
+    assert!(
+        speedup >= MIN_SPEEDUP,
+        "the event engine is only {speedup:.2}x the reference stepper \
+         (event {event:?}, reference {reference:?}); the gate is {MIN_SPEEDUP}x"
     );
 }
 

@@ -279,11 +279,11 @@ fn mutate(rng: &mut Lcg, raw: &mut Vec<u8>) {
     }
 }
 
-#[test]
-fn seeded_mutations_match_one_shot_however_fed() {
+/// `cases` seeded mutants of the corpus, drawn from `seed`: each,
+/// however it is fed, parses exactly as the one-shot parser reads it.
+fn mutants_match_one_shot_however_fed(seed: u64, cases: usize) {
     let corpus = corpus();
-    let mut rng = Lcg(0xf022_4ead);
-    let cases = 3000;
+    let mut rng = Lcg(seed);
     let mut incomplete = 0;
     for case in 0..cases {
         let (name, clean) = &corpus[case % corpus.len()];
@@ -311,6 +311,18 @@ fn seeded_mutations_match_one_shot_however_fed() {
         incomplete * 20 > cases,
         "only {incomplete}/{cases} never completed"
     );
+}
+
+#[test]
+fn seeded_mutations_match_one_shot_however_fed() {
+    mutants_match_one_shot_however_fed(0xf022_4ead, 3000);
+}
+
+/// The long budget: run in release with `--include-ignored`.
+#[test]
+#[ignore = "long fuzz budget; run in release with --include-ignored"]
+fn seeded_mutations_match_one_shot_however_fed_long() {
+    mutants_match_one_shot_however_fed(0x5eed_0002, 60_000);
 }
 
 #[test]

@@ -4,7 +4,9 @@
 //! * a cold `/v1/figure3` request's span tree accounts for the
 //!   measured end-to-end latency — the named stages (queue, cache
 //!   lookup, generation, re-timing, render) sum to within 5% of the
-//!   root `request` span;
+//!   root `request` span; the tree holds each transport and pipeline
+//!   stage once plus one `retime.cell` per unique cell and nothing
+//!   else, so tracing work stays per cell;
 //! * report bodies are byte-identical whether or not tracing is
 //!   active (the HTTP path always traces; `handle_target` never does);
 //! * every request — including coalesced single-flight followers and
@@ -13,6 +15,7 @@
 //! * an experiment query re-times BASE only the first time its run is
 //!   asked for; later queries re-time just their own model.
 
+use lookahead_harness::experiments::{figure3_cells, PAPER_WINDOWS};
 use lookahead_harness::{SizeTier, TraceCache};
 use lookahead_multiproc::SimConfig;
 use lookahead_serve::{handle_target, ExperimentService, Server, ServerConfig, ServiceConfig};
@@ -213,7 +216,7 @@ fn cold_figure3_trace_accounts_for_end_to_end_latency() {
 
     // The transport stages and the handler's pipeline stages are all
     // present exactly once for a cold, cache-backed figure3.
-    for name in [
+    const STAGES: [&str; 12] = [
         "request",
         "queue",
         "parse",
@@ -221,15 +224,36 @@ fn cold_figure3_trace_accounts_for_end_to_end_latency() {
         "write",
         "cache.lookup",
         "generate",
+        "archive.finish",
         "retime",
+        "dag.schedule",
+        "dag.run",
         "render",
-    ] {
+    ];
+    for name in STAGES {
         assert_eq!(
             spans.iter().filter(|s| s.name == name).count(),
             1,
             "{name} in {spans:?}"
         );
     }
+    // Besides them, one `retime.cell` per unique model the figure
+    // re-times, and nothing else: tracing work stays per cell, never
+    // per chunk or per entry, which keeps its cost bounded
+    // (`crates/harness/tests/tracing_cost.rs`).
+    let mut models = Vec::new();
+    for cell in figure3_cells(&PAPER_WINDOWS) {
+        if !models.contains(&cell.model) {
+            models.push(cell.model);
+        }
+    }
+    assert_eq!(models.len(), 14);
+    assert_eq!(
+        spans.iter().filter(|s| s.name == "retime.cell").count(),
+        models.len(),
+        "{spans:?}"
+    );
+    assert_eq!(spans.len(), STAGES.len() + models.len(), "{spans:?}");
     let root = spans.iter().find(|s| s.name == "request").unwrap();
     assert_eq!(root.parent, 0);
     assert_eq!(root.dur_us, total, "the root span spans the request");
@@ -255,12 +279,6 @@ fn cold_figure3_trace_accounts_for_end_to_end_latency() {
         stage_sum as f64 >= 0.95 * total as f64,
         "stages must account for >=95% of the {total}us end-to-end \
          latency, got {stage_sum}us: {spans:?}"
-    );
-
-    // Per-cell re-timing work is attributed under the sweep.
-    assert!(
-        spans.iter().any(|s| s.name == "retime.cell"),
-        "retime.cell spans from the worker pool: {spans:?}"
     );
 }
 

@@ -517,12 +517,13 @@ fn mutate(rng: &mut XorShift64, buf: &mut Vec<u8>) {
     }
 }
 
-#[test]
-fn seeded_mutations_either_fail_or_decode_the_stored_run() {
-    let mut rng = XorShift64::seed_from_u64(0xf022);
+/// `cases` seeded mutations of one archive drawn from `seed`: each
+/// either fails to decode or, having changed nothing, decodes to the
+/// stored run.
+fn mutations_either_fail_or_decode_the_stored_run(seed: u64, cases: usize) {
+    let mut rng = XorShift64::seed_from_u64(seed);
     let archive = sample_archive(&mut rng, 40);
     let clean = encode_archive(&archive);
-    let cases = 3000;
     let mut errors = 0;
     for case in 0..cases {
         let mut buf = clean.clone();
@@ -549,6 +550,18 @@ fn seeded_mutations_either_fail_or_decode_the_stored_run() {
         errors * 10 > cases * 9,
         "only {errors}/{cases} cases failed"
     );
+}
+
+#[test]
+fn seeded_mutations_either_fail_or_decode_the_stored_run() {
+    mutations_either_fail_or_decode_the_stored_run(0xf022, 3000);
+}
+
+/// The long budget: run in release with `--include-ignored`.
+#[test]
+#[ignore = "long fuzz budget; run in release with --include-ignored"]
+fn seeded_mutations_either_fail_or_decode_the_stored_run_long() {
+    mutations_either_fail_or_decode_the_stored_run(0x5eed_0001, 60_000);
 }
 
 #[test]

@@ -17,7 +17,7 @@
 //! ```
 
 use lookahead_serve::{parse_serve_addr, DEFAULT_ADDR};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
 const USAGE: &str = "usage: query_service [IP:PORT]";
@@ -58,13 +58,24 @@ fn main() {
         "/v1/experiments?app=mp3d&model=base",
         "/metrics",
     ];
+    let mut stdout = std::io::stdout().lock();
     for target in queries {
         match get(addr, target) {
             Ok((status, body)) => {
-                println!("GET {target}\n  -> {status}, {} bytes", body.len());
+                let mut shown =
+                    writeln!(stdout, "GET {target}\n  -> {status}, {} bytes", body.len());
                 // Bodies are compact JSON; show the small ones whole.
                 if body.len() <= 400 {
-                    println!("  {body}");
+                    shown = shown.and_then(|()| writeln!(stdout, "  {body}"));
+                }
+                // A reader that went away (`| head`) took all it wanted.
+                match shown {
+                    Ok(()) => {}
+                    Err(e) if e.kind() == ErrorKind::BrokenPipe => return,
+                    Err(e) => {
+                        eprintln!("error: cannot write to stdout: {e}");
+                        std::process::exit(1);
+                    }
                 }
             }
             Err(e) => {

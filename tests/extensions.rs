@@ -1,12 +1,14 @@
 //! Integration tests of the §5–6 extension studies on real workload
 //! traces: SC boosting, stride prefetching, multiple contexts and
-//! compiler scheduling, all end to end.
+//! compiler scheduling, all end to end, and the direction of each
+//! design ablation (MSHR count, store-buffer depth, BTB geometry).
 
 use lookahead_core::base::Base;
+use lookahead_core::btb::BtbConfig;
 use lookahead_core::contexts::Contexts;
 use lookahead_core::ds::{Ds, DsConfig};
 use lookahead_core::inorder::InOrder;
-use lookahead_core::model::ProcessorModel;
+use lookahead_core::model::{ExecutionResult, ProcessorModel};
 use lookahead_core::prefetch::{PrefetchConfig, StridePrefetcher};
 use lookahead_core::ConsistencyModel;
 use lookahead_harness::pipeline::AppRun;
@@ -142,4 +144,71 @@ fn prefetch_transformer_is_monotone() {
             (x, y) => assert_eq!(x, y, "non-load entry changed at pc {}", a.pc),
         }
     }
+}
+
+/// DS-64 under RC on `run`, with `config` applied to its configuration.
+fn ds64(run: &AppRun, config: impl FnOnce(DsConfig) -> DsConfig) -> ExecutionResult {
+    Ds::new(config(DsConfig::rc().window(64))).run(&run.program, run.trace())
+}
+
+/// Fewer MSHRs (outstanding misses) can never help.
+#[test]
+fn fewer_mshrs_never_help() {
+    let run = generate(App::Ocean);
+    let cycles = |mshr_limit| ds64(&run, |c| DsConfig { mshr_limit, ..c }).cycles();
+    let (one, four, unbounded) = (cycles(Some(1)), cycles(Some(4)), cycles(None));
+    assert!(
+        one >= four && four >= unbounded,
+        "MSHRs 1: {one}, 4: {four}, unbounded: {unbounded} cycles"
+    );
+}
+
+/// A deeper store buffer can never hurt.
+#[test]
+fn deeper_store_buffer_never_hurts() {
+    let run = generate(App::Ocean);
+    let cycles = |store_buffer_depth| {
+        ds64(&run, |c| DsConfig {
+            store_buffer_depth,
+            ..c
+        })
+        .cycles()
+    };
+    let (one, sixteen) = (cycles(1), cycles(16));
+    assert!(one >= sixteen, "depth 1: {one}, depth 16: {sixteen} cycles");
+}
+
+/// On the branchy application, a 16-entry direct-mapped BTB mispredicts
+/// at least as often as the paper's 2048x4, and perfect prediction is
+/// never slower.
+#[test]
+fn btb_geometry_and_perfect_prediction_point_the_right_way() {
+    let run = generate(App::Pthor);
+    let paper = ds64(&run, |c| DsConfig {
+        btb: BtbConfig::PAPER,
+        ..c
+    });
+    let tiny = ds64(&run, |c| DsConfig {
+        btb: BtbConfig {
+            entries: 16,
+            ways: 1,
+        },
+        ..c
+    });
+    let perfect = ds64(&run, |c| DsConfig {
+        perfect_branch_prediction: true,
+        ..c
+    });
+    assert!(
+        tiny.stats.mispredictions >= paper.stats.mispredictions,
+        "16x1: {}, 2048x4: {} mispredictions",
+        tiny.stats.mispredictions,
+        paper.stats.mispredictions
+    );
+    assert!(
+        perfect.cycles() <= paper.cycles(),
+        "perfect: {}, 2048x4: {} cycles",
+        perfect.cycles(),
+        paper.cycles()
+    );
 }

@@ -16,7 +16,7 @@ use crate::model::{ExecutionResult, ProcessorModel};
 use lookahead_isa::Program;
 #[cfg(feature = "obs")]
 use lookahead_obs as obs;
-use lookahead_trace::{EntryCols, OpClass, Trace};
+use lookahead_trace::{EntryView, OpClass, StreamError, TraceSource};
 
 /// Records `n` stalled cycles starting at `from`, blamed on `pc`.
 #[cfg(feature = "obs")]
@@ -28,8 +28,7 @@ fn stall(from: u64, pc: u32, n: u64, class: obs::StallClass, cause: obs::StallCa
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Base;
 
-/// Incremental BASE accounting: one `step` per trace entry, shared by
-/// the materialized and streamed paths so they agree by construction.
+/// Incremental BASE accounting: one `step` per trace entry.
 #[derive(Debug, Default)]
 struct Accounting {
     result: ExecutionResult,
@@ -38,10 +37,8 @@ struct Accounting {
 }
 
 impl Accounting {
-    /// Written against the [`EntryCols`] accessors, so the streamed
-    /// path reads SoA columns directly and the materialized path runs
-    /// the identical body over reconstructed entries.
-    fn step<E: EntryCols>(&mut self, entry: &E) {
+    /// Reads the entry's SoA columns directly through its view.
+    fn step(&mut self, entry: &EntryView<'_>) {
         let result = &mut self.result;
         #[cfg(feature = "obs")]
         let now = self.now;
@@ -131,19 +128,11 @@ impl ProcessorModel for Base {
         "BASE".to_string()
     }
 
-    fn run(&self, _program: &Program, trace: &Trace) -> ExecutionResult {
-        let mut acc = Accounting::default();
-        for entry in trace.iter() {
-            acc.step(entry);
-        }
-        acc.result
-    }
-
     fn run_source(
         &self,
         _program: &Program,
-        source: &mut dyn lookahead_trace::TraceSource,
-    ) -> Result<ExecutionResult, lookahead_trace::StreamError> {
+        source: &mut dyn TraceSource,
+    ) -> Result<ExecutionResult, StreamError> {
         let mut acc = Accounting::default();
         while let Some(chunk) = source.next_chunk()? {
             for view in chunk.views() {
@@ -158,7 +147,7 @@ impl ProcessorModel for Base {
 mod tests {
     use super::*;
     use lookahead_isa::SyncKind;
-    use lookahead_trace::{MemAccess, SyncAccess, TraceEntry, TraceOp};
+    use lookahead_trace::{MemAccess, SyncAccess, Trace, TraceEntry, TraceOp};
 
     fn entry(pc: u32, op: TraceOp) -> TraceEntry {
         TraceEntry { pc, op }

@@ -21,8 +21,7 @@
 //! context is an independent stream, as in the multiple-context
 //! studies the paper cites.
 
-use crate::model::{ExecutionResult, ProcessorModel};
-use lookahead_isa::Program;
+use crate::model::ExecutionResult;
 #[cfg(feature = "obs")]
 use lookahead_obs::{self as obs, EventKind};
 use lookahead_trace::{Trace, TraceOp};
@@ -214,18 +213,6 @@ impl Contexts {
             }
         }
         result
-    }
-}
-
-impl ProcessorModel for Contexts {
-    fn name(&self) -> String {
-        format!("MC(ov={})", self.switch_overhead)
-    }
-
-    /// A single trace degenerates to one context: a blocking in-order
-    /// processor with an overlapped write buffer.
-    fn run(&self, _program: &Program, trace: &Trace) -> ExecutionResult {
-        self.run_traces(&[trace])
     }
 }
 

@@ -47,7 +47,7 @@ use lookahead_isa::{Instruction, Program, SyncKind, WORD_BYTES};
 use lookahead_memsys::MshrFile;
 #[cfg(feature = "obs")]
 use lookahead_obs::{self as obs, EventKind};
-use lookahead_trace::{StreamError, Trace, TraceCursor, TraceOp, TraceSource};
+use lookahead_trace::{SliceSource, StreamError, Trace, TraceCursor, TraceOp, TraceSource};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::ops::{Index, IndexMut};
@@ -456,8 +456,8 @@ struct Engine<'a> {
     now: u64,
     next_decode: usize,
     /// Whether `next_decode` is past the end of the trace, refreshed
-    /// whenever `next_decode` moves (the check pulls chunks on the
-    /// streamed path, so it cannot live in `&self` accessors).
+    /// whenever `next_decode` moves (the check pulls chunks, so it
+    /// cannot live in `&self` accessors).
     decode_exhausted: bool,
     /// Ids are dense and monotonic: the live window is exactly the id
     /// range `[head_id, next_id)`, stored in a preallocated slab ring
@@ -533,11 +533,7 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn new(cfg: DsConfig, program: &'a Program, trace: &'a Trace, skip: bool) -> Engine<'a> {
-        Engine::with_cursor(cfg, program, TraceCursor::slice(trace), skip)
-    }
-
-    fn with_cursor(
+    fn new(
         cfg: DsConfig,
         program: &'a Program,
         mut cursor: TraceCursor<'a>,
@@ -606,9 +602,8 @@ impl<'a> Engine<'a> {
     /// A hard progress bound: no trace entry can legitimately take
     /// longer than its worst-case serial latency, so a run exceeding
     /// this is a model deadlock (usually a mismatched program/trace
-    /// pair) and must fail loudly. On the streamed path the bound
-    /// grows with the entries pulled so far, which always covers
-    /// everything decoded.
+    /// pair) and must fail loudly. The bound grows with the entries
+    /// pulled so far, which always covers everything decoded.
     fn progress_bound(&self) -> u64 {
         100_000 + (self.cursor.loaded_len() as u64) * (1 << 14)
     }
@@ -1545,19 +1540,13 @@ impl ProcessorModel for Ds {
         name
     }
 
-    fn run(&self, program: &Program, trace: &Trace) -> ExecutionResult {
-        Engine::new(self.config, program, trace, true)
-            .run()
-            .expect("slice-backed run cannot fail")
-    }
-
     fn run_source(
         &self,
         program: &Program,
         source: &mut dyn TraceSource,
     ) -> Result<ExecutionResult, StreamError> {
-        let cursor = TraceCursor::stream(Box::new(source));
-        Engine::with_cursor(self.config, program, cursor, true).run()
+        let cursor = TraceCursor::new(Box::new(source));
+        Engine::new(self.config, program, cursor, true).run()
     }
 }
 
@@ -1568,9 +1557,10 @@ impl Ds {
     /// truth for the skip-ahead equivalence suite (`skip_equivalence`
     /// and `ds_digests`).
     pub fn run_reference(&self, program: &Program, trace: &Trace) -> ExecutionResult {
-        Engine::new(self.config, program, trace, false)
+        let cursor = TraceCursor::new(Box::new(SliceSource::new(trace)));
+        Engine::new(self.config, program, cursor, false)
             .run()
-            .expect("slice-backed run cannot fail")
+            .expect("an in-memory trace streams without error")
     }
 }
 
@@ -2153,7 +2143,8 @@ mod tests {
                 };
                 let mut bytes = Vec::new();
                 for (p, t) in &workloads {
-                    let mut engine = Engine::new(cfg, p, t, true);
+                    let cursor = TraceCursor::new(Box::new(SliceSource::new(t)));
+                    let mut engine = Engine::new(cfg, p, cursor, true);
                     let r = engine.run().unwrap();
                     assert_eq!(r, Ds::new(cfg).run_reference(p, t), "{model} W={window}");
                     // SC holds every load behind the store miss; the

@@ -30,7 +30,7 @@ use crate::model::{ExecutionResult, ProcessorModel};
 use lookahead_isa::{Program, SyncKind};
 #[cfg(feature = "obs")]
 use lookahead_obs::{self as obs, EventKind};
-use lookahead_trace::{EntryCols, OpClass, Trace};
+use lookahead_trace::{EntryView, OpClass, StreamError, TraceSource};
 use std::collections::VecDeque;
 
 /// A statically scheduled in-order processor (SSBR or SS).
@@ -228,17 +228,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run(mut self, trace: &Trace) -> ExecutionResult {
-        for entry in trace.iter() {
-            self.step(entry);
-        }
-        self.finish()
-    }
-
-    fn run_source(
-        mut self,
-        source: &mut dyn lookahead_trace::TraceSource,
-    ) -> Result<ExecutionResult, lookahead_trace::StreamError> {
+    fn run_source(mut self, source: &mut dyn TraceSource) -> Result<ExecutionResult, StreamError> {
         while let Some(chunk) = source.next_chunk()? {
             for view in chunk.views() {
                 self.step(&view);
@@ -247,11 +237,9 @@ impl<'a> Engine<'a> {
         Ok(self.finish())
     }
 
-    /// Advances the engine over one trace entry — the single body both
-    /// the materialized and streamed passes run, so they agree by
-    /// construction. Written against the [`EntryCols`] accessors, it
-    /// monomorphizes to direct SoA column reads on the streamed path.
-    fn step<E: EntryCols>(&mut self, entry: &E) {
+    /// Advances the engine over one trace entry, reading its SoA
+    /// columns directly through the view.
+    fn step(&mut self, entry: &EntryView<'_>) {
         {
             #[cfg(feature = "obs")]
             {
@@ -385,15 +373,11 @@ impl ProcessorModel for InOrder {
         )
     }
 
-    fn run(&self, program: &Program, trace: &Trace) -> ExecutionResult {
-        Engine::new(*self, program).run(trace)
-    }
-
     fn run_source(
         &self,
         program: &Program,
-        source: &mut dyn lookahead_trace::TraceSource,
-    ) -> Result<ExecutionResult, lookahead_trace::StreamError> {
+        source: &mut dyn TraceSource,
+    ) -> Result<ExecutionResult, StreamError> {
         Engine::new(*self, program).run_source(source)
     }
 }
@@ -403,7 +387,7 @@ mod tests {
     use super::*;
     use crate::base::Base;
     use lookahead_isa::{Assembler, IntReg};
-    use lookahead_trace::{MemAccess, SyncAccess, TraceEntry, TraceOp};
+    use lookahead_trace::{MemAccess, SyncAccess, Trace, TraceEntry, TraceOp};
 
     /// A program/trace pair: two miss stores then a compute tail.
     fn store_heavy() -> (Program, Trace) {

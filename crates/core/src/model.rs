@@ -81,28 +81,20 @@ impl fmt::Display for ExecutionResult {
 /// A processor timing model: re-times an annotated trace.
 ///
 /// The `program` supplies static instruction properties (operand
-/// registers, opcodes); the `trace` supplies dynamic facts (addresses,
-/// latencies, branch outcomes). Models are pure: `run` may be called
+/// registers, opcodes); the trace supplies dynamic facts (addresses,
+/// latencies, branch outcomes). Models are pure: they may be run
 /// repeatedly and from multiple threads.
+///
+/// An engine implements [`name`](Self::name) and
+/// [`run_source`](Self::run_source) only: it reads the trace chunk by
+/// chunk, so its memory is bounded by its live window, not the trace
+/// length, and how the source is chunked never changes a result.
 pub trait ProcessorModel {
     /// A short display name ("BASE", "SSBR/SC", "DS-64/RC", ...).
     fn name(&self) -> String;
 
-    /// Re-times `trace` and returns the cycle accounting.
-    fn run(
-        &self,
-        program: &lookahead_isa::Program,
-        trace: &lookahead_trace::Trace,
-    ) -> ExecutionResult;
-
-    /// Re-times a *streamed* trace pulled chunk-by-chunk from
-    /// `source`, producing a result identical to materializing the
-    /// source and calling [`run`](ProcessorModel::run) — but with
-    /// memory bounded by the model's live window instead of the trace
-    /// length.
-    ///
-    /// The default implementation materializes; the BASE, SSBR/SS and
-    /// DS engines override it with genuinely streaming passes.
+    /// Re-times the trace pulled chunk by chunk from `source` and
+    /// returns the cycle accounting.
     ///
     /// # Errors
     ///
@@ -113,9 +105,17 @@ pub trait ProcessorModel {
         &self,
         program: &lookahead_isa::Program,
         source: &mut dyn lookahead_trace::TraceSource,
-    ) -> Result<ExecutionResult, lookahead_trace::StreamError> {
-        let trace = lookahead_trace::collect_source(source)?;
-        Ok(self.run(program, &trace))
+    ) -> Result<ExecutionResult, lookahead_trace::StreamError>;
+
+    /// Re-times an in-memory `trace`: [`run_source`](Self::run_source)
+    /// over a [`SliceSource`](lookahead_trace::SliceSource).
+    fn run(
+        &self,
+        program: &lookahead_isa::Program,
+        trace: &lookahead_trace::Trace,
+    ) -> ExecutionResult {
+        self.run_source(program, &mut lookahead_trace::SliceSource::new(trace))
+            .expect("an in-memory trace streams without error")
     }
 }
 

@@ -18,7 +18,6 @@
 //! fetching and only partially covers the latency. The rewritten trace
 //! can then be re-timed under any processor model.
 
-use crate::model::ProcessorModel;
 use lookahead_trace::{MemAccess, Trace, TraceOp};
 use std::collections::HashMap;
 
@@ -193,31 +192,6 @@ impl StridePrefetcher {
     }
 }
 
-/// A processor model wrapper that applies stride prefetching to the
-/// trace before running the inner model.
-#[derive(Debug, Clone, Copy)]
-pub struct WithPrefetch<M> {
-    /// The wrapped model.
-    pub inner: M,
-    /// Prefetcher configuration.
-    pub config: PrefetchConfig,
-}
-
-impl<M: ProcessorModel> ProcessorModel for WithPrefetch<M> {
-    fn name(&self) -> String {
-        format!("{}+rpt", self.inner.name())
-    }
-
-    fn run(
-        &self,
-        program: &lookahead_isa::Program,
-        trace: &Trace,
-    ) -> crate::model::ExecutionResult {
-        let (covered, _) = StridePrefetcher::new(self.config).cover(trace);
-        self.inner.run(program, &covered)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,18 +283,6 @@ mod tests {
         let before = Base.run(&Program::default(), &tight).cycles();
         let after = Base.run(&Program::default(), &covered_tight).cycles();
         assert!(after + 30 > before, "no lead time, no meaningful gain");
-    }
-
-    #[test]
-    fn wrapper_composes_with_models() {
-        let trace = strided_trace(5, 64, 3);
-        let w = WithPrefetch {
-            inner: Base,
-            config: PrefetchConfig::default(),
-        };
-        assert_eq!(w.name(), "BASE+rpt");
-        let r = w.run(&Program::default(), &trace);
-        assert!(r.cycles() <= Base.run(&Program::default(), &trace).cycles());
     }
 
     #[test]

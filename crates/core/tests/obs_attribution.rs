@@ -208,7 +208,7 @@ fn contexts_attribution_reconciles() {
         let attr = lookahead_obs::take()
             .expect("recorder installed above")
             .attribution;
-        assert_reconciles(&format!("case {case} {}", mc.name()), &result, &attr);
+        assert_reconciles(&format!("case {case} MC"), &result, &attr);
         // Switch overhead is charged to busy; check it is visible.
         assert!(
             attr.busy_cycles >= result.stats.instructions,

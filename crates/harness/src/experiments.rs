@@ -19,9 +19,10 @@ use lookahead_core::{Btb, BtbConfig, ConsistencyModel};
 use lookahead_memsys::MemoryParams;
 use lookahead_multiproc::SimConfig;
 use lookahead_obs::span;
-use lookahead_trace::{BranchStats, Breakdown, DataRefStats, GangCursor, SyncStats, TraceStats};
+use lookahead_trace::{
+    BranchStats, Breakdown, DataRefStats, GangCursor, StreamError, SyncStats, TraceStats,
+};
 use lookahead_workloads::Workload;
-use std::sync::OnceLock;
 
 /// The window sizes of the paper's sweeps.
 pub const PAPER_WINDOWS: [usize; 5] = [16, 32, 64, 128, 256];
@@ -118,8 +119,8 @@ impl ModelSpec {
         }
     }
 
-    /// Boxes the processor model this spec describes — the gang path
-    /// runs one owned engine per unique spec on its own thread.
+    /// Boxes the processor model this spec describes: a gang runs one
+    /// owned engine per unique spec on its own thread.
     #[must_use]
     pub fn build(&self) -> Box<dyn ProcessorModel + Send> {
         match *self {
@@ -252,13 +253,15 @@ fn gang_cost(specs: &[CellSpec]) -> u64 {
 /// [`retime_gang`], with `observe` firing `(spec index, result)` for
 /// every spec as its engine finishes (from the engine's thread), so
 /// streaming consumers can emit cells before the whole gang completes.
+/// Fails with the first source error when the run's archive can no
+/// longer be read.
 fn retime_gang_observed(
     run: &AppRun,
     specs: &[CellSpec],
     observe: &(dyn Fn(usize, &ExecutionResult) + Sync),
-) -> Option<Vec<ExecutionResult>> {
+) -> Result<Vec<ExecutionResult>, StreamError> {
     if specs.is_empty() {
-        return Some(Vec::new());
+        return Ok(Vec::new());
     }
     let mut uniq: Vec<ModelSpec> = Vec::new();
     let mut canon: Vec<usize> = Vec::with_capacity(specs.len());
@@ -271,94 +274,72 @@ fn retime_gang_observed(
             }
         }
     }
-    let source = run.gang_source()?;
+    let source = run.source()?;
     let mut gang = GangCursor::new(source, uniq.len(), GANG_MAX_LEAD);
     let members = gang.members();
-    let slots: Vec<OnceLock<Result<ExecutionResult, String>>> =
-        (0..uniq.len()).map(|_| OnceLock::new()).collect();
     let scope_in = span::current_scope();
-    std::thread::scope(|s| {
-        for ((u, model), mut member) in uniq.iter().enumerate().zip(members) {
-            let (slots, canon) = (&slots, &canon);
-            let scope_in = scope_in.clone();
-            s.spawn(move || {
-                // Adopt the submitter's trace scope so per-cell spans
-                // join the request's tree (as the DAG workers do).
-                span::set_scope(scope_in);
-                let engine = model.build();
-                let out = span::record_current("retime.cell", || {
-                    engine.run_source(&run.program, &mut member)
-                });
-                match out {
-                    Ok(result) => {
+    let unique_results = std::thread::scope(|s| {
+        let engines: Vec<_> = uniq
+            .iter()
+            .enumerate()
+            .zip(members)
+            .map(|((u, model), mut member)| {
+                let (canon, scope_in) = (&canon, scope_in.clone());
+                s.spawn(move || {
+                    // Adopt the submitter's trace scope so per-cell spans
+                    // join the request's tree (as the DAG workers do).
+                    span::set_scope(scope_in);
+                    let engine = model.build();
+                    let out = span::record_current("retime.cell", || {
+                        engine.run_source(&run.program, &mut member)
+                    });
+                    if let Ok(result) = &out {
                         for (i, &c) in canon.iter().enumerate() {
                             if c == u {
-                                observe(i, &result);
+                                observe(i, result);
                             }
                         }
-                        let _ = slots[u].set(Ok(result));
                     }
-                    Err(e) => {
-                        let _ = slots[u].set(Err(e.to_string()));
-                    }
-                }
-                span::set_scope(None);
-            });
-        }
-    });
-    let mut unique_results: Vec<ExecutionResult> = Vec::with_capacity(uniq.len());
-    for (u, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner() {
-            Some(Ok(r)) => unique_results.push(r),
-            Some(Err(e)) => {
-                eprintln!(
-                    "  warning: gang re-timing of {} cell {} failed ({e}); \
-                     falling back to per-cell re-timing",
-                    run.app,
-                    uniq[u].kind()
-                );
-                return None;
-            }
-            None => return None,
-        }
-    }
-    Some(canon.iter().map(|&u| unique_results[u].clone()).collect())
+                    span::set_scope(None);
+                    out
+                })
+            })
+            .collect();
+        engines
+            .into_iter()
+            .map(|engine| engine.join().expect("a gang engine panicked"))
+            .collect::<Result<Vec<_>, _>>()
+    })?;
+    Ok(canon.iter().map(|&u| unique_results[u].clone()).collect())
 }
 
 /// Re-times every spec over `run` in **one streamed pass**: identical
 /// specs are deduplicated (a sweep's summary row repeats figure 3's RC
 /// cells), one engine thread runs per unique spec, and a
 /// [`GangCursor`] fans each decoded chunk out to all of them. Returns
-/// `None` when the run's archive cannot be opened or any engine fails
-/// mid-stream; [`retime_run`] then re-times cell by cell.
+/// `None` only when the run's archive can no longer be read, where
+/// [`retime_run`] panics instead.
 pub fn retime_gang(run: &AppRun, specs: &[CellSpec]) -> Option<Vec<ExecutionResult>> {
-    retime_gang_observed(run, specs, &|_, _| {})
+    retime_gang_observed(run, specs, &|_, _| {}).ok()
 }
 
-/// Re-times every spec over `run`, returning results in spec order:
-/// one gang ([`retime_gang`]), or cell by cell through
-/// [`ModelSpec::retime`] when the gang cannot finish. Every sweep
-/// reaches the engines through here.
+/// Re-times every spec over `run` as one gang ([`retime_gang`]),
+/// returning results in spec order. Every sweep reaches the engines
+/// through here.
 ///
-/// `observe` fires with `(spec index, result)` as each result is
-/// ready, on both branches. After a mid-stream gang failure it may
-/// therefore fire twice for one cell, with equal results.
+/// `observe` fires once per spec with `(spec index, result)` as each
+/// result is ready.
+///
+/// # Panics
+///
+/// Panics if the run's archive (validated at load time) can no longer
+/// be read, naming the archive, as [`AppRun::retime`] does.
 pub fn retime_run(
     run: &AppRun,
     specs: &[CellSpec],
     observe: &(dyn Fn(usize, &ExecutionResult) + Sync),
 ) -> Vec<ExecutionResult> {
-    retime_gang_observed(run, specs, observe).unwrap_or_else(|| {
-        specs
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                let result = spec.model.retime(run);
-                observe(i, &result);
-                result
-            })
-            .collect()
-    })
+    run.expect_readable(retime_gang_observed(run, specs, observe))
 }
 
 /// One [`retime_run`] gang node per run, on up to `workers` DAG

@@ -142,6 +142,11 @@ impl io::Seek for SharedFileReader {
 /// A generated run of one application: the program, the representative
 /// processor's trace, and the multiprocessor-level statistics the
 /// paper's Tables 1–2 report.
+///
+/// Every re-timing of the representative trace, by
+/// [`retime`](Self::retime) or by a gang, is one pass over a single
+/// chunk source: the archive reader, or a slice of the trace once it is
+/// in memory.
 #[derive(Debug)]
 pub struct AppRun {
     /// Application name ("MP3D", "LU", ...).
@@ -286,67 +291,53 @@ impl AppRun {
         (0..self.num_procs()).map(|p| self.trace_for(p)).collect()
     }
 
-    /// The archive to stream the representative trace from, when the
-    /// run is archive-backed. Once the trace is materialized anyway,
-    /// slicing it is strictly cheaper than re-reading the file.
-    fn streaming_archive(&self) -> Option<&ArchiveStore> {
+    /// The representative trace as a chunk source: the archive reader
+    /// while the trace is not materialized, otherwise a [`SliceSource`]
+    /// over the in-memory trace (once the trace is materialized anyway,
+    /// slicing it is cheaper than re-reading the file). Every re-timing
+    /// pass reads the trace through here.
+    pub(crate) fn source(&self) -> Result<Box<dyn TraceSource + Send + '_>, StreamError> {
         match &self.store {
-            TraceStore::Archive(a) if a.rep.get().is_none() => Some(a),
-            _ => None,
-        }
-    }
-
-    /// A sendable source over the representative trace for gang
-    /// re-timing: the archive reader while the trace is not
-    /// materialized, otherwise a [`SliceSource`] over the in-memory
-    /// trace. `None` only when the archive cannot be opened — callers
-    /// then re-time cell by cell.
-    pub fn gang_source(&self) -> Option<Box<dyn TraceSource + Send + '_>> {
-        let Some(a) = self.streaming_archive() else {
-            return Some(Box::new(SliceSource::new(self.trace())));
-        };
-        match a.open_reader(self.proc) {
-            Ok(r) => Some(Box::new(r)),
-            Err(e) => {
-                eprintln!(
-                    "  warning: cannot stream {} trace for gang re-timing ({e}); \
-                     falling back to per-cell re-timing",
-                    self.app
-                );
-                None
+            TraceStore::Archive(a) if a.rep.get().is_none() => {
+                Ok(Box::new(a.open_reader(self.proc)?))
             }
+            _ => Ok(Box::new(SliceSource::new(self.trace()))),
         }
     }
 
-    /// Re-times the representative trace under `model`, streaming
-    /// chunks straight from the backing archive when possible (memory
-    /// bounded by the model's live window, not the trace length) and
-    /// falling back to the materialized trace otherwise.
+    /// The chunk source every re-timing pass over the representative
+    /// trace reads: the archive reader while the trace is not
+    /// materialized, otherwise a slice of it. `None` only when the
+    /// archive can no longer be opened.
+    pub fn gang_source(&self) -> Option<Box<dyn TraceSource + Send + '_>> {
+        self.source().ok()
+    }
+
+    /// Re-times the representative trace under `model` in one pass over
+    /// its chunk source (see [`gang_source`](Self::gang_source)): memory
+    /// is bounded by the model's live window, not the trace length.
     ///
-    /// Streamed and materialized runs are equivalent by construction
-    /// (every engine's `run_source` contract, enforced by the
-    /// `streamed_equivalence` suite), so callers never observe which
-    /// path served them.
+    /// # Panics
+    ///
+    /// Panics if the backing archive (validated at load time) can no
+    /// longer be read — the file was deleted or damaged mid-process.
     pub fn retime(&self, model: &dyn ProcessorModel) -> ExecutionResult {
         span::record_current("retime.cell", || {
-            if let Some(a) = self.streaming_archive() {
-                match a.open_reader(self.proc) {
-                    Ok(mut source) => match model.run_source(&self.program, &mut source) {
-                        Ok(result) => return result,
-                        Err(e) => eprintln!(
-                            "  warning: streamed re-timing of {} failed ({e}); \
-                             falling back to the materialized trace",
-                            self.app
-                        ),
-                    },
-                    Err(e) => eprintln!(
-                        "  warning: cannot stream {} trace ({e}); \
-                         falling back to the materialized trace",
-                        self.app
-                    ),
-                }
-            }
-            model.run(&self.program, self.trace())
+            let pass = self
+                .source()
+                .and_then(|mut source| model.run_source(&self.program, source.as_mut()));
+            self.expect_readable(pass)
+        })
+    }
+
+    /// The value of a pass over [`source`](Self::source). Only an
+    /// archive can fail to stream, and only when it was deleted or
+    /// damaged after load-time validation: that panics once, naming the
+    /// archive.
+    pub(crate) fn expect_readable<T>(&self, pass: Result<T, StreamError>) -> T {
+        pass.unwrap_or_else(|e| match &self.store {
+            TraceStore::Archive(a) => panic!("{}", archive_vanished(&self.app, &a.path, &e)),
+            TraceStore::Memory { .. } => unreachable!("an in-memory trace failed to stream: {e}"),
         })
     }
 
@@ -401,7 +392,8 @@ mod tests {
         assert!(run.mp_cycles > 0);
         assert_eq!(run.mp_breakdowns.len(), 4);
         assert!(run.proc < 4);
-        // Memory-backed runs retime on the materialized path.
+        // A memory-backed run re-times over a slice of its trace, as a
+        // direct run of the engine does.
         let direct = Base.run(&run.program, run.trace());
         assert_eq!(run.retime(&Base), direct);
     }
@@ -425,7 +417,7 @@ mod tests {
         }
         assert_eq!(archived.base(), memory.base());
         assert!(
-            archived.streaming_archive().is_some(),
+            matches!(&archived.store, TraceStore::Archive(a) if a.rep.get().is_none()),
             "BASE streamed without materializing the trace"
         );
         let _ = fs::remove_dir_all(&dir);

@@ -266,9 +266,9 @@ fn archive_backed_hit_retimes_streamed_exactly_like_materialized() {
     let (hit, warm) = load_or_generate(Some(&cache), &wl, "small", &config).unwrap();
     assert!(warm.is_hit());
 
-    // Stream first (materializing the trace would switch retime onto
-    // the slice path and defeat the comparison), then materialize and
-    // run the classic way.
+    // Stream from the archive first (materializing the trace would
+    // switch retime onto a slice of it and defeat the comparison), then
+    // materialize and run over the in-memory trace.
     let models: Vec<Box<dyn ProcessorModel>> = vec![
         Box::new(Base),
         Box::new(InOrder::ssbr(ConsistencyModel::Sc)),
@@ -283,6 +283,47 @@ fn archive_backed_hit_retimes_streamed_exactly_like_materialized() {
             materialized,
             "{}: streamed cache hit diverged from the materialized run",
             m.name()
+        );
+    }
+}
+
+/// An archive deleted after load-time validation has one failure mode:
+/// the gang reports `None`, and every re-timing call panics once, naming
+/// the archive.
+#[test]
+fn vanished_archive_panics_naming_the_archive() {
+    use lookahead_core::base::Base;
+    use lookahead_harness::experiments::{retime_gang, run_cell_specs, summary_cells};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let (_dir, cache) = temp_cache("vanished");
+    let wl = workload();
+    let config = small_config();
+    let (_, _) = load_or_generate(Some(&cache), &wl, "small", &config).unwrap();
+    let (run, warm) = load_or_generate(Some(&cache), &wl, "small", &config).unwrap();
+    assert!(warm.is_hit());
+    let path = cache.path_for(&run.app, &cache_key(&run.app, "small", &config));
+    std::fs::remove_file(&path).unwrap();
+
+    let specs = summary_cells(&[16]);
+    assert!(retime_gang(&run, &specs).is_none());
+    let message = |outcome: std::thread::Result<()>| -> String {
+        let payload = outcome.expect_err("re-timing a vanished archive must panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("the panic carries a formatted message")
+    };
+    let retimed = message(catch_unwind(AssertUnwindSafe(|| {
+        let _ = run.retime(&Base);
+    })));
+    let swept = message(catch_unwind(AssertUnwindSafe(|| {
+        let _ = run_cell_specs(&run, &specs);
+    })));
+    for (call, msg) in [("AppRun::retime", retimed), ("run_cell_specs", swept)] {
+        assert!(
+            msg.contains(&path.display().to_string()) && msg.contains("can no longer be read"),
+            "{call}: {msg}"
         );
     }
 }

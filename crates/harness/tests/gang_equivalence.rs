@@ -59,8 +59,9 @@ fn gang_matches_per_cell_at_any_worker_count() {
 fn gang_direct_path_matches_and_memory_runs_fall_back() {
     let (runs, dir) = runs_of_every_backing("direct");
     let specs = summary_cells(&[16, 32]);
-    // A run with no archive to stream falls back to a slice source
-    // over its in-memory trace: the gang still runs, and agrees.
+    // A run whose trace is in memory (generated, or materialized from
+    // its archive) streams a slice of it, and one still streaming
+    // reads its archive: the gang runs over every backing, and agrees.
     for run in &runs {
         let per_cell: Vec<_> = specs.iter().map(|s| s.model.retime(run)).collect();
         let gang = retime_gang(run, &specs).expect("every run backing streams a gang");

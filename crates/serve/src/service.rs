@@ -776,10 +776,8 @@ impl ExperimentService {
                 let (run, specs) = (&run, &specs);
                 scope.spawn(move || {
                     // One streamed traversal feeds every unique cell;
-                    // each cell's column is sent the moment its engine
-                    // finishes. After a mid-stream gang failure the
-                    // per-cell fallback sends every cell again (results
-                    // are deterministic, so a duplicate send is benign).
+                    // each cell's column is sent once, the moment its
+                    // engine finishes.
                     let tx = std::sync::Mutex::new(tx);
                     retime_run(run, specs, &|i, r| {
                         // A vanished receiver just means the client

@@ -33,7 +33,7 @@ pub use record::{MemAccess, SyncAccess, Trace, TraceEntry, TraceOp};
 pub use stats::{BranchPredictor, BranchStats, DataRefStats, SyncStats, TraceStats};
 pub use storage::{fnv1a, DecodeError, ARCHIVE_VERSION};
 pub use stream::{
-    collect_source, ChunkBuilder, ChunkMeta, CollectSink, EntryCols, EntryView, GangCursor,
-    GangMember, GangStats, NullSink, OpClass, SliceSource, StreamError, TraceChunk, TraceCursor,
-    TraceSink, TraceSource, DEFAULT_CHUNK_LEN,
+    collect_source, ChunkBuilder, ChunkMeta, CollectSink, EntryView, GangCursor, GangMember,
+    GangStats, NullSink, OpClass, SliceSource, StreamError, TraceChunk, TraceCursor, TraceSink,
+    TraceSource, DEFAULT_CHUNK_LEN,
 };

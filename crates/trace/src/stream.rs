@@ -275,21 +275,10 @@ impl TraceChunk {
         ChunkIter { chunk: self, i: 0 }
     }
 
-    /// Borrowed column view of the entry at `i` — accessors read the
-    /// backing columns directly, nothing is reconstructed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[inline]
-    pub fn view(&self, i: usize) -> EntryView<'_> {
-        assert!(i < self.len(), "view index {i} out of range");
-        EntryView { chunk: self, i }
-    }
-
     /// Iterates borrowed column views over the entries in order — the
-    /// allocation-free counterpart of [`iter`](Self::iter) for
-    /// consumers written against [`EntryCols`].
+    /// allocation-free counterpart of [`iter`](Self::iter): the
+    /// re-timing engines read the columns they need through the view's
+    /// accessors, and no [`TraceOp`] is built per entry.
     pub fn views(&self) -> impl Iterator<Item = EntryView<'_>> {
         (0..self.len()).map(move |i| EntryView { chunk: self, i })
     }
@@ -313,73 +302,6 @@ pub enum OpClass {
     Sync(SyncKind),
 }
 
-/// Per-column access to one trace entry.
-///
-/// Implemented by the materialized [`TraceEntry`] and by the borrowed
-/// [`EntryView`], so an engine's per-entry body is written once
-/// against these accessors yet monomorphizes to direct column reads on
-/// the streamed path: no [`TraceOp`] union is built per entry, and
-/// columns the engine never asks for (addresses, say) are never
-/// touched.
-pub trait EntryCols {
-    /// Program counter (instruction index).
-    fn pc(&self) -> u32;
-    /// Payload-free operation class.
-    fn class(&self) -> OpClass;
-    /// Memory/sync address, or branch/jump target widened to `u64`.
-    fn addr(&self) -> u64;
-    /// Memory latency or sync access latency; 0 for everything else.
-    fn latency(&self) -> u32;
-    /// Sync wait cycles; 0 for everything else.
-    fn wait(&self) -> u32;
-}
-
-impl EntryCols for TraceEntry {
-    #[inline]
-    fn pc(&self) -> u32 {
-        self.pc
-    }
-
-    #[inline]
-    fn class(&self) -> OpClass {
-        match self.op {
-            TraceOp::Compute => OpClass::Compute,
-            TraceOp::Load(_) => OpClass::Load,
-            TraceOp::Store(_) => OpClass::Store,
-            TraceOp::Branch { .. } => OpClass::Branch,
-            TraceOp::Jump { .. } => OpClass::Jump,
-            TraceOp::Sync(s) => OpClass::Sync(s.kind),
-        }
-    }
-
-    #[inline]
-    fn addr(&self) -> u64 {
-        match self.op {
-            TraceOp::Compute => 0,
-            TraceOp::Load(m) | TraceOp::Store(m) => m.addr,
-            TraceOp::Branch { target, .. } | TraceOp::Jump { target } => u64::from(target),
-            TraceOp::Sync(s) => s.addr,
-        }
-    }
-
-    #[inline]
-    fn latency(&self) -> u32 {
-        match self.op {
-            TraceOp::Load(m) | TraceOp::Store(m) => m.latency,
-            TraceOp::Sync(s) => s.access,
-            _ => 0,
-        }
-    }
-
-    #[inline]
-    fn wait(&self) -> u32 {
-        match self.op {
-            TraceOp::Sync(s) => s.wait,
-            _ => 0,
-        }
-    }
-}
-
 /// A borrowed view of one entry's columns within a [`TraceChunk`].
 ///
 /// Copy-cheap (a pointer and an index); every accessor is a single
@@ -390,14 +312,16 @@ pub struct EntryView<'a> {
     i: usize,
 }
 
-impl EntryCols for EntryView<'_> {
+impl EntryView<'_> {
+    /// Program counter (instruction index).
     #[inline]
-    fn pc(&self) -> u32 {
+    pub fn pc(&self) -> u32 {
         self.chunk.pc[self.i]
     }
 
+    /// Payload-free operation class.
     #[inline]
-    fn class(&self) -> OpClass {
+    pub fn class(&self) -> OpClass {
         let k = self.chunk.kind[self.i];
         match k & KIND_OP_MASK {
             KIND_COMPUTE => OpClass::Compute,
@@ -409,18 +333,21 @@ impl EntryCols for EntryView<'_> {
         }
     }
 
+    /// Memory/sync address, or branch/jump target widened to `u64`.
     #[inline]
-    fn addr(&self) -> u64 {
+    pub fn addr(&self) -> u64 {
         self.chunk.addr[self.i]
     }
 
+    /// Memory latency or sync access latency; 0 for everything else.
     #[inline]
-    fn latency(&self) -> u32 {
+    pub fn latency(&self) -> u32 {
         self.chunk.lat[self.i]
     }
 
+    /// Sync wait cycles; 0 for everything else.
     #[inline]
-    fn wait(&self) -> u32 {
+    pub fn wait(&self) -> u32 {
         self.chunk.wait[self.i]
     }
 }
@@ -691,8 +618,10 @@ impl<T: TraceSource + ?Sized> TraceSource for &mut T {
 }
 
 /// A source over an in-memory entry slice, split into fixed-size
-/// chunks — the bridge from materialized traces to streamed consumers
-/// (and the reference producer for chunk-boundary tests).
+/// chunks. It is how a materialized trace reaches the re-timing
+/// engines, which read only chunk sources, and the reference producer
+/// for chunk-boundary tests. Each chunk is transposed into SoA columns
+/// as it is pulled.
 #[derive(Debug)]
 pub struct SliceSource<'a> {
     entries: &'a [TraceEntry],
@@ -737,8 +666,8 @@ impl TraceSource for SliceSource<'_> {
     }
 }
 
-/// Drains a source into a materialized [`Trace`] — the fallback
-/// adapter for consumers without a streaming implementation.
+/// Drains a source into a materialized [`Trace`], for consumers that
+/// need the whole trace at once (trace statistics, listings).
 ///
 /// # Errors
 ///
@@ -758,8 +687,7 @@ pub fn collect_source(source: &mut dyn TraceSource) -> Result<Trace, StreamError
     Ok(trace)
 }
 
-/// Random access within a sliding window over a trace, backed either
-/// by a materialized slice (zero overhead) or by a [`TraceSource`]
+/// Random access within a sliding window over a [`TraceSource`]
 /// pulled on demand.
 ///
 /// The re-timing engines access entries at indices that never precede
@@ -771,69 +699,38 @@ pub fn collect_source(source: &mut dyn TraceSource) -> Result<Trace, StreamError
 /// would poison the engines' hot loops): a failing source behaves as
 /// if the trace ended at the last good entry, and the deferred error
 /// is retrieved with [`take_error`](Self::take_error) after the run.
-#[derive(Debug)]
 pub struct TraceCursor<'a> {
-    inner: Inner<'a>,
+    source: Box<dyn TraceSource + 'a>,
+    chunks: VecDeque<Arc<TraceChunk>>,
+    /// Global index of the first retained entry.
+    base: u64,
+    /// Global index one past the last pulled entry.
+    loaded: u64,
+    done: bool,
+    error: Option<StreamError>,
 }
 
-enum Inner<'a> {
-    Slice(&'a [TraceEntry]),
-    Stream {
-        source: Box<dyn TraceSource + 'a>,
-        chunks: VecDeque<Arc<TraceChunk>>,
-        /// Global index of the first retained entry.
-        base: u64,
-        /// Global index one past the last pulled entry.
-        loaded: u64,
-        done: bool,
-        error: Option<StreamError>,
-    },
-}
-
-impl fmt::Debug for Inner<'_> {
+impl fmt::Debug for TraceCursor<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Inner::Slice(entries) => f
-                .debug_struct("Slice")
-                .field("len", &entries.len())
-                .finish(),
-            Inner::Stream {
-                base,
-                loaded,
-                done,
-                chunks,
-                ..
-            } => f
-                .debug_struct("Stream")
-                .field("base", base)
-                .field("loaded", loaded)
-                .field("done", done)
-                .field("chunks", &chunks.len())
-                .finish(),
-        }
+        f.debug_struct("TraceCursor")
+            .field("base", &self.base)
+            .field("loaded", &self.loaded)
+            .field("done", &self.done)
+            .field("chunks", &self.chunks.len())
+            .finish()
     }
 }
 
 impl<'a> TraceCursor<'a> {
-    /// A cursor over a materialized trace (the zero-overhead fast
-    /// path; entry access compiles to a bounds-checked index).
-    pub fn slice(trace: &'a Trace) -> TraceCursor<'a> {
-        TraceCursor {
-            inner: Inner::Slice(trace.entries()),
-        }
-    }
-
     /// A cursor pulling chunks from `source` on demand.
-    pub fn stream(source: Box<dyn TraceSource + 'a>) -> TraceCursor<'a> {
+    pub fn new(source: Box<dyn TraceSource + 'a>) -> TraceCursor<'a> {
         TraceCursor {
-            inner: Inner::Stream {
-                source,
-                chunks: VecDeque::new(),
-                base: 0,
-                loaded: 0,
-                done: false,
-                error: None,
-            },
+            source,
+            chunks: VecDeque::new(),
+            base: 0,
+            loaded: 0,
+            done: false,
+            error: None,
         }
     }
 
@@ -842,36 +739,24 @@ impl<'a> TraceCursor<'a> {
     /// truncated end; check [`take_error`](Self::take_error).
     #[inline]
     pub fn past_end(&mut self, idx: usize) -> bool {
-        match &mut self.inner {
-            Inner::Slice(entries) => idx >= entries.len(),
-            Inner::Stream {
-                source,
-                chunks,
-                loaded,
-                done,
-                error,
-                ..
-            } => {
-                while (idx as u64) >= *loaded && !*done && error.is_none() {
-                    match source.next_chunk() {
-                        Ok(Some(chunk)) => {
-                            if chunk.first_index != *loaded {
-                                *error = Some(StreamError::Corrupt(format!(
-                                    "chunk starts at entry {} but {} entries were pulled",
-                                    chunk.first_index, *loaded
-                                )));
-                                break;
-                            }
-                            *loaded = chunk.end_index();
-                            chunks.push_back(chunk);
-                        }
-                        Ok(None) => *done = true,
-                        Err(e) => *error = Some(e),
+        while (idx as u64) >= self.loaded && !self.done && self.error.is_none() {
+            match self.source.next_chunk() {
+                Ok(Some(chunk)) => {
+                    if chunk.first_index != self.loaded {
+                        self.error = Some(StreamError::Corrupt(format!(
+                            "chunk starts at entry {} but {} entries were pulled",
+                            chunk.first_index, self.loaded
+                        )));
+                        break;
                     }
+                    self.loaded = chunk.end_index();
+                    self.chunks.push_back(chunk);
                 }
-                (idx as u64) >= *loaded
+                Ok(None) => self.done = true,
+                Err(e) => self.error = Some(e),
             }
         }
+        (idx as u64) >= self.loaded
     }
 
     /// Locates the retained chunk covering `idx`.
@@ -880,19 +765,16 @@ impl<'a> TraceCursor<'a> {
     ///
     /// Panics if `idx` was released or never loaded.
     #[inline]
-    fn chunk_for(
-        chunks: &VecDeque<Arc<TraceChunk>>,
-        base: u64,
-        loaded: u64,
-        idx: u64,
-    ) -> &TraceChunk {
+    fn chunk_for(&self, idx: u64) -> &TraceChunk {
         assert!(
-            idx >= base && idx < loaded,
-            "entry {idx} outside retained range [{base}, {loaded})"
+            idx >= self.base && idx < self.loaded,
+            "entry {idx} outside retained range [{}, {})",
+            self.base,
+            self.loaded
         );
         // The window spans very few chunks; scan from the back since
         // accesses cluster at the decode frontier.
-        for c in chunks.iter().rev() {
+        for c in self.chunks.iter().rev() {
             if idx >= c.first_index {
                 return c;
             }
@@ -908,61 +790,34 @@ impl<'a> TraceCursor<'a> {
     /// Panics if `idx` was released or never loaded.
     #[inline]
     pub fn entry(&self, idx: usize) -> TraceEntry {
-        match &self.inner {
-            Inner::Slice(entries) => entries[idx],
-            Inner::Stream {
-                chunks,
-                base,
-                loaded,
-                ..
-            } => {
-                let idx = idx as u64;
-                let c = Self::chunk_for(chunks, *base, *loaded, idx);
-                c.entry((idx - c.first_index) as usize)
-            }
-        }
+        let c = self.chunk_for(idx as u64);
+        c.entry(idx - c.first_index as usize)
     }
 
     /// The PC of the entry at `idx` — same contract as
     /// [`entry`](Self::entry), but touches only the dense PC column.
     #[inline]
     pub fn pc(&self, idx: usize) -> u32 {
-        match &self.inner {
-            Inner::Slice(entries) => entries[idx].pc,
-            Inner::Stream {
-                chunks,
-                base,
-                loaded,
-                ..
-            } => {
-                let idx = idx as u64;
-                let c = Self::chunk_for(chunks, *base, *loaded, idx);
-                c.pc_at((idx - c.first_index) as usize)
-            }
-        }
+        let c = self.chunk_for(idx as u64);
+        c.pc_at(idx - c.first_index as usize)
     }
 
-    /// Entries loaded so far — for a slice, the full length; for a
-    /// stream, a monotonically growing lower bound on the length.
+    /// Entries loaded so far: a monotonically growing lower bound on
+    /// the trace length.
     pub fn loaded_len(&self) -> usize {
-        match &self.inner {
-            Inner::Slice(entries) => entries.len(),
-            Inner::Stream { loaded, .. } => *loaded as usize,
-        }
+        self.loaded as usize
     }
 
     /// Declares that entries before `idx` will never be accessed
     /// again, allowing whole chunks to be dropped.
     #[inline]
     pub fn release_before(&mut self, idx: usize) {
-        if let Inner::Stream { chunks, base, .. } = &mut self.inner {
-            while let Some(front) = chunks.front() {
-                if front.end_index() <= idx as u64 {
-                    *base = front.end_index();
-                    chunks.pop_front();
-                } else {
-                    break;
-                }
+        while let Some(front) = self.chunks.front() {
+            if front.end_index() <= idx as u64 {
+                self.base = front.end_index();
+                self.chunks.pop_front();
+            } else {
+                break;
             }
         }
     }
@@ -971,10 +826,7 @@ impl<'a> TraceCursor<'a> {
     /// whose cursor carries an error is truncated and must be
     /// discarded.
     pub fn take_error(&mut self) -> Option<StreamError> {
-        match &mut self.inner {
-            Inner::Slice(_) => None,
-            Inner::Stream { error, .. } => error.take(),
-        }
+        self.error.take()
     }
 }
 
@@ -1451,15 +1303,12 @@ mod tests {
     #[test]
     fn cursor_slice_and_stream_agree() {
         let t = trace_of(50);
-        let mut slice = TraceCursor::slice(&t);
-        let mut stream = TraceCursor::stream(Box::new(SliceSource::with_chunk_len(&t, 7)));
-        for i in 0..50 {
-            assert!(!slice.past_end(i));
+        let mut stream = TraceCursor::new(Box::new(SliceSource::with_chunk_len(&t, 7)));
+        for (i, e) in t.entries().iter().enumerate() {
             assert!(!stream.past_end(i));
-            assert_eq!(slice.entry(i), stream.entry(i), "entry {i}");
-            assert_eq!(slice.pc(i), stream.pc(i), "pc {i}");
+            assert_eq!(stream.entry(i), *e, "entry {i}");
+            assert_eq!(stream.pc(i), e.pc, "pc {i}");
         }
-        assert!(slice.past_end(50));
         assert!(stream.past_end(50));
         assert!(stream.take_error().is_none());
     }
@@ -1467,7 +1316,7 @@ mod tests {
     #[test]
     fn cursor_release_drops_chunks_and_forbids_rereads() {
         let t = trace_of(30);
-        let mut c = TraceCursor::stream(Box::new(SliceSource::with_chunk_len(&t, 5)));
+        let mut c = TraceCursor::new(Box::new(SliceSource::with_chunk_len(&t, 5)));
         assert!(!c.past_end(17));
         c.release_before(12);
         // 12 falls inside the chunk [10, 15): only [0,10) dropped.
@@ -1495,7 +1344,7 @@ mod tests {
                 }
             }
         }
-        let mut c = TraceCursor::stream(Box::new(Gappy(0)));
+        let mut c = TraceCursor::new(Box::new(Gappy(0)));
         assert!(!c.past_end(0));
         assert!(c.past_end(1), "gap truncates the stream");
         assert!(matches!(c.take_error(), Some(StreamError::Corrupt(_))));

@@ -12,7 +12,7 @@ use lookahead_core::contexts::Contexts;
 use lookahead_core::ds::{Ds, DsConfig};
 use lookahead_core::inorder::InOrder;
 use lookahead_core::model::ProcessorModel;
-use lookahead_core::prefetch::{PrefetchConfig, WithPrefetch};
+use lookahead_core::prefetch::{PrefetchConfig, StridePrefetcher};
 use lookahead_core::ConsistencyModel;
 use lookahead_harness::pipeline::AppRun;
 use lookahead_multiproc::SimConfig;
@@ -75,12 +75,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Hardware stride prefetching on the blocking in-order processor.
-    let pf = WithPrefetch {
-        inner: InOrder::ssbr(ConsistencyModel::Rc),
-        config: PrefetchConfig::default(),
-    }
-    .run(&run.program, run.trace());
+    // Hardware stride prefetching on the blocking in-order processor:
+    // the prefetcher rewrites the trace, which the model then re-times.
+    let (covered, _) = StridePrefetcher::new(PrefetchConfig::default()).cover(run.trace());
+    let pf = InOrder::ssbr(ConsistencyModel::Rc).run(&run.program, &covered);
     report("SSBR + stride prefetcher", pf.cycles(), "");
 
     // Compiler load scheduling feeding the small-window machine.

@@ -790,7 +790,7 @@ pub fn dag_sweep(runner: &Runner, wanted: &[&str], workers: usize) -> DagSweep {
                     let run = gen_slots[ai]
                         .get()
                         .expect("scheduler ran a gang before its generation node");
-                    let results = retime_run(run, union, &|_, _| {});
+                    let results = retime_run(run, union);
                     assert!(gang_slots[ai].set(results).is_ok(), "gang node ran twice");
                 }),
             ]

@@ -38,17 +38,14 @@ options:
   --max-connections N
                    open-connection cap; connections beyond it get
                    503 + Retry-After at accept (default: 4096)
-  --jobs N         sweep tasks run at once (default: all cores); each
-                   gang task runs one engine thread per unique cell
+  --jobs N         DAG workers of /v1/summary: how many of its five
+                   gangs run at once (default: all cores); a figure
+                   route runs its one gang on the handler thread
   --cache-dir DIR  cache traces under DIR (default: target/trace-cache)
   --no-cache       disable the trace cache
   --span-log FILE  append every request's spans to FILE as JSONL
                    (analyze with `trace_tool spans FILE`)
-  -h, --help       show this help
-
-Figure sweeps accept stream=1 (e.g. /v1/figure3?app=A&stream=1): the
-body is sent with chunked framing, one column per chunk as cells
-finish, byte-identical to the buffered body.";
+  -h, --help       show this help";
 
 pub const QUERY_USAGE: &str = "usage: lookahead query TARGET [OPTIONS]
 
@@ -59,14 +56,11 @@ byte-identical to the HTTP response body for the same target.
   lookahead query /v1/summary
 
 options:
-  --jobs N         sweep tasks run at once, each gang with one engine
-                   thread per unique cell (default: all cores)
+  --jobs N         DAG workers of /v1/summary: how many of its five
+                   gangs run at once (default: all cores)
   --cache-dir DIR  cache traces under DIR (default: target/trace-cache)
   --no-cache       disable the trace cache
-  -h, --help       show this help
-
-Streamed targets (stream=1) are drained in-process: the printed body
-is byte-identical to the buffered one.";
+  -h, --help       show this help";
 
 #[derive(Default)]
 struct Options {
@@ -222,13 +216,9 @@ pub fn query_main(args: &[String], knobs: &Knobs) -> ExitCode {
 
     let (service, _) = build_service(&opts, knobs);
     let response = handle_target(&service, target);
-    // Streamed responses (stream=1) carry the body as a producer, not
-    // a string; drain it here so the printed bytes still equal what
-    // the HTTP server would have sent (after chunk reassembly).
-    let body = response.full_body();
     // The body goes to stdout verbatim (no trailing newline): the
     // bytes must equal the HTTP response body for the same target.
-    if let Err(code) = crate::write_stdout(body.as_bytes()) {
+    if let Err(code) = crate::write_stdout(response.body.as_bytes()) {
         return code;
     }
     if response.status == 200 {

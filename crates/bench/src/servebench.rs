@@ -6,7 +6,7 @@
 //! socket is nonblocking, a per-slot state machine walks
 //! send-request → read-response → (keep-alive reuse | reconnect), and
 //! completion is detected from the response framing (`Content-Length`,
-//! chunked terminator, or connection close). Thread-per-client load
+//! or connection close for a head without one). Thread-per-client load
 //! generation tops out around the machine's thread budget; this engine
 //! holds thousands of sockets open at once, which is exactly the
 //! regime the reactor exists for.
@@ -141,7 +141,6 @@ struct ClientConn {
     /// Byte offset just past `\r\n\r\n` once the head is complete.
     head_end: Option<usize>,
     content_length: Option<usize>,
-    chunked: bool,
     /// The server will close after this response (no length framing,
     /// or an explicit `Connection: close`).
     close_framed: bool,
@@ -236,7 +235,6 @@ impl Engine<'_> {
                 inbuf: Vec::new(),
                 head_end: None,
                 content_length: None,
-                chunked: false,
                 close_framed: false,
                 served_on_conn: 0,
                 t0: now,
@@ -260,7 +258,6 @@ impl Engine<'_> {
             conn.inbuf.clear();
             conn.head_end = None;
             conn.content_length = None;
-            conn.chunked = false;
             conn.close_framed = false;
             conn.t0 = now;
             conn.deadline = now + self.opts.request_timeout;
@@ -296,10 +293,7 @@ impl Engine<'_> {
                         Ok(0) => {
                             // EOF: legitimate completion only for a
                             // close-framed response whose head we have.
-                            if conn.head_end.is_some()
-                                && conn.content_length.is_none()
-                                && !conn.chunked
-                            {
+                            if conn.head_end.is_some() && conn.content_length.is_none() {
                                 SlotStep::Complete
                             } else {
                                 SlotStep::Failed("connection closed mid-response".into())
@@ -315,19 +309,12 @@ impl Engine<'_> {
                                         String::from_utf8_lossy(&conn.inbuf[..end]).into_owned();
                                     conn.content_length = header_value(&head, "Content-Length")
                                         .and_then(|v| v.trim().parse().ok());
-                                    conn.chunked = header_value(&head, "Transfer-Encoding")
-                                        .is_some_and(|v| v.trim().eq_ignore_ascii_case("chunked"));
                                     conn.close_framed = header_value(&head, "Connection")
                                         .is_some_and(|v| v.trim().eq_ignore_ascii_case("close"));
                                 }
                             }
-                            match (conn.head_end, conn.content_length, conn.chunked) {
-                                (Some(end), Some(cl), _) if conn.inbuf.len() >= end + cl => {
-                                    SlotStep::Complete
-                                }
-                                (Some(end), None, true)
-                                    if conn.inbuf[end..].ends_with(b"0\r\n\r\n") =>
-                                {
+                            match (conn.head_end, conn.content_length) {
+                                (Some(end), Some(cl)) if conn.inbuf.len() >= end + cl => {
                                     SlotStep::Complete
                                 }
                                 _ => SlotStep::Continue,

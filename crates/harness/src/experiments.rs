@@ -9,7 +9,7 @@
 //! spec order, so the output is byte-for-byte identical whether the
 //! executor has one worker (`LOOKAHEAD_JOBS=1`) or one per core.
 
-use crate::dag::{self, DagStats, TaskDag};
+use crate::dag::{self, TaskDag};
 use crate::pipeline::{AppRun, PipelineError};
 use lookahead_core::base::Base;
 use lookahead_core::ds::{Ds, DsConfig};
@@ -250,16 +250,9 @@ fn gang_cost(specs: &[CellSpec]) -> u64 {
     total
 }
 
-/// [`retime_gang`], with `observe` firing `(spec index, result)` for
-/// every spec as its engine finishes (from the engine's thread), so
-/// streaming consumers can emit cells before the whole gang completes.
-/// Fails with the first source error when the run's archive can no
-/// longer be read.
-fn retime_gang_observed(
-    run: &AppRun,
-    specs: &[CellSpec],
-    observe: &(dyn Fn(usize, &ExecutionResult) + Sync),
-) -> Result<Vec<ExecutionResult>, StreamError> {
+/// [`retime_gang`], failing with the first source error when the
+/// run's archive can no longer be read.
+fn try_retime_gang(run: &AppRun, specs: &[CellSpec]) -> Result<Vec<ExecutionResult>, StreamError> {
     if specs.is_empty() {
         return Ok(Vec::new());
     }
@@ -281,10 +274,9 @@ fn retime_gang_observed(
     let unique_results = std::thread::scope(|s| {
         let engines: Vec<_> = uniq
             .iter()
-            .enumerate()
             .zip(members)
-            .map(|((u, model), mut member)| {
-                let (canon, scope_in) = (&canon, scope_in.clone());
+            .map(|(model, mut member)| {
+                let scope_in = scope_in.clone();
                 s.spawn(move || {
                     // Adopt the submitter's trace scope so per-cell spans
                     // join the request's tree (as the DAG workers do).
@@ -293,13 +285,6 @@ fn retime_gang_observed(
                     let out = span::record_current("retime.cell", || {
                         engine.run_source(&run.program, &mut member)
                     });
-                    if let Ok(result) = &out {
-                        for (i, &c) in canon.iter().enumerate() {
-                            if c == u {
-                                observe(i, result);
-                            }
-                        }
-                    }
                     span::set_scope(None);
                     out
                 })
@@ -320,44 +305,19 @@ fn retime_gang_observed(
 /// `None` only when the run's archive can no longer be read, where
 /// [`retime_run`] panics instead.
 pub fn retime_gang(run: &AppRun, specs: &[CellSpec]) -> Option<Vec<ExecutionResult>> {
-    retime_gang_observed(run, specs, &|_, _| {}).ok()
+    try_retime_gang(run, specs).ok()
 }
 
 /// Re-times every spec over `run` as one gang ([`retime_gang`]),
 /// returning results in spec order. Every sweep reaches the engines
 /// through here.
 ///
-/// `observe` fires once per spec with `(spec index, result)` as each
-/// result is ready.
-///
 /// # Panics
 ///
 /// Panics if the run's archive (validated at load time) can no longer
 /// be read, naming the archive, as [`AppRun::retime`] does.
-pub fn retime_run(
-    run: &AppRun,
-    specs: &[CellSpec],
-    observe: &(dyn Fn(usize, &ExecutionResult) + Sync),
-) -> Vec<ExecutionResult> {
-    run.expect_readable(retime_gang_observed(run, specs, observe))
-}
-
-/// One [`retime_run`] gang node per run, on up to `workers` DAG
-/// workers; rows in `runs` order, plus the DAG execution stats.
-fn retime_rows(
-    runs: &[&AppRun],
-    specs: &[CellSpec],
-    workers: usize,
-) -> (Vec<Vec<ExecutionResult>>, DagStats) {
-    let jobs: Vec<_> = runs
-        .iter()
-        .map(|&run| move || retime_run(run, specs, &|_, _| {}))
-        .collect();
-    let mut dag = TaskDag::new();
-    for _ in runs {
-        dag.add_task_kind(gang_cost(specs), &[], "gang");
-    }
-    dag::run_dag_with_stats(&dag, jobs, workers)
+pub fn retime_run(run: &AppRun, specs: &[CellSpec]) -> Vec<ExecutionResult> {
+    run.expect_readable(try_retime_gang(run, specs))
 }
 
 /// Re-times the same cell list over several runs in one DAG pass;
@@ -370,7 +330,15 @@ pub fn retime_matrix(
     specs: &[CellSpec],
     workers: usize,
 ) -> Vec<Vec<ExecutionResult>> {
-    retime_rows(runs, specs, workers).0
+    let jobs: Vec<_> = runs
+        .iter()
+        .map(|&run| move || retime_run(run, specs))
+        .collect();
+    let mut dag = TaskDag::new();
+    for _ in runs {
+        dag.add_task_kind(gang_cost(specs), &[], "gang");
+    }
+    dag::run_dag(&dag, jobs, workers)
 }
 
 /// Normalizes spec-ordered results to the first (BASE) cell, yielding
@@ -391,19 +359,7 @@ pub fn columns_from_results(specs: &[CellSpec], results: &[ExecutionResult]) -> 
 /// BASE: the one per-run call every report, example and test makes.
 #[must_use]
 pub fn run_cell_specs(run: &AppRun, specs: &[CellSpec]) -> Vec<Figure3Column> {
-    columns_from_results(specs, &retime_run(run, specs, &|_, _| {}))
-}
-
-/// [`run_cell_specs`] as a one-node DAG, also returning the DAG
-/// execution stats — serve exports them to `/metrics`. One run is one
-/// gang node, which runs on the calling thread.
-#[must_use]
-pub fn run_cell_specs_with_stats(
-    run: &AppRun,
-    specs: &[CellSpec],
-) -> (Vec<Figure3Column>, DagStats) {
-    let (rows, stats) = retime_rows(&[run], specs, 1);
-    (columns_from_results(specs, &rows[0]), stats)
+    columns_from_results(specs, &retime_run(run, specs))
 }
 
 /// Table 1: data-reference statistics of the representative trace.

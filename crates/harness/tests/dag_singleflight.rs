@@ -1,14 +1,12 @@
-//! Single-flight × DAG scheduler: N concurrent identical **cold**
+//! Single-flight × gang re-timing: N concurrent identical **cold**
 //! sweeps must run the expensive trace generation exactly once, share
-//! the memoized run (`Arc`-identical), and every sweep's DAG-scheduled
-//! re-timing must produce identical columns. This is the contract the
-//! experiment service relies on when several clients ask for the same
-//! figure at once and each request body is rendered through the DAG
-//! path.
+//! the memoized run (`Arc`-identical), and every sweep's
+//! [`run_cell_specs`] gang must produce identical columns. This is the
+//! contract the experiment service relies on when several clients ask
+//! for the same figure at once and each leader renders its body from
+//! one gang over the shared run.
 
-use lookahead_harness::experiments::{
-    figure3_cells, run_cell_specs, run_cell_specs_with_stats, Figure3Column,
-};
+use lookahead_harness::experiments::{figure3_cells, run_cell_specs, Figure3Column};
 use lookahead_harness::{AppRun, SharedRuns};
 use lookahead_multiproc::SimConfig;
 use lookahead_workloads::lu::Lu;
@@ -36,7 +34,7 @@ fn concurrent_dag_sweeps_share_one_generation() {
                 s.spawn(|| {
                     barrier.wait();
                     let run = runs.get(&Lu { n: 12 }, "small", &config).unwrap();
-                    let (cols, _) = run_cell_specs_with_stats(&run, &figure3_cells(&WINDOWS));
+                    let cols = run_cell_specs(&run, &figure3_cells(&WINDOWS));
                     (run, cols)
                 })
             })
@@ -61,12 +59,12 @@ fn concurrent_dag_sweeps_share_one_generation() {
         );
         assert_eq!(
             &sweeps[0].1, cols,
-            "DAG-scheduled columns must be identical"
+            "concurrent gangs' columns must be identical"
         );
     }
 
-    // And the DAG schedule changes nothing about the numbers: a plain
-    // gang over the same shared run agrees column for column.
+    // And concurrency changes nothing about the numbers: a gang run
+    // alone over the same shared run agrees column for column.
     let plain = run_cell_specs(&sweeps[0].0, &figure3_cells(&WINDOWS));
     assert_eq!(plain, sweeps[0].1);
     assert_eq!(

@@ -23,10 +23,9 @@
 //!   interest (pipelined bytes stay buffered) and waits for the
 //!   completion, which arrives over a shared vector plus an `eventfd`
 //!   wake.
-//! * **Writing** — response bytes flush as `EPOLLOUT` allows; streamed
-//!   bodies are pulled from a bounded producer queue chunk-by-chunk
-//!   (see `StreamHandle`), so a slow client backpressures the
-//!   producer instead of buffering the whole body.
+//! * **Writing** — the worker hands back the whole response (head and
+//!   `Content-Length` body) as one buffer, which flushes as `EPOLLOUT`
+//!   allows; a slow client holds that buffer, never a worker.
 //! * **Idle** — HTTP/1.1 keep-alive: the connection returns to the
 //!   table awaiting the next request (or a pipelined one already
 //!   buffered), bounded by an idle deadline.
@@ -60,10 +59,6 @@ use std::time::{Duration, Instant};
 const TOK_LISTENER: u64 = 0;
 const TOK_WAKER: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
-
-/// How much framed stream data a producer may buffer ahead of the
-/// socket before it blocks (per connection).
-const STREAM_HIGH_WATER: usize = 256 * 1024;
 
 /// The reactor never sleeps longer than this so the shutdown flag (and
 /// SIGINT) is observed promptly even with no traffic.
@@ -101,9 +96,6 @@ enum Finish {
 struct WriteState {
     buf: Vec<u8>,
     at: usize,
-    /// Chunked tail still being produced by a worker, pulled as the
-    /// socket drains.
-    stream: Option<Arc<StreamHandle>>,
     close_after: bool,
     finish: Finish,
 }
@@ -137,16 +129,10 @@ struct Job {
 /// A worker's finished response travelling back to the reactor.
 struct Completion {
     token: u64,
-    /// Response head plus buffered body, ready for the wire.
+    /// Response head plus body, ready for the wire.
     bytes: Vec<u8>,
-    stream: Option<Arc<StreamHandle>>,
     close_after: bool,
-    ctx: TraceContext,
-    root: u32,
-    path: String,
-    status: u16,
-    write_start_us: u64,
-    popped: Instant,
+    finish: Finish,
 }
 
 /// The blocking hand-off from the reactor to the handler workers.
@@ -190,140 +176,6 @@ impl JobQueue {
     fn close(&self) {
         self.state.lock().expect("job queue poisoned").1 = true;
         self.ready.notify_all();
-    }
-}
-
-/// The shared byte queue between a worker producing a streamed body
-/// and the reactor flushing it: the worker pushes framed chunks and
-/// blocks at the high-water mark; the reactor pulls as `EPOLLOUT`
-/// readiness allows and wakes the producer when space frees up.
-pub(crate) struct StreamHandle {
-    queue: Mutex<StreamQueue>,
-    space: Condvar,
-}
-
-struct StreamQueue {
-    buf: Vec<u8>,
-    done: bool,
-    failed: bool,
-    aborted: bool,
-}
-
-enum StreamTake {
-    Bytes(Vec<u8>),
-    Pending,
-    Done,
-    Failed,
-}
-
-impl StreamHandle {
-    fn new() -> StreamHandle {
-        StreamHandle {
-            queue: Mutex::new(StreamQueue {
-                buf: Vec::new(),
-                done: false,
-                failed: false,
-                aborted: false,
-            }),
-            space: Condvar::new(),
-        }
-    }
-
-    /// Producer side: append framed bytes, blocking while the reactor
-    /// is more than a high-water mark behind.
-    fn push(&self, bytes: &[u8], waker: &Waker) -> io::Result<()> {
-        let mut q = self.queue.lock().expect("stream queue poisoned");
-        loop {
-            if q.aborted {
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "client gone; stream aborted",
-                ));
-            }
-            if q.buf.len() < STREAM_HIGH_WATER {
-                q.buf.extend_from_slice(bytes);
-                drop(q);
-                waker.wake();
-                return Ok(());
-            }
-            q = self.space.wait(q).expect("stream queue poisoned");
-        }
-    }
-
-    /// Producer side: final bytes (the zero-chunk terminator), then
-    /// mark the stream complete.
-    fn finish(&self, tail: &[u8], waker: &Waker) {
-        let mut q = self.queue.lock().expect("stream queue poisoned");
-        if !q.aborted {
-            q.buf.extend_from_slice(tail);
-        }
-        q.done = true;
-        drop(q);
-        waker.wake();
-    }
-
-    /// Producer side: the body can no longer be completed; the
-    /// connection must die mid-stream (chunked framing makes the
-    /// truncation visible to the client).
-    fn fail(&self, waker: &Waker) {
-        let mut q = self.queue.lock().expect("stream queue poisoned");
-        q.failed = true;
-        q.done = true;
-        drop(q);
-        waker.wake();
-    }
-
-    /// Reactor side: take whatever is buffered.
-    fn take(&self) -> StreamTake {
-        let mut q = self.queue.lock().expect("stream queue poisoned");
-        if !q.buf.is_empty() {
-            let bytes = std::mem::take(&mut q.buf);
-            drop(q);
-            self.space.notify_all();
-            return StreamTake::Bytes(bytes);
-        }
-        if q.failed {
-            StreamTake::Failed
-        } else if q.done {
-            StreamTake::Done
-        } else {
-            StreamTake::Pending
-        }
-    }
-
-    /// Reactor side: the client is gone; unblock and fail the
-    /// producer.
-    fn abort(&self) {
-        let mut q = self.queue.lock().expect("stream queue poisoned");
-        q.aborted = true;
-        q.buf.clear();
-        drop(q);
-        self.space.notify_all();
-    }
-}
-
-/// The sink a worker's stream producer writes into: frames each
-/// fragment as one HTTP/1.1 chunk (the same framing
-/// [`http::write_response`] emits) and pushes it toward the reactor.
-struct StreamSink<'a> {
-    handle: &'a StreamHandle,
-    waker: &'a Waker,
-}
-
-impl Write for StreamSink<'_> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        let mut framed = format!("{:x}\r\n", buf.len()).into_bytes();
-        framed.extend_from_slice(buf);
-        framed.extend_from_slice(b"\r\n");
-        self.handle.push(&framed, self.waker)?;
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
     }
 }
 
@@ -412,14 +264,13 @@ pub(crate) fn run_reactor(
                 }
             }
 
-            // Completions and stream progress are checked every round:
-            // the waker may have been consumed by an earlier iteration
-            // and coalesced wakes must not strand a response.
+            // Completions are checked every round: the waker may have
+            // been consumed by an earlier iteration and coalesced wakes
+            // must not strand a response.
             let ready = std::mem::take(&mut *completions.lock().expect("completions poisoned"));
-            for completion in ready {
-                r.install_completion(completion);
+            for c in ready {
+                r.queue_write(c.token, c.bytes, c.close_after, c.finish);
             }
-            r.pump_streams();
             r.expire_deadlines(Instant::now());
 
             service.set_open_connections(r.conns.len() as u64);
@@ -435,9 +286,6 @@ pub(crate) fn run_reactor(
 }
 
 /// Handler workers: pop a job, run the service, push the completion.
-/// Streamed bodies are produced here — the producer blocks on the
-/// stream queue's high-water mark, so a slow client costs a worker
-/// only while the body is actively being computed ahead of the socket.
 fn worker_loop(
     jobs: &JobQueue,
     completions: &Mutex<Vec<Completion>>,
@@ -472,72 +320,31 @@ fn worker_loop(
         response.server_timing = Some(server_timing(&ctx, root));
 
         let close_after = !job.request.keep_alive;
-        // The head must be rendered while `response.stream` is still
-        // in place: it decides chunked vs Content-Length framing.
-        let mut bytes = http::response_head(&response, close_after).into_bytes();
         let write_start_us = ctx.now_us();
         let completion = Completion {
             token: job.token,
-            bytes: Vec::new(),
-            stream: None,
+            bytes: http::response_bytes(&response, close_after),
             close_after,
-            ctx,
-            root,
-            path: job.request.path.clone(),
-            status: response.status,
-            write_start_us,
-            popped,
+            finish: Finish::Traced {
+                ctx,
+                root,
+                path: job.request.path,
+                status: response.status,
+                write_start_us,
+                popped,
+            },
         };
-        match response.stream.take() {
-            None => {
-                bytes.extend_from_slice(response.body.as_bytes());
-                push_completion(
-                    completions,
-                    waker,
-                    Completion {
-                        bytes,
-                        ..completion
-                    },
-                );
-            }
-            Some(body) => {
-                // The completion ships first so the reactor starts
-                // flushing the head (and early chunks) while this
-                // worker is still producing the tail.
-                let handle = Arc::new(StreamHandle::new());
-                push_completion(
-                    completions,
-                    waker,
-                    Completion {
-                        bytes,
-                        stream: Some(Arc::clone(&handle)),
-                        ..completion
-                    },
-                );
-                let mut sink = StreamSink {
-                    handle: &handle,
-                    waker,
-                };
-                match body.produce(&mut sink) {
-                    Ok(()) => handle.finish(b"0\r\n\r\n", waker),
-                    Err(_) => handle.fail(waker),
-                }
-            }
-        }
+        completions
+            .lock()
+            .expect("completions poisoned")
+            .push(completion);
+        waker.wake();
     }
 }
 
-fn push_completion(completions: &Mutex<Vec<Completion>>, waker: &Waker, completion: Completion) {
-    completions
-        .lock()
-        .expect("completions poisoned")
-        .push(completion);
-    waker.wake();
-}
-
 /// The single-threaded event loop's working state. All I/O happens
-/// here; the only cross-thread traffic is jobs out, completions (and
-/// stream bytes) back, and the eventfd wake.
+/// here; the only cross-thread traffic is jobs out, completions back,
+/// and the eventfd wake.
 struct Reactor<'a> {
     epoll: Epoll,
     listener: &'a TcpListener,
@@ -556,7 +363,6 @@ struct Reactor<'a> {
 enum WriteStep {
     Progress,
     Blocked,
-    AwaitStream,
     Finished,
     Dead,
 }
@@ -662,8 +468,7 @@ impl Reactor<'_> {
         );
         let mut response = overloaded();
         response.request_id = Some(rid);
-        let mut bytes = http::response_head(&response, true).into_bytes();
-        bytes.extend_from_slice(response.body.as_bytes());
+        let bytes = http::response_bytes(&response, true);
         // Nonblocking so a zero-window client cannot stall the
         // reactor; the tiny response almost always fits the send
         // buffer, and an overloaded server does not retry.
@@ -684,9 +489,9 @@ impl Reactor<'_> {
             State::Writing => {
                 if ev.hangup {
                     // Quiesce the fd: a fully-closed peer would
-                    // otherwise deliver a level-triggered HUP storm
-                    // while the stream producer is still running. The
-                    // write pump re-registers interest if it blocks.
+                    // otherwise deliver a level-triggered HUP storm.
+                    // The write pump re-registers interest if it
+                    // blocks.
                     if conn.interest.take().is_some() {
                         let _ = self.epoll.delete(conn.stream.as_raw_fd());
                     }
@@ -832,25 +637,14 @@ impl Reactor<'_> {
         );
         let mut response = error_response(status, &e);
         response.request_id = Some(rid);
-        let mut bytes = http::response_head(&response, true).into_bytes();
-        bytes.extend_from_slice(response.body.as_bytes());
-        self.queue_write(token, bytes, None, true, Finish::Plain { start });
+        let bytes = http::response_bytes(&response, true);
+        self.queue_write(token, bytes, true, Finish::Plain { start });
     }
 
     /// Installs response bytes on the connection and starts flushing.
-    fn queue_write(
-        &mut self,
-        token: u64,
-        bytes: Vec<u8>,
-        stream: Option<Arc<StreamHandle>>,
-        close_after: bool,
-        finish: Finish,
-    ) {
+    fn queue_write(&mut self, token: u64, bytes: Vec<u8>, close_after: bool, finish: Finish) {
+        // The connection may have died while its request was in flight.
         let Some(conn) = self.conns.get_mut(&token) else {
-            // The connection died while its request was in flight.
-            if let Some(stream) = &stream {
-                stream.abort();
-            }
             return;
         };
         conn.state = State::Writing;
@@ -858,32 +652,13 @@ impl Reactor<'_> {
         conn.write = Some(WriteState {
             buf: bytes,
             at: 0,
-            stream,
             close_after,
             finish,
         });
         self.try_write(token);
     }
 
-    fn install_completion(&mut self, c: Completion) {
-        self.queue_write(
-            c.token,
-            c.bytes,
-            c.stream,
-            c.close_after,
-            Finish::Traced {
-                ctx: c.ctx,
-                root: c.root,
-                path: c.path,
-                status: c.status,
-                write_start_us: c.write_start_us,
-                popped: c.popped,
-            },
-        );
-    }
-
-    /// Flushes as much of the pending response as the socket takes,
-    /// pulling more from the stream queue as it drains.
+    /// Flushes as much of the pending response as the socket takes.
     fn try_write(&mut self, token: u64) {
         loop {
             let step = {
@@ -907,22 +682,6 @@ impl Reactor<'_> {
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => WriteStep::Progress,
                         Err(_) => WriteStep::Dead,
                     }
-                } else if let Some(handle) = &w.stream {
-                    match handle.take() {
-                        StreamTake::Bytes(bytes) => {
-                            w.buf = bytes;
-                            w.at = 0;
-                            WriteStep::Progress
-                        }
-                        StreamTake::Pending => WriteStep::AwaitStream,
-                        StreamTake::Done => {
-                            w.stream = None;
-                            WriteStep::Progress
-                        }
-                        // The producer failed mid-body; the truncated
-                        // chunked framing tells the client.
-                        StreamTake::Failed => WriteStep::Dead,
-                    }
                 } else {
                     WriteStep::Finished
                 }
@@ -932,12 +691,6 @@ impl Reactor<'_> {
                 WriteStep::Blocked => {
                     self.eagain += 1;
                     self.set_interest(token, false, true);
-                    return;
-                }
-                WriteStep::AwaitStream => {
-                    // Nothing to write until the producer pushes more;
-                    // the eventfd wake drives the next pump.
-                    self.set_interest(token, false, false);
                     return;
                 }
                 WriteStep::Finished => {
@@ -1031,22 +784,6 @@ impl Reactor<'_> {
         }
     }
 
-    /// Revisits every connection mid-stream: the producer may have
-    /// pushed bytes (or finished) since the last pump.
-    fn pump_streams(&mut self) {
-        let tokens: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| {
-                c.state == State::Writing && c.write.as_ref().is_some_and(|w| w.stream.is_some())
-            })
-            .map(|(t, _)| *t)
-            .collect();
-        for token in tokens {
-            self.try_write(token);
-        }
-    }
-
     fn expire_deadlines(&mut self, now: Instant) {
         let expired: Vec<(u64, State)> = self
             .conns
@@ -1091,9 +828,6 @@ impl Reactor<'_> {
         };
         if conn.interest.is_some() {
             let _ = self.epoll.delete(conn.stream.as_raw_fd());
-        }
-        if let Some(stream) = conn.write.and_then(|w| w.stream) {
-            stream.abort();
         }
         if aborted {
             self.stats.aborted += 1;

@@ -2,7 +2,8 @@
 //!
 //! This is not a general HTTP implementation: the service only needs
 //! `GET` with a query string, HTTP/1.1 keep-alive with `Connection:
-//! close` opt-out, and chunked streaming. What it *does* need — and
+//! close` opt-out, and one response framing: a buffered body behind a
+//! `Content-Length` ([`response_bytes`]). What it *does* need — and
 //! what this module is careful about — is surviving arbitrary bytes
 //! from the network: every limit is explicit (request-line length,
 //! header count and size), every malformed input is a typed error
@@ -13,8 +14,7 @@
 //! reads, and the blocking one-shot [`read_request`], the oracle the
 //! parser is tested against.
 
-use std::io::{self, Read, Write};
-use std::sync::Mutex;
+use std::io::{self, Read};
 
 /// Longest accepted request line (method + target + version), bytes.
 pub const MAX_REQUEST_LINE: usize = 8192;
@@ -426,61 +426,6 @@ pub fn percent_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// An incremental response body: a one-shot producer that writes the
-/// body in fragments. Each `write` call the producer makes is framed
-/// as one HTTP/1.1 chunk by [`write_response`], so a client sees
-/// fragments as they are produced instead of waiting for the whole
-/// body. The concatenated fragments must equal the body the buffered
-/// path would have sent — streaming changes the framing, never the
-/// bytes (the streaming tests pin this).
-pub struct StreamBody {
-    /// `FnOnce` behind a `Mutex<Option<..>>` so the producer can run
-    /// through the `&Response` the transport already passes around.
-    producer: Mutex<Option<BodyProducer>>,
-}
-
-type BodyProducer = Box<dyn FnOnce(&mut dyn Write) -> io::Result<()> + Send>;
-
-impl StreamBody {
-    /// Wraps a body producer. The producer receives the sink to write
-    /// fragments into; every `write`/`write_all` becomes one chunk on
-    /// the wire.
-    pub fn new(
-        producer: impl FnOnce(&mut dyn Write) -> io::Result<()> + Send + 'static,
-    ) -> StreamBody {
-        StreamBody {
-            producer: Mutex::new(Some(Box::new(producer))),
-        }
-    }
-
-    /// Runs the producer into `sink`. One-shot: a second call writes
-    /// nothing (the body was already produced).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the producer's sink write failures.
-    pub fn produce(&self, sink: &mut dyn Write) -> io::Result<()> {
-        let producer = self
-            .producer
-            .lock()
-            .expect("stream producer poisoned")
-            .take();
-        match producer {
-            Some(f) => f(sink),
-            None => Ok(()),
-        }
-    }
-}
-
-impl std::fmt::Debug for StreamBody {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let consumed = self.producer.lock().map(|g| g.is_none()).unwrap_or(true);
-        f.debug_struct("StreamBody")
-            .field("consumed", &consumed)
-            .finish()
-    }
-}
-
 /// A response about to be written: status, content type, body, and an
 /// optional `Retry-After` (the backpressure signal on 503).
 #[derive(Debug)]
@@ -495,10 +440,6 @@ pub struct Response {
     /// `Server-Timing` header value (per-stage durations for clients
     /// like `loadgen`); the transport fills this from the span tree.
     pub server_timing: Option<String>,
-    /// When set, the body is produced incrementally and written with
-    /// chunked framing; `body` is ignored by the transport (it stays
-    /// empty on streamed responses).
-    pub stream: Option<StreamBody>,
 }
 
 impl Response {
@@ -517,94 +458,37 @@ impl Response {
             retry_after: None,
             request_id: None,
             server_timing: None,
-            stream: None,
         }
     }
 
-    /// A streamed JSON response: the producer's fragments are the
-    /// body.
-    pub fn json_stream(
-        producer: impl FnOnce(&mut dyn Write) -> io::Result<()> + Send + 'static,
-    ) -> Response {
-        Response {
-            stream: Some(StreamBody::new(producer)),
-            ..Response::json(200, String::new())
-        }
-    }
-
-    /// The complete body bytes, draining the stream producer into
-    /// memory when the response is streamed (the `lookahead query`
-    /// path and tests; the HTTP transport streams instead). One-shot
-    /// for streamed responses.
+    /// A copy of [`Response::body`]. Only the benchmark probe
+    /// (`perfbench/probe/src/serve.rs`) calls it; delete it together
+    /// with that call.
     pub fn full_body(&self) -> String {
-        match &self.stream {
-            None => self.body.clone(),
-            Some(s) => {
-                let mut buf = Vec::new();
-                s.produce(&mut buf).expect("in-memory sink cannot fail");
-                String::from_utf8_lossy(&buf).into_owned()
-            }
-        }
+        self.body.clone()
     }
 }
 
-/// Frames every `write` call as one HTTP/1.1 chunk.
-struct ChunkWriter<'a, W: Write> {
-    inner: &'a mut W,
-}
-
-impl<W: Write> Write for ChunkWriter<'_, W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        // A zero-length chunk would terminate the body early; skip it.
-        if !buf.is_empty() {
-            write!(self.inner, "{:x}\r\n", buf.len())?;
-            self.inner.write_all(buf)?;
-            self.inner.write_all(b"\r\n")?;
-            // Fragments should reach the client as they are produced.
-            self.inner.flush()?;
-        }
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// Writes `response` with `Connection: close` framing: buffered bodies
-/// with `Content-Length`, streamed bodies with `Transfer-Encoding:
-/// chunked` (one chunk per produced fragment, then the zero-length
-/// terminator).
-///
-/// # Errors
-///
-/// Propagates socket write failures (the caller logs and drops).
-pub fn write_response(stream: &mut impl Write, response: &Response) -> io::Result<()> {
-    stream.write_all(response_head(response, true).as_bytes())?;
-    match &response.stream {
-        Some(body) => {
-            body.produce(&mut ChunkWriter { inner: stream })?;
-            stream.write_all(b"0\r\n\r\n")?;
-        }
-        None => stream.write_all(response.body.as_bytes())?,
-    }
-    stream.flush()
+/// The response as it goes on the wire: the head, framed with
+/// `Content-Length`, then the body. `close` picks `Connection: close`
+/// over `Connection: keep-alive`.
+pub fn response_bytes(response: &Response, close: bool) -> Vec<u8> {
+    let mut bytes = response_head(response, close).into_bytes();
+    bytes.extend_from_slice(response.body.as_bytes());
+    bytes
 }
 
 /// Renders the response head: `Connection: close` when `close`, else
 /// `Connection: keep-alive` (the reactor's keep-alive responses).
 /// The two heads differ only in that header value.
-pub fn response_head(response: &Response, close: bool) -> String {
-    let framing = match &response.stream {
-        Some(_) => "Transfer-Encoding: chunked".to_string(),
-        None => format!("Content-Length: {}", response.body.len()),
-    };
+fn response_head(response: &Response, close: bool) -> String {
     let connection = if close { "close" } else { "keep-alive" };
     let mut head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\n{framing}\r\nConnection: {connection}\r\n",
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
         response.status,
         reason(response.status),
         response.content_type,
+        response.body.len(),
     );
     if let Some(secs) = response.retry_after {
         head.push_str(&format!("Retry-After: {secs}\r\n"));
@@ -617,40 +501,6 @@ pub fn response_head(response: &Response, close: bool) -> String {
     }
     head.push_str("\r\n");
     head
-}
-
-/// Decodes a chunked transfer-encoded body back to its bytes (test
-/// and CLI helper; lenient about trailing garbage after the
-/// terminator).
-///
-/// # Errors
-///
-/// Returns a message when the chunk framing is malformed.
-pub fn decode_chunked(body: &[u8]) -> Result<Vec<u8>, String> {
-    let mut out = Vec::new();
-    let mut rest = body;
-    loop {
-        let line_end = rest
-            .windows(2)
-            .position(|w| w == b"\r\n")
-            .ok_or("missing chunk-size line terminator")?;
-        let size_line =
-            std::str::from_utf8(&rest[..line_end]).map_err(|_| "chunk size is not UTF-8")?;
-        let size = usize::from_str_radix(size_line.trim(), 16)
-            .map_err(|_| format!("bad chunk size {size_line:?}"))?;
-        rest = &rest[line_end + 2..];
-        if size == 0 {
-            return Ok(out);
-        }
-        if rest.len() < size + 2 {
-            return Err(format!("truncated chunk of {size} bytes"));
-        }
-        out.extend_from_slice(&rest[..size]);
-        if &rest[size..size + 2] != b"\r\n" {
-            return Err("chunk data not terminated by CRLF".into());
-        }
-        rest = &rest[size + 2..];
-    }
 }
 
 #[cfg(test)]
@@ -838,8 +688,7 @@ mod tests {
 
     #[test]
     fn response_framing_includes_length_and_close() {
-        let mut out = Vec::new();
-        write_response(&mut out, &Response::json(200, "{\"a\":1}".into())).unwrap();
+        let out = response_bytes(&Response::json(200, "{\"a\":1}".into()), true);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 7\r\n"));
@@ -860,14 +709,12 @@ mod tests {
 
     #[test]
     fn request_id_and_server_timing_headers_are_written() {
-        let mut out = Vec::new();
         let resp = Response {
             request_id: Some("req-000000000009".into()),
             server_timing: Some("queue;dur=0.120, handler;dur=3.400".into()),
             ..Response::json(200, "{}".into())
         };
-        write_response(&mut out, &resp).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(response_bytes(&resp, true)).unwrap();
         assert!(
             text.contains("X-Request-Id: req-000000000009\r\n"),
             "{text}"
@@ -880,13 +727,11 @@ mod tests {
 
     #[test]
     fn retry_after_header_on_backpressure() {
-        let mut out = Vec::new();
         let resp = Response {
             retry_after: Some(1),
             ..Response::json(503, "{}".into())
         };
-        write_response(&mut out, &resp).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(response_bytes(&resp, true)).unwrap();
         assert!(text.contains("Retry-After: 1\r\n"));
     }
 

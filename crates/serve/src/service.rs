@@ -21,11 +21,12 @@
 //!    clients ask;
 //! 4. `/v1/experiments` re-times the requested model in one per-cell
 //!    pass and normalizes it to the run's memoized BASE result
-//!    ([`AppRun::base`], re-timed once per run); the figure and summary
-//!    routes run one gang per application run ([`retime_run`]: a single
-//!    streamed traversal feeds every cell's engine). Results come out
-//!    in spec order, so the body is byte-identical under any
-//!    concurrency.
+//!    ([`AppRun::base`], re-timed once per run); a figure route runs
+//!    its run's cells as one gang on the handler thread
+//!    ([`run_cell_specs`]: a single streamed traversal feeds every
+//!    cell's engine), and `/v1/summary` runs its five gangs on the DAG
+//!    executor ([`retime_matrix`]). Results come out in spec order, so
+//!    the body is byte-identical under any concurrency.
 //!
 //! Everything the paper's philosophy says about overlap applies here:
 //! distinct cold queries overlap their simulations on separate
@@ -36,10 +37,10 @@ use lookahead_core::ds::{Ds, DsConfig};
 use lookahead_core::inorder::InOrder;
 use lookahead_core::model::ExecutionResult;
 use lookahead_core::ConsistencyModel;
-use lookahead_harness::dag::{DagStats, Scheduler};
+use lookahead_harness::dag::Scheduler;
 use lookahead_harness::experiments::{
-    columns_from_results, figure3_cells, figure4_cells, hidden_row, retime_matrix, retime_run,
-    run_cell_specs_with_stats, summary_cells, CellSpec, PAPER_WINDOWS,
+    figure3_cells, figure4_cells, hidden_row, retime_matrix, run_cell_specs, summary_cells,
+    PAPER_WINDOWS,
 };
 use lookahead_harness::pipeline::AppRun;
 use lookahead_harness::singleflight::{FlightOutcome, SharedRuns, SingleFlight};
@@ -280,8 +281,8 @@ impl ExperimentService {
             "/v1/experiments" => {
                 self.report(request, Self::experiments_key, Self::experiments_body)
             }
-            "/v1/figure3" => self.figure_route::<3>(request),
-            "/v1/figure4" => self.figure_route::<4>(request),
+            "/v1/figure3" => self.report(request, Self::figure_key::<3>, Self::figure_body::<3>),
+            "/v1/figure4" => self.report(request, Self::figure_key::<4>, Self::figure_body::<4>),
             "/v1/summary" => self.report(request, Self::summary_key, Self::summary_body),
             other => match other.strip_prefix("/v1/debug/trace/") {
                 Some(id) => self.debug_trace(id),
@@ -345,22 +346,6 @@ impl ExperimentService {
             }
         };
         result.map(|b| Response::json(200, (*b).clone()))
-    }
-
-    /// `/v1/figure3` and `/v1/figure4`: buffered through the body memo
-    /// by default, or streamed cell-by-cell when the query says
-    /// `stream=1` (same bytes, chunked framing, no memo).
-    fn figure_route<const N: u8>(&self, request: &Request) -> Result<Response, ApiError> {
-        match request.param("stream") {
-            None | Some("0") => match N {
-                3 => self.report(request, Self::figure_key::<3>, Self::figure3_body),
-                _ => self.report(request, Self::figure_key::<4>, Self::figure4_body),
-            },
-            Some("1") => self.figure_stream::<N>(request),
-            Some(v) => Err(ApiError::BadQuery(format!(
-                "stream must be \"0\" or \"1\", got {v:?}"
-            ))),
-        }
     }
 
     fn count(&self, path: &str, by: u64) {
@@ -567,7 +552,7 @@ impl ExperimentService {
     }
 
     fn figure_key<const N: u8>(&self, request: &Request) -> Result<String, ApiError> {
-        Self::reject_unknown_params(request, &["app", "tier", "stream"])?;
+        Self::reject_unknown_params(request, &["app", "tier"])?;
         let app = self.parse_app(
             request
                 .param("app")
@@ -693,7 +678,7 @@ impl ExperimentService {
                         .u64("proc", run.proc as u64)
                         .u64("mp_cycles", run.mp_cycles);
                 });
-                o.raw("base", &breakdown_json(&base.breakdown));
+                o.object("base", |b| write_breakdown_fields(b, &base.breakdown));
                 o.object("result", |r| {
                     write_breakdown_fields(r, &result.breakdown);
                     r.f64(
@@ -709,105 +694,33 @@ impl ExperimentService {
         }))
     }
 
-    /// Records what one DAG-scheduled sweep observed.
-    fn record_dag_stats(&self, s: &DagStats) {
-        self.count("serve.dag.sweeps", 1);
-        self.count("serve.dag.cells", s.tasks as u64);
-        self.metrics.with(|r| {
-            r.observe("serve.dag.peak_ready", s.peak_ready as u64);
-            r.observe("serve.dag.critical_path", s.critical_path);
-        });
-    }
-
-    fn figure_cells<const N: u8>() -> Vec<CellSpec> {
-        match N {
-            3 => figure3_cells(&PAPER_WINDOWS),
-            _ => figure4_cells(&PAPER_WINDOWS),
-        }
-    }
-
-    fn figure_body_for<const N: u8>(&self, request: &Request) -> Result<String, ApiError> {
+    /// `/v1/figure3` and `/v1/figure4`: the figure's cells re-timed as
+    /// one gang over the application's run, normalized to BASE.
+    fn figure_body<const N: u8>(&self, request: &Request) -> Result<String, ApiError> {
         let app = self.parse_app(request.param("app").expect("validated by key"))?;
         let tier = self.parse_tier(request)?;
         let run = self.resolve(app, tier)?;
-        let specs = Self::figure_cells::<N>();
-        let (columns, stats) =
-            span::record_current("retime", || run_cell_specs_with_stats(&run, &specs));
-        self.record_dag_stats(&stats);
-        let route = if N == 3 { "figure3" } else { "figure4" };
+        let (route, specs) = match N {
+            3 => ("figure3", figure3_cells(&PAPER_WINDOWS)),
+            _ => ("figure4", figure4_cells(&PAPER_WINDOWS)),
+        };
+        let columns = span::record_current("retime", || run_cell_specs(&run, &specs));
         Ok(span::record_current("render", || {
-            figure_body(route, app, tier, &columns)
-        }))
-    }
-
-    fn figure3_body(&self, request: &Request) -> Result<String, ApiError> {
-        self.figure_body_for::<3>(request)
-    }
-
-    fn figure4_body(&self, request: &Request) -> Result<String, ApiError> {
-        self.figure_body_for::<4>(request)
-    }
-
-    /// `stream=1` figure sweeps: the response body is produced
-    /// incrementally — the JSON prefix as soon as the run is resolved,
-    /// then each column the moment its engine in the run's gang has
-    /// finished and every earlier column is out. The concatenated
-    /// fragments are byte-identical to the buffered body; the trade is
-    /// that a streamed response bypasses the body memo (its cost is
-    /// re-paid per request, while the run resolution still shares the
-    /// process-wide memo).
-    fn figure_stream<const N: u8>(&self, request: &Request) -> Result<Response, ApiError> {
-        // Validate exactly as the buffered path would.
-        let _ = self.figure_key::<N>(request)?;
-        let app = self.parse_app(request.param("app").expect("validated by key"))?;
-        let tier = self.parse_tier(request)?;
-        // Resolve before committing to stream: a generation failure is
-        // still an ordinary buffered 500.
-        let run = self.resolve(app, tier)?;
-        let specs = Self::figure_cells::<N>();
-        let route = if N == 3 { "figure3" } else { "figure4" };
-        self.count("serve.stream.responses", 1);
-        self.count("serve.stream.cells", specs.len() as u64);
-        let prefix = figure_prefix(route, app, tier);
-        Ok(Response::json_stream(move |sink| {
-            sink.write_all(prefix.as_bytes())?;
-            let (tx, rx) = std::sync::mpsc::channel::<(usize, ExecutionResult)>();
-            std::thread::scope(|scope| -> std::io::Result<()> {
-                let (run, specs) = (&run, &specs);
-                scope.spawn(move || {
-                    // One streamed traversal feeds every unique cell;
-                    // each cell's column is sent once, the moment its
-                    // engine finishes.
-                    let tx = std::sync::Mutex::new(tx);
-                    retime_run(run, specs, &|i, r| {
-                        // A vanished receiver just means the client
-                        // hung up mid-stream.
-                        let _ = tx
-                            .lock()
-                            .expect("a gang engine panicked while sending")
-                            .send((i, r.clone()));
-                    });
+            JsonObject::render(|o| {
+                o.object("query", |q| {
+                    q.str("route", route)
+                        .str("app", app.name())
+                        .str("tier", tier.name());
                 });
-                let mut slots: Vec<Option<ExecutionResult>> = vec![None; specs.len()];
-                let mut done: Vec<ExecutionResult> = Vec::new();
-                for (i, result) in rx {
-                    slots[i] = Some(result);
-                    // Emit the contiguous prefix of finished columns.
-                    while done.len() < specs.len() && slots[done.len()].is_some() {
-                        let emit = done.len();
-                        done.push(slots[emit].take().expect("checked above"));
-                        let column = columns_from_results(&specs[..=emit], &done)
-                            .pop()
-                            .expect("one column per result");
-                        let mut fragment = String::new();
-                        if emit > 0 {
-                            fragment.push(',');
-                        }
-                        fragment.push_str(&column_json(&column));
-                        sink.write_all(fragment.as_bytes())?;
+                o.array("columns", |a| {
+                    for col in &columns {
+                        a.object(|c| {
+                            c.str("label", &col.label).str("model", &col.model);
+                            c.object("breakdown", |b| write_breakdown_fields(b, &col.breakdown));
+                            c.f64("normalized", col.normalized);
+                        });
                     }
-                }
-                sink.write_all(b"]}")
+                });
             })
         }))
     }
@@ -872,58 +785,12 @@ impl ExperimentService {
     }
 }
 
-/// One breakdown as a JSON object string.
-fn breakdown_json(b: &Breakdown) -> String {
-    JsonObject::render(|o| write_breakdown_fields(o, b))
-}
-
 fn write_breakdown_fields(o: &mut JsonObject<'_>, b: &Breakdown) {
     o.u64("busy", b.busy)
         .u64("sync", b.sync)
         .u64("read", b.read)
         .u64("write", b.write)
         .u64("total", b.total());
-}
-
-/// The figure body's byte prefix: everything before the first column.
-/// The streamed and buffered paths both assemble the body from this
-/// prefix, [`column_json`] fragments joined by commas, and the `]}`
-/// suffix — byte-identity between the two framings holds by
-/// construction.
-fn figure_prefix(route: &str, app: App, tier: SizeTier) -> String {
-    let query = JsonObject::render(|o| {
-        o.str("route", route)
-            .str("app", app.name())
-            .str("tier", tier.name());
-    });
-    format!("{{\"query\":{query},\"columns\":[")
-}
-
-/// One rendered column of a figure body.
-fn column_json(col: &lookahead_harness::Figure3Column) -> String {
-    JsonObject::render(|c| {
-        c.str("label", &col.label).str("model", &col.model);
-        c.raw("breakdown", &breakdown_json(&col.breakdown));
-        c.f64("normalized", col.normalized);
-    })
-}
-
-/// Shared rendering for the figure3/figure4 column sweeps.
-fn figure_body(
-    route: &str,
-    app: App,
-    tier: SizeTier,
-    columns: &[lookahead_harness::Figure3Column],
-) -> String {
-    let mut out = figure_prefix(route, app, tier);
-    for (i, col) in columns.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&column_json(col));
-    }
-    out.push_str("]}");
-    out
 }
 
 /// Convenience for the CLI and tests: handles a `GET` described by a

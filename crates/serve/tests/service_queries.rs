@@ -5,32 +5,34 @@
 //!   in-process [`handle_target`] path (which is also what the
 //!   `lookahead query` CLI prints);
 //! * cold and warm queries produce identical bytes (determinism does
-//!   not depend on cache state);
+//!   not depend on cache state), and a cache-backed service serves the
+//!   same figure bytes as a memory-backed one;
 //! * N concurrent clients asking for the same cold key trigger exactly
 //!   one simulation, observable in `/metrics`.
 //!
 //! Everything runs at the small tier so a cold query is fast.
 
-use lookahead_harness::SizeTier;
+use lookahead_harness::{SizeTier, TraceCache};
 use lookahead_multiproc::SimConfig;
 use lookahead_serve::{handle_target, ExperimentService, Server, ServerConfig, ServiceConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
 
-fn small_service() -> Arc<ExperimentService> {
-    Arc::new(ExperimentService::new(
-        ServiceConfig {
-            default_tier: SizeTier::Small,
-            sim: SimConfig {
-                num_procs: 4,
-                ..SimConfig::default()
-            },
-            retime_workers: 2,
-            ..ServiceConfig::default()
+fn small_config() -> ServiceConfig {
+    ServiceConfig {
+        default_tier: SizeTier::Small,
+        sim: SimConfig {
+            num_procs: 4,
+            ..SimConfig::default()
         },
-        None,
-    ))
+        retime_workers: 2,
+        ..ServiceConfig::default()
+    }
+}
+
+fn small_service() -> Arc<ExperimentService> {
+    Arc::new(ExperimentService::new(small_config(), None))
 }
 
 struct RunningServer {
@@ -245,6 +247,7 @@ fn query_validation_fails_fast() {
         ("/v1/experiments?app=lu&tier=jumbo", 400),      // unknown tier
         ("/v1/figure3", 400),                            // missing app
         ("/v1/figure3?app=lu&window=64", 400),           // figure3 takes no window
+        ("/v1/figure3?app=lu&stream=1", 400),            // figure3 takes no stream
         ("/v1/summary?app=lu", 400),                     // summary takes no app
         ("/v2/experiments?app=lu", 404),                 // unknown route
     ] {
@@ -287,17 +290,30 @@ fn healthz_is_static_and_metrics_counts_requests() {
 
 #[test]
 fn figure_routes_report_full_sweeps() {
-    let service = small_service();
-    let f3 = handle_target(&service, "/v1/figure3?app=lu");
-    assert_eq!(f3.status, 200, "{}", f3.body);
-    for label in ["BASE", "SSBR", "SS", "DS.16", "DS.256"] {
-        assert!(f3.body.contains(label), "{label} missing from figure3");
+    // Without a cache the gang slices the in-memory trace; with one it
+    // streams the archive. Both must serve the same bytes.
+    let dir = std::env::temp_dir().join(format!("lktr-figure-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut bodies = Vec::new();
+    for cache in [None, Some(TraceCache::new(dir.clone()))] {
+        let service = ExperimentService::new(small_config(), cache);
+        let f3 = handle_target(&service, "/v1/figure3?app=lu");
+        assert_eq!(f3.status, 200, "{}", f3.body);
+        for label in ["BASE", "SSBR", "SS", "DS.16", "DS.256"] {
+            assert!(f3.body.contains(label), "{label} missing from figure3");
+        }
+        let f4 = handle_target(&service, "/v1/figure4?app=lu");
+        assert_eq!(f4.status, 200, "{}", f4.body);
+        assert!(f4.body.contains("bp+nd"));
+        // Both figures re-time the same single generated run.
+        assert_eq!(service.run_stats().generations, 1);
+        bodies.push((f3.body, f4.body));
     }
-    let f4 = handle_target(&service, "/v1/figure4?app=lu");
-    assert_eq!(f4.status, 200, "{}", f4.body);
-    assert!(f4.body.contains("bp+nd"));
-    // Both figures re-time the same single generated run.
-    assert_eq!(service.run_stats().generations, 1);
+    assert_eq!(
+        bodies[0], bodies[1],
+        "the trace source must not change a byte"
+    );
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]

@@ -216,7 +216,7 @@ fn cold_figure3_trace_accounts_for_end_to_end_latency() {
 
     // The transport stages and the handler's pipeline stages are all
     // present exactly once for a cold, cache-backed figure3.
-    const STAGES: [&str; 12] = [
+    const STAGES: [&str; 10] = [
         "request",
         "queue",
         "parse",
@@ -226,8 +226,6 @@ fn cold_figure3_trace_accounts_for_end_to_end_latency() {
         "generate",
         "archive.finish",
         "retime",
-        "dag.schedule",
-        "dag.run",
         "render",
     ];
     for name in STAGES {

@@ -31,8 +31,10 @@
 use lookahead_bench::client::get;
 use lookahead_bench::knobs::{self, Bin, Flags};
 use lookahead_bench::servebench::{metric, percentile, run_load, LoadOptions};
+use lookahead_bench::write_stdout;
 use lookahead_harness::parallel::parse_positive;
 use lookahead_serve::{parse_serve_addr, ExperimentService, Server, ServerConfig, ServiceConfig};
+use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -222,12 +224,17 @@ fn main() -> ExitCode {
         }
     };
 
-    println!(
+    // The summary is written once, so a reader that hangs up early
+    // ends the run quietly; the exit status still reports the gates.
+    let mut summary = String::new();
+    let _ = writeln!(
+        summary,
         "requests   {} ok, {errors} failed in {elapsed:.2}s ({:.0} req/s)",
         latencies.len(),
         latencies.len() as f64 / elapsed.max(1e-9),
     );
-    println!(
+    let _ = writeln!(
+        summary,
         "latency    p50={}us p95={}us p99={}us max={}us",
         percentile(&latencies, 50.0),
         percentile(&latencies, 95.0),
@@ -235,14 +242,16 @@ fn main() -> ExitCode {
         latencies.last().copied().unwrap_or(0),
     );
     if !queue_waits.is_empty() {
-        println!(
+        let _ = writeln!(
+            summary,
             "queue wait p50={}us p95={}us p99={}us (server-side, {} samples)",
             percentile(&queue_waits, 50.0),
             percentile(&queue_waits, 95.0),
             percentile(&queue_waits, 99.0),
             queue_waits.len(),
         );
-        println!(
+        let _ = writeln!(
+            summary,
             "service    p50={}us p95={}us p99={}us (handler time, {} samples)",
             percentile(&services, 50.0),
             percentile(&services, 95.0),
@@ -250,16 +259,19 @@ fn main() -> ExitCode {
             services.len(),
         );
     }
-    println!(
+    let _ = writeln!(
+        summary,
         "runs       generations={generations} disk_hits={disk_hits} \
          memo_hits={memo_hits} coalesced={run_coalesced}"
     );
-    println!(
+    let _ = writeln!(
+        summary,
         "flights    led={led} coalesced={coalesced} memoized={memoized} \
          (body-cache rate {:.1}%, coalescing rate {:.1}%)",
         pct(coalesced + memoized, flights),
         pct(coalesced, flights),
     );
+    let written = write_stdout(summary.as_bytes());
 
     if errors > 0 {
         eprintln!("loadgen: {errors} request(s) failed");
@@ -303,5 +315,5 @@ fn main() -> ExitCode {
             total_requests
         );
     }
-    ExitCode::SUCCESS
+    written.err().unwrap_or(ExitCode::SUCCESS)
 }

@@ -1,6 +1,9 @@
 //! The experiment driver: regenerate any subset of the paper's tables
-//! and figures in one process, generating (or cache-loading) each
-//! application trace exactly once.
+//! and figures in one process. The reports that re-time the shared
+//! application runs generate (or cache-load) each application's trace
+//! once; `latency100`, `assoc` and `contention` resolve their own
+//! memory-system variants, the default configuration among them, so
+//! without a cache that trace is generated again.
 //!
 //! ```text
 //! cargo run --release -p lookahead-bench --bin lookahead -- summary figure3
@@ -68,8 +71,9 @@ const USAGE: &str = "usage: lookahead [OPTIONS] REPORT [REPORT ...]
        lookahead serve [OPTIONS]    serve the suite over HTTP
        lookahead query TARGET       answer one service query, print body
 
-Regenerates the requested tables and figures, generating or
-cache-loading each application trace exactly once per process.
+Regenerates the requested tables and figures. The shared reports
+generate or cache-load each application trace once per process;
+latency100, assoc and contention resolve their own configurations.
 (`lookahead serve --help` / `lookahead query --help` for the service.)
 
 reports:
@@ -245,9 +249,11 @@ fn main() -> ExitCode {
         out.push_str(&text);
         eprintln!("{name}: {:.2}s", started.elapsed().as_secs_f64());
     }
-    print!("{out}");
+    // A reader that hangs up early (`lookahead figure1 | head`) ends
+    // the run quietly.
+    let written = lookahead_bench::write_stdout(out.as_bytes());
 
     runner.report_cache_stats();
     eprintln!("total: {:.2}s", total.elapsed().as_secs_f64());
-    ExitCode::SUCCESS
+    written.err().unwrap_or(ExitCode::SUCCESS)
 }

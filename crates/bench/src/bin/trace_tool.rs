@@ -22,7 +22,6 @@ use lookahead_bench::{write_obs_artifacts, write_stdout, Runner};
 use lookahead_core::ds::{Ds, DsConfig};
 use lookahead_core::model::ProcessorModel;
 use lookahead_core::{Btb, BtbConfig};
-use lookahead_harness::cache::{cache_key, write_run};
 use lookahead_harness::pipeline::AppRun;
 use lookahead_obs::{StallCause, StallClass};
 use lookahead_trace::storage::{read_archive_info, validate_archive_chunks};
@@ -30,7 +29,7 @@ use lookahead_trace::TraceStats;
 use lookahead_workloads::App;
 use std::fmt::Write as _;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -162,20 +161,19 @@ fn run(args: &[String], runner: &Runner, out: &mut String) -> Result<(), UsageEr
         }
         [cmd, app, file] if cmd == "save" => {
             let run = runner.run_app(parse_app(app).map_err(bad)?);
-            // The cache's own key and format: a saved file is a valid
-            // cache entry, and any cache file can be re-timed.
-            let key = cache_key(&run.app, runner.tier().name(), runner.config());
-            let f = File::create(file).map_err(|e| failed(format!("cannot create {file}: {e}")))?;
-            write_run(BufWriter::new(f), &key, &run)
-                .and_then(|w| w.into_inner().map_err(|e| e.into_error()))
+            // The run's own archive, under the cache's key: a saved file
+            // is a valid cache entry, and any cache file can be re-timed.
+            let mut f =
+                File::create(file).map_err(|e| failed(format!("cannot create {file}: {e}")))?;
+            let bytes = run
+                .write_archive(&mut f)
                 .map_err(|e| failed(format!("writing {file}: {e}")))?;
             let _ = writeln!(
                 out,
-                "wrote {} processors' traces of {} to {file} ({} representative entries, {} bytes)",
+                "wrote {} processors' traces of {} to {file} ({} representative entries, {bytes} bytes)",
                 run.num_procs(),
                 run.app,
                 run.trace_len(),
-                std::fs::metadata(file).map(|m| m.len()).unwrap_or(0)
             );
             Ok(())
         }

@@ -766,9 +766,9 @@ pub fn dag_sweep(runner: &Runner, wanted: &[&str], workers: usize) -> DagSweep {
         let gen = if runner.trace_cached(app) {
             task_dag.add_collapsed(&[])
         } else {
-            task_dag.add_task_kind(COST_GENERATE, &[], "generate")
+            task_dag.add_task(COST_GENERATE, &[])
         };
-        task_dag.add_task_kind(gang_cost, &[gen], "gang");
+        task_dag.add_task(gang_cost, &[gen]);
     }
 
     let gen_slots: Vec<OnceLock<AppRun>> = apps.iter().map(|_| OnceLock::new()).collect();

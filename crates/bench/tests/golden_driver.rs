@@ -534,3 +534,100 @@ fn trace_tool_retimes_a_saved_archive_under_its_own_program() {
         assert_no_panic(out);
     }
 }
+
+#[test]
+fn reports_and_loadgen_end_quietly_when_their_reader_is_gone() {
+    let (driver, loadgen) = (
+        env!("CARGO_BIN_EXE_lookahead"),
+        env!("CARGO_BIN_EXE_loadgen"),
+    );
+    for (bin, args) in [
+        (driver, &["figure1"][..]),
+        (
+            loadgen,
+            &["--spawn", "--connections", "1", "--requests", "1"],
+        ),
+    ] {
+        let mut child = command(bin, args, &[])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary starts");
+        // The reader is gone before the output is written.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{bin} {args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_no_panic(&out);
+    }
+}
+
+#[test]
+fn unwritable_cache_directory_falls_back_to_memory_with_one_warning() {
+    let driver = env!("CARGO_BIN_EXE_lookahead");
+    let dir = temp_dir("unwritable");
+    std::fs::create_dir_all(&*dir).unwrap();
+    // A cache directory under a regular file can never be created.
+    let file = dir.join("file");
+    std::fs::write(&file, b"not a directory").unwrap();
+    let cache_arg = format!("--cache-dir={}", file.join("sub").display());
+    let lu = [("LOOKAHEAD_APPS", "LU")];
+
+    let out = run(driver, &["summary", &cache_arg], &lu);
+    let uncached = run(driver, &["summary", "--no-cache"], &lu);
+    assert_eq!(stdout_of(&out), stdout_of(&uncached));
+    assert_no_panic(&out);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.matches("warning:").count(), 1, "{stderr}");
+    let names: Vec<_> = std::fs::read_dir(&*dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(names, ["file"], "nothing may be written");
+    assert_eq!(std::fs::read(&file).unwrap(), b"not a directory");
+}
+
+#[test]
+fn trace_tool_save_writes_the_cache_archive_byte_for_byte() {
+    let (driver, tool) = (
+        env!("CARGO_BIN_EXE_lookahead"),
+        env!("CARGO_BIN_EXE_trace_tool"),
+    );
+    let dir = temp_dir("save-bytes");
+    let cache = dir.join("cache");
+    let lu = [("LOOKAHEAD_APPS", "LU")];
+    let fill = run(
+        driver,
+        &["summary", &format!("--cache-dir={}", cache.display())],
+        &lu,
+    );
+    let _ = stdout_of(&fill);
+    let cached = std::fs::read_dir(&cache)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.file_name().unwrap().to_string_lossy().starts_with("LU-"))
+        .expect("the driver cached LU");
+    let cached = std::fs::read(cached).unwrap();
+
+    // Without a cache the run is generated into memory; with one it is
+    // read from the driver's file. Either way `save` copies the run's
+    // archive, which is the file the cache holds.
+    let cache_env = cache.display().to_string();
+    for (tag, envs) in [
+        ("memory", &[][..]),
+        ("file", &[("LOOKAHEAD_CACHE", cache_env.as_str())]),
+    ] {
+        let saved = dir.join(format!("{tag}.lktr"));
+        let save = run(tool, &["save", "LU", &saved.display().to_string()], envs);
+        let _ = stdout_of(&save);
+        assert_no_panic(&save);
+        assert!(
+            std::fs::read(&saved).unwrap() == cached,
+            "{tag}: the saved archive differs from the cached one"
+        );
+    }
+}

@@ -3,23 +3,28 @@
 //! Trace generation is the expensive half of the pipeline: a full
 //! 16-processor execution-driven simulation per application. The
 //! re-timing half consumes the same trace dozens of times. This cache
-//! makes generation pay-once: an [`AppRun`] is stored as a version-3
-//! chunked `LKTR` archive ([`lookahead_trace::storage`]) under a file
-//! name derived from a **fingerprint of everything that influences the
-//! trace** — workload name, size tier, the full [`SimConfig`], and the
-//! archive format version.
+//! makes generation pay-once: a run's version-3 chunked `LKTR` archive
+//! ([`lookahead_trace::storage`]) is kept under a file name derived
+//! from a **fingerprint of everything that influences the trace** —
+//! workload name, size tier, the full [`SimConfig`], and the archive
+//! format version.
 //!
-//! The chunked layout makes the cache *streaming* in both directions:
+//! Every [`AppRun`] reads such an archive; the cache decides only
+//! whether its bytes live in a file or in memory:
 //!
 //! * on a **miss**, the simulator's per-processor chunks are written
-//!   to the archive as they are produced ([`Simulator::run_with_sink`]
-//!   into an [`ArchiveWriter`]), so generation never materializes the
-//!   trace set in memory;
+//!   to a file as they are produced (the pipeline's one generator,
+//!   [`Simulator::run_with_sink`](lookahead_multiproc::Simulator::run_with_sink)
+//!   into an [`ArchiveWriter`](lookahead_trace::storage::ArchiveWriter)),
+//!   so generation never materializes the trace set;
 //! * on a **hit**, every chunk record is checksum-verified in one
-//!   bounded pass ([`validate_archive_chunks`]) and the run is handed
-//!   back *archive-backed*: re-timing streams chunks from disk
-//!   ([`AppRun::retime`]), and traces materialize lazily only for
-//!   consumers that need random access.
+//!   bounded pass ([`validate_archive_chunks`]) and the run reads the
+//!   file: re-timing streams its chunks ([`AppRun::retime`]), and
+//!   traces materialize lazily only for consumers that need random
+//!   access;
+//! * **without a cache**, or when the cache directory cannot be
+//!   written, the same generator fills a memory buffer, keyed as the
+//!   cache would key it, and the run reads that buffer the same way.
 //!
 //! Safety properties, in order of importance:
 //!
@@ -29,22 +34,19 @@
 //!   a hash collision or a renamed file cannot smuggle a stale trace in;
 //! * corrupt files (including leftover v1/v2 archives) are evicted on
 //!   sight so the next run is a clean miss;
-//! * stores write to a temporary file and rename into place, so a
-//!   crashed or concurrent writer never leaves a torn archive behind —
-//!   including the streamed-generation path, whose partial archive
-//!   only becomes visible after verification succeeds.
+//! * generation writes a temporary file and renames it into place only
+//!   after the workload's self-check passes, so a crashed or concurrent
+//!   writer never leaves a torn archive behind.
 
-use crate::pipeline::{AppRun, PipelineError};
-use lookahead_multiproc::{SimConfig, SimError, Simulator};
+use crate::pipeline::{write_generated, AppRun, GenerateError, PipelineError};
+use lookahead_multiproc::SimConfig;
 use lookahead_obs::span;
-use lookahead_trace::storage::{
-    read_archive_info, validate_archive_chunks, ArchiveWriter, ARCHIVE_VERSION,
-};
-use lookahead_trace::{fnv1a, DecodeError, SliceSource, TraceSink, TraceSource, DEFAULT_CHUNK_LEN};
+use lookahead_trace::storage::{read_archive_info, validate_archive_chunks, ARCHIVE_VERSION};
+use lookahead_trace::{fnv1a, DecodeError};
 use lookahead_workloads::Workload;
 use std::fmt;
 use std::fs;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 
 /// Builds the canonical cache-key string for one generated run.
@@ -116,8 +118,8 @@ impl fmt::Display for MissReason {
 pub enum CacheOutcome {
     /// Served from disk; no multiprocessor simulation ran.
     Hit,
-    /// Generated (and stored when a cache is present), with the reason
-    /// the lookup missed.
+    /// Generated (into the cache when one is present and writable, else
+    /// into memory), with the reason the lookup missed.
     Generated(MissReason),
 }
 
@@ -135,8 +137,8 @@ pub struct TraceCache {
 }
 
 impl TraceCache {
-    /// Creates a handle on `dir`. The directory is created lazily on
-    /// first store.
+    /// Creates a handle on `dir`. The directory is created lazily, by
+    /// the first generation into it.
     pub fn new(dir: impl Into<PathBuf>) -> TraceCache {
         TraceCache { dir: dir.into() }
     }
@@ -163,7 +165,7 @@ impl TraceCache {
     ///
     /// Every chunk record is checksum-verified before the run is
     /// returned, so subsequent streaming from the archive cannot trip
-    /// over damaged data. The run is archive-backed: traces stream from
+    /// over damaged data. The run reads the file: traces stream from
     /// disk on demand.
     pub fn load(&self, app: &str, key: &str) -> Result<AppRun, MissReason> {
         let path = self.path_for(app, key);
@@ -185,128 +187,52 @@ impl TraceCache {
         validate_archive_chunks(&mut r, &info).map_err(evict)?;
         Ok(AppRun::from_archive(path, info))
     }
-
-    /// Stores `run` under `key`, atomically (write to a temporary file
-    /// in the same directory, then rename into place) with
-    /// [`write_run`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures; the cache directory is created if
-    /// missing.
-    pub fn store(&self, key: &str, run: &AppRun) -> std::io::Result<PathBuf> {
-        fs::create_dir_all(&self.dir)?;
-        let path = self.path_for(&run.app, key);
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        let result = (|| {
-            let w = write_run(BufWriter::new(fs::File::create(&tmp)?), key, run)?;
-            w.into_inner().map_err(|e| e.into_error())?.sync_all()
-        })();
-        if let Err(e) = result {
-            let _ = fs::remove_file(&tmp);
-            return Err(e);
-        }
-        fs::rename(&tmp, &path)?;
-        Ok(path)
-    }
 }
 
-/// Writes `run` to `w` as the v3 archive the cache stores under `key`.
-/// Entries are encoded chunk-by-chunk straight out of the run's shared
-/// traces; nothing is deep-copied. Returns the writer so the caller
-/// can flush or sync it.
-///
-/// # Errors
-///
-/// Propagates any I/O error from the writer.
-pub fn write_run<W: Write>(w: W, key: &str, run: &AppRun) -> std::io::Result<W> {
-    let mut aw = ArchiveWriter::new(w, key, &run.app, run.num_procs(), &run.program)?;
-    for p in 0..run.num_procs() {
-        let trace = run.trace_for(p);
-        let mut src = SliceSource::with_chunk_len(&trace, DEFAULT_CHUNK_LEN);
-        while let Some(chunk) = src.next_chunk().expect("slice sources cannot fail") {
-            aw.accept(p, &chunk)?;
-        }
-    }
-    aw.finish(run.proc, run.mp_cycles, &run.mp_breakdowns)
-}
-
-/// How streamed generation failed, deciding the recovery strategy.
-enum StreamedGenError {
-    /// The simulation or verification itself failed — regeneration
-    /// would fail identically, so this surfaces to the caller.
-    Pipeline(PipelineError),
-    /// Writing the archive failed (disk full, permissions): the caller
-    /// falls back to in-memory generation, because the simulation
-    /// could still succeed.
-    Io(std::io::Error),
-}
-
-/// Generates `workload` with the simulator's chunks streamed straight
-/// into the cache archive, so the full trace set never materializes in
-/// memory. The archive only becomes visible (rename) after the
-/// workload's self-check passes; the returned run is archive-backed.
+/// Generates `workload` into the cache: the simulator's chunks stream
+/// into a temporary file, which is synced and renamed into place once
+/// the workload's self-check passes. The returned run reads the file.
 fn generate_streamed(
     cache: &TraceCache,
     key: &str,
     workload: &dyn Workload,
     config: &SimConfig,
-) -> Result<AppRun, StreamedGenError> {
-    use StreamedGenError::{Io, Pipeline};
+) -> Result<AppRun, GenerateError> {
+    use GenerateError::Io;
     fs::create_dir_all(cache.dir()).map_err(Io)?;
     let path = cache.path_for(workload.name(), key);
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    let built = workload.build(config.num_procs);
-    let program = built.program.clone();
-    let sim = Simulator::new(built.program, built.image, *config)
-        .map_err(|e| Pipeline(PipelineError::Sim(e)))?;
-    let cleanup = |e: StreamedGenError| {
+    let written = (|| {
+        let file = fs::File::create(&tmp).map_err(Io)?;
+        let w = write_generated(BufWriter::new(file), key, workload, config)?;
+        let file = w.into_inner().map_err(|e| Io(e.into_error()))?;
+        file.sync_all()
+            .and_then(|()| fs::rename(&tmp, &path))
+            .map_err(Io)
+    })();
+    if let Err(e) = written {
         let _ = fs::remove_file(&tmp);
-        e
-    };
-    let w = BufWriter::new(fs::File::create(&tmp).map_err(Io)?);
-    let mut writer = ArchiveWriter::new(w, key, workload.name(), config.num_procs, &program)
-        .map_err(|e| cleanup(Io(e)))?;
-    let outcome = sim.run_with_sink(&mut writer).map_err(|e| {
-        cleanup(match e {
-            SimError::Sink(io) => Io(io),
-            other => Pipeline(PipelineError::Sim(other)),
-        })
-    })?;
-    (built.verify)(&outcome.final_memory).map_err(|reason| {
-        cleanup(Pipeline(PipelineError::Verification {
-            app: workload.name().to_string(),
-            reason,
-        }))
-    })?;
-    let proc = outcome.busiest_proc();
-    let io_step = span::record_current("archive.finish", || {
-        let w = writer.finish(proc, outcome.total_cycles, &outcome.breakdowns)?;
-        w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-        fs::rename(&tmp, &path)
-    });
-    io_step.map_err(|e| cleanup(Io(e)))?;
-    // Re-read the header/trailer (cheap: no chunk scan) so the run is
-    // backed by exactly what landed on disk.
-    let reopen = (|| {
-        let file = fs::File::open(&path)?;
+        return Err(e);
+    }
+    // Re-read the header and trailer (cheap: no chunk scan) so the run
+    // reads exactly what landed on disk.
+    let reread = fs::File::open(&path).and_then(|file| {
         read_archive_info(BufReader::new(file))
             .map_err(|e| std::io::Error::other(format!("re-reading just-written archive: {e}")))
-    })();
-    let info = reopen.map_err(Io)?;
-    Ok(AppRun::from_archive(path, info))
+    });
+    Ok(AppRun::from_archive(path, reread.map_err(Io)?))
 }
 
 /// Serves `workload` under `config` from the cache when possible,
-/// generating on any miss. With `cache` = `None` this is plain
-/// in-memory generation.
+/// generating on any miss. With `cache` = `None` the run is generated
+/// into memory, keyed as the cache would key it.
 ///
 /// With a cache present, generation *streams*: simulator chunks are
-/// written to the archive as they are produced and the returned run is
-/// archive-backed, so peak memory is bounded by the simulator state
-/// rather than the trace set. If the archive cannot be written (disk
-/// full), generation falls back to the in-memory path with a warning —
-/// caching is an optimization, never a correctness dependency.
+/// written to the archive file as they are produced, so peak memory is
+/// bounded by the simulator state rather than the trace set. If the
+/// file cannot be written (disk full, a path that is not a directory),
+/// generation warns once and falls back to memory — caching is an
+/// optimization, never a correctness dependency.
 ///
 /// # Errors
 ///
@@ -319,35 +245,29 @@ pub fn load_or_generate(
     config: &SimConfig,
 ) -> Result<(AppRun, CacheOutcome), PipelineError> {
     let key = cache_key(workload.name(), tier, config);
-    let miss = match cache {
-        Some(c) => match span::record_current("cache.lookup", || c.load(workload.name(), &key)) {
-            Ok(run) => return Ok((run, CacheOutcome::Hit)),
-            Err(reason) => reason,
-        },
-        None => MissReason::Absent,
+    let Some(c) = cache else {
+        let run = span::record_current("generate", || AppRun::in_memory(&key, workload, config))?;
+        return Ok((run, CacheOutcome::Generated(MissReason::Absent)));
     };
-    if let Some(c) = cache {
-        match span::record_current("generate", || generate_streamed(c, &key, workload, config)) {
-            Ok(run) => return Ok((run, CacheOutcome::Generated(miss))),
-            Err(StreamedGenError::Pipeline(e)) => return Err(e),
-            Err(StreamedGenError::Io(e)) => eprintln!(
-                "  warning: failed to stream {} trace into {}: {e}; \
-                 falling back to in-memory generation",
-                workload.name(),
-                c.dir().display()
-            ),
+    let miss = match span::record_current("cache.lookup", || c.load(workload.name(), &key)) {
+        Ok(run) => return Ok((run, CacheOutcome::Hit)),
+        Err(reason) => reason,
+    };
+    let run = span::record_current("generate", || {
+        match generate_streamed(c, &key, workload, config) {
+            Ok(run) => Ok(run),
+            Err(GenerateError::Pipeline(e)) => Err(e),
+            Err(GenerateError::Io(e)) => {
+                eprintln!(
+                    "  warning: failed to stream {} trace into {}: {e}; \
+                     falling back to in-memory generation",
+                    workload.name(),
+                    c.dir().display()
+                );
+                AppRun::in_memory(&key, workload, config)
+            }
         }
-    }
-    let run = span::record_current("generate", || AppRun::generate(workload, config))?;
-    if let Some(c) = cache {
-        if let Err(e) = span::record_current("archive.store", || c.store(&key, &run)) {
-            eprintln!(
-                "  warning: failed to cache {} trace in {}: {e}",
-                run.app,
-                c.dir().display()
-            );
-        }
-    }
+    })?;
     Ok((run, CacheOutcome::Generated(miss)))
 }
 

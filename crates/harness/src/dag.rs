@@ -41,9 +41,9 @@
 //! spans recorded by the jobs land in the submitter's request tree.
 
 use lookahead_obs::span;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 /// The sweep executor, of which there is one: [`run_dag`]. Nothing
@@ -61,71 +61,6 @@ pub enum Scheduler {
 /// [`TaskDag::plan`] schedule dependencies before dependents.
 pub const COLLAPSED_COST: u64 = 1;
 
-/// EMA smoothing factor for observed task durations: recent sweeps
-/// dominate, but one outlier (a cold file cache, a scheduling hiccup)
-/// cannot swing an estimate by more than 30%.
-const EMA_ALPHA: f64 = 0.3;
-
-/// Learned task-cost estimates: an exponential moving average of
-/// observed wall durations keyed by task kind (`"BASE"`, `"DS.64"`,
-/// `"gang"`, `"generate"`, ...), fed back from [`run_dag_with_stats`]
-/// so later sweeps in the same process plan with measured costs
-/// instead of the static guesses.
-///
-/// Estimates are expressed in the DAG's nominal cost unit, which the
-/// static weights (see `ModelSpec::cost`) chose to be roughly one
-/// millisecond of work — so observed milliseconds feed back on the
-/// same scale the planner already uses. Costs only reorder execution;
-/// results are returned in node-id order, so learned costs can never
-/// change sweep output.
-#[derive(Debug, Default)]
-pub struct CostModel {
-    ema_ms: Mutex<HashMap<String, f64>>,
-}
-
-impl CostModel {
-    /// Folds one observed duration for `kind` into the average.
-    pub fn observe(&self, kind: &str, secs: f64) {
-        if !secs.is_finite() || secs < 0.0 {
-            return;
-        }
-        let ms = secs * 1000.0;
-        let mut ema = self.ema_ms.lock().expect("cost model lock");
-        match ema.get_mut(kind) {
-            Some(v) => *v = *v * (1.0 - EMA_ALPHA) + ms * EMA_ALPHA,
-            None => {
-                ema.insert(kind.to_string(), ms);
-            }
-        }
-    }
-
-    /// The learned cost for `kind` in nominal units, or `fallback`
-    /// (the static estimate) before the first observation.
-    pub fn estimate(&self, kind: &str, fallback: u64) -> u64 {
-        let ema = self.ema_ms.lock().expect("cost model lock");
-        match ema.get(kind) {
-            Some(&ms) => (ms as u64).max(1),
-            None => fallback.max(1),
-        }
-    }
-
-    /// Number of kinds with at least one observation.
-    pub fn len(&self) -> usize {
-        self.ema_ms.lock().expect("cost model lock").len()
-    }
-
-    /// Whether nothing has been observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The process-wide [`CostModel`] every DAG execution feeds.
-pub fn cost_model() -> &'static CostModel {
-    static MODEL: OnceLock<CostModel> = OnceLock::new();
-    MODEL.get_or_init(CostModel::default)
-}
-
 /// A dependency graph of costed tasks, built append-only: a task may
 /// only depend on already-added tasks, so the graph is acyclic by
 /// construction and node id order is a topological order.
@@ -134,8 +69,6 @@ pub struct TaskDag {
     costs: Vec<u64>,
     deps: Vec<Vec<usize>>,
     succs: Vec<Vec<usize>>,
-    /// Cost-model kind per task (`None` for untracked tasks).
-    kinds: Vec<Option<String>>,
     collapsed: usize,
 }
 
@@ -162,18 +95,14 @@ impl TaskDag {
         self.costs.push(cost.max(1));
         self.deps.push(deps.to_vec());
         self.succs.push(Vec::new());
-        self.kinds.push(None);
         id
     }
 
-    /// [`add_task`](Self::add_task) with a cost-model kind attached:
-    /// the task's cost estimate is refined by the process-wide
-    /// [`cost_model`]'s learned average for `kind` (when one exists),
-    /// and its observed duration is fed back after execution.
-    pub fn add_task_kind(&mut self, cost: u64, deps: &[usize], kind: &str) -> usize {
-        let id = self.add_task(cost_model().estimate(kind, cost), deps);
-        self.kinds[id] = Some(kind.to_string());
-        id
+    /// [`add_task`](Self::add_task), ignoring `kind`. Kept only because
+    /// the benchmark probe (`perfbench/probe/src/sweep.rs`) calls it;
+    /// delete it together with that call.
+    pub fn add_task_kind(&mut self, cost: u64, deps: &[usize], _kind: &str) -> usize {
+        self.add_task(cost, deps)
     }
 
     /// Adds a node whose real work is already memoized (a cache hit, a
@@ -466,12 +395,7 @@ where
                 .map(|r| r.expect("dependency cycle: job never became ready"))
                 .collect()
         });
-        finish_stats(
-            dag,
-            &task_ns,
-            wall_start.elapsed().as_secs_f64(),
-            &mut stats,
-        );
+        finish_stats(&task_ns, wall_start.elapsed().as_secs_f64(), &mut stats);
         return (results, stats);
     }
 
@@ -539,12 +463,7 @@ where
         });
     });
     stats.peak_ready = state.lock().expect("scheduler state poisoned").peak_ready;
-    finish_stats(
-        dag,
-        &task_ns,
-        wall_start.elapsed().as_secs_f64(),
-        &mut stats,
-    );
+    finish_stats(&task_ns, wall_start.elapsed().as_secs_f64(), &mut stats);
     let results = results
         .into_iter()
         .map(|m| {
@@ -556,23 +475,17 @@ where
     (results, stats)
 }
 
-/// Feeds observed task durations back into the process-wide
-/// [`cost_model`] and scores the plan: the unit-less planned makespan
-/// is converted to seconds with this run's own cost-to-seconds ratio
-/// (`total observed task seconds / total estimated cost`) and compared
-/// against the observed wall time. The relative error lands in
+/// Scores the plan: the unit-less planned makespan is converted to
+/// seconds with this run's own cost-to-seconds ratio (`total observed
+/// task seconds / total estimated cost`) and compared against the
+/// observed wall time. The relative error lands in
 /// `stats.makespan_error` and on the active metrics recorder as the
 /// `dag.plan.makespan_error` gauge (per-mille).
-fn finish_stats(dag: &TaskDag, task_ns: &[AtomicU64], wall_secs: f64, stats: &mut DagStats) {
-    let model = cost_model();
-    let mut total_task_secs = 0.0;
-    for (id, ns) in task_ns.iter().enumerate() {
-        let secs = ns.load(Ordering::Relaxed) as f64 / 1e9;
-        total_task_secs += secs;
-        if let Some(kind) = &dag.kinds[id] {
-            model.observe(kind, secs);
-        }
-    }
+fn finish_stats(task_ns: &[AtomicU64], wall_secs: f64, stats: &mut DagStats) {
+    let total_task_secs: f64 = task_ns
+        .iter()
+        .map(|ns| ns.load(Ordering::Relaxed) as f64 / 1e9)
+        .sum();
     if stats.total_cost > 0 && total_task_secs > 0.0 {
         let secs_per_unit = total_task_secs / stats.total_cost as f64;
         let predicted = stats.planned_makespan as f64 * secs_per_unit;

@@ -90,12 +90,11 @@ impl ModelSpec {
     /// Coarse cost estimate of one cell, calibrated from measured
     /// per-cell re-timing times: the in-order models cost about the
     /// same per cell, and a DS cell costs more with a larger window.
-    /// A gang node's DAG cost is the sum over its unique cells; the
-    /// learned [`dag::cost_model`] refines that sum at runtime under
-    /// the `gang` kind. The DS engine's per-cycle work no longer walks
-    /// the in-flight memory operations, so the measured growth with
-    /// window size is much flatter than this slope; the constants are
-    /// kept because they set the DAG's planned shape.
+    /// A gang node's DAG cost is the sum over its unique cells. The DS
+    /// engine's per-cycle work no longer walks the in-flight memory
+    /// operations, so the measured growth with window size is much
+    /// flatter than this slope; the constants are kept because they set
+    /// the DAG's planned shape.
     #[must_use]
     pub fn cost(&self) -> u64 {
         match *self {
@@ -336,7 +335,7 @@ pub fn retime_matrix(
         .collect();
     let mut dag = TaskDag::new();
     for _ in runs {
-        dag.add_task_kind(gang_cost(specs), &[], "gang");
+        dag.add_task(gang_cost(specs), &[]);
     }
     dag::run_dag(&dag, jobs, workers)
 }

@@ -38,7 +38,7 @@ pub mod singleflight;
 pub mod tier;
 
 pub use cache::{cache_key, load_or_generate, CacheOutcome, MissReason, TraceCache};
-pub use dag::{cost_model, run_dag, run_dag_with_stats, CostModel, DagStats, Plan, TaskDag};
+pub use dag::{run_dag, run_dag_with_stats, DagStats, Plan, TaskDag};
 pub use experiments::{
     latency_sweep, miss_delay, retime_gang, run_cell_specs, table1, table2, table3, CellSpec,
     Figure3Column, MissDelayReport, ModelSpec,

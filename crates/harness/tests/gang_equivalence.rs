@@ -16,10 +16,10 @@ fn small_config() -> SimConfig {
     }
 }
 
-/// The three backings a gang sources from: the archive reader (a run
-/// loaded through a throwaway cache), and a slice over a trace either
-/// materialized from the archive or generated in memory. Returns the
-/// cache directory for the caller to remove.
+/// The three sources a gang reads: the chunk reader over a cache file
+/// (a run loaded through a throwaway cache) or over an archive
+/// generated in memory, and a slice over a trace materialized from its
+/// archive. Returns the cache directory for the caller to remove.
 fn runs_of_every_backing(tag: &str) -> ([AppRun; 3], std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("lktr-gang-test-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -59,9 +59,9 @@ fn gang_matches_per_cell_at_any_worker_count() {
 fn gang_direct_path_matches_and_memory_runs_fall_back() {
     let (runs, dir) = runs_of_every_backing("direct");
     let specs = summary_cells(&[16, 32]);
-    // A run whose trace is in memory (generated, or materialized from
-    // its archive) streams a slice of it, and one still streaming
-    // reads its archive: the gang runs over every backing, and agrees.
+    // A run whose trace is materialized streams a slice of it, and the
+    // others read their archive, in a file or in memory: the gang runs
+    // over every source, and agrees.
     for run in &runs {
         let per_cell: Vec<_> = specs.iter().map(|s| s.model.retime(run)).collect();
         let gang = retime_gang(run, &specs).expect("every run backing streams a gang");

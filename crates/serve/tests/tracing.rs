@@ -22,7 +22,16 @@ use lookahead_serve::{handle_target, ExperimentService, Server, ServerConfig, Se
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
+
+/// Runs this file's tests one at a time. A test that times its own
+/// request loses time to the others' generation and re-timing on a
+/// small machine; a failed test leaves the lock poisoned, which the
+/// next one ignores.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn small_config() -> ServiceConfig {
     ServiceConfig {
@@ -186,6 +195,7 @@ fn trace_field_u64(body: &str, key: &str) -> u64 {
 
 #[test]
 fn cold_figure3_trace_accounts_for_end_to_end_latency() {
+    let _serial = serial();
     let cache = temp_dir("cold-figure3");
     let service = Arc::new(ExperimentService::new(
         small_config(),
@@ -282,6 +292,7 @@ fn cold_figure3_trace_accounts_for_end_to_end_latency() {
 
 #[test]
 fn experiment_queries_retime_base_once_per_run() {
+    let _serial = serial();
     let service = Arc::new(ExperimentService::new(small_config(), None));
     let server = RunningServer::start(Arc::clone(&service));
     // The `retime.cell` spans in one request's trace: one per pass
@@ -317,6 +328,7 @@ fn experiment_queries_retime_base_once_per_run() {
 
 #[test]
 fn summary_cells_nest_under_dag_run() {
+    let _serial = serial();
     // `small_config()` re-times on two DAG workers, so every gang runs
     // on a spawned worker thread; its cells still nest under dag.run.
     let service = Arc::new(ExperimentService::new(small_config(), None));
@@ -338,6 +350,7 @@ fn summary_cells_nest_under_dag_run() {
 
 #[test]
 fn bodies_are_byte_identical_with_and_without_tracing() {
+    let _serial = serial();
     // The HTTP path always traces; `handle_target` never installs a
     // scope. The bodies must not know the difference.
     let traced = Arc::new(ExperimentService::new(small_config(), None));
@@ -361,6 +374,7 @@ fn bodies_are_byte_identical_with_and_without_tracing() {
 
 #[test]
 fn concurrent_requests_get_distinct_ids_and_followers_record_the_wait() {
+    let _serial = serial();
     let service = Arc::new(ExperimentService::new(small_config(), None));
     let server = RunningServer::start(Arc::clone(&service));
 
@@ -417,6 +431,7 @@ fn concurrent_requests_get_distinct_ids_and_followers_record_the_wait() {
 
 #[test]
 fn error_responses_carry_request_ids() {
+    let _serial = serial();
     let service = Arc::new(ExperimentService::new(small_config(), None));
     let server = RunningServer::start(Arc::clone(&service));
 
@@ -446,6 +461,7 @@ fn error_responses_carry_request_ids() {
 
 #[test]
 fn debug_trace_of_unknown_id_is_404() {
+    let _serial = serial();
     let service = Arc::new(ExperimentService::new(small_config(), None));
     let server = RunningServer::start(Arc::clone(&service));
     let reply = http_get(server.addr, "/v1/debug/trace/never-seen", &[]);

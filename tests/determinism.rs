@@ -4,9 +4,8 @@
 
 use lookahead_core::ds::{Ds, DsConfig};
 use lookahead_core::model::ProcessorModel;
-use lookahead_harness::cache::write_run;
 use lookahead_harness::pipeline::AppRun;
-use lookahead_multiproc::SimConfig;
+use lookahead_multiproc::{SimConfig, Simulator};
 use lookahead_trace::storage::{read_archive_info, validate_archive_chunks, ChunkReader};
 use lookahead_trace::{collect_source, Trace};
 use lookahead_workloads::App;
@@ -52,14 +51,22 @@ fn read_back(bytes: &[u8], proc: usize) -> Trace {
 
 #[test]
 fn traces_round_trip_through_storage() {
+    // The reference never went through an archive: the traces the
+    // simulator collects in memory.
+    let built = App::Ocean.small_workload().build(config().num_procs);
+    let sim = Simulator::new(built.program, built.image, config()).unwrap();
+    let collected = sim.run().unwrap();
     let run = AppRun::generate(App::Ocean.small_workload().as_ref(), &config()).unwrap();
-    let bytes = write_run(Vec::new(), "determinism", &run).unwrap();
-    let back = read_back(&bytes, run.proc);
-    assert_eq!(back, *run.trace());
-    // And the round-tripped trace re-times identically.
+    assert_eq!(run.proc, collected.busiest_proc());
+    let mut bytes = Vec::new();
+    run.write_archive(&mut bytes).unwrap();
+    for (p, reference) in collected.traces.iter().enumerate() {
+        assert_eq!(read_back(&bytes, p), *reference, "processor {p}");
+    }
+    // And the archived trace re-times identically, streamed or not.
+    let reference = &collected.traces[run.proc];
     let ds = Ds::new(DsConfig::rc().window(32));
-    assert_eq!(
-        ds.run(&run.program, run.trace()),
-        ds.run(&run.program, &back)
-    );
+    let expected = ds.run(&run.program, reference);
+    assert_eq!(run.retime(&ds), expected);
+    assert_eq!(ds.run(&run.program, &read_back(&bytes, run.proc)), expected);
 }

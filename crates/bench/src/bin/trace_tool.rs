@@ -183,14 +183,14 @@ fn run(args: &[String], runner: &Runner, out: &mut String) -> Result<(), UsageEr
             // processor come from the archive, nothing is regenerated.
             let f = File::open(file).map_err(|e| failed(format!("cannot open {file}: {e}")))?;
             let mut r = BufReader::new(f);
-            let info = read_archive_info(&mut r)
-                .and_then(|info| validate_archive_chunks(&mut r, &info).map(|()| info))
+            let (info, index) = read_archive_info(&mut r)
+                .and_then(|info| validate_archive_chunks(&mut r, &info).map(|index| (info, index)))
                 .map_err(|e| {
                     failed(format!(
                         "{file} is not a valid trace archive (write one with `trace_tool save`): {e}"
                     ))
                 })?;
-            let run = AppRun::from_archive(PathBuf::from(file), info);
+            let run = AppRun::from_archive(PathBuf::from(file), info, index);
             let base = run.base();
             let ds = run.retime(&Ds::new(DsConfig::rc().window(64)));
             let _ = writeln!(out, "BASE:     {}", base.breakdown);

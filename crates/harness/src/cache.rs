@@ -16,12 +16,15 @@
 //!   to a file as they are produced (the pipeline's one generator,
 //!   [`Simulator::run_with_sink`](lookahead_multiproc::Simulator::run_with_sink)
 //!   into an [`ArchiveWriter`](lookahead_trace::storage::ArchiveWriter)),
-//!   so generation never materializes the trace set;
+//!   so generation never materializes the trace set; the writer
+//!   indexes the records as it writes them, so the run reads the file
+//!   without a validation pass;
 //! * on a **hit**, every chunk record is checksum-verified in one
-//!   bounded pass ([`validate_archive_chunks`]) and the run reads the
-//!   file: re-timing streams its chunks ([`AppRun::retime`]), and
-//!   traces materialize lazily only for consumers that need random
-//!   access;
+//!   bounded pass ([`validate_archive_chunks`]), which also indexes
+//!   where each processor's records lie, and the run reads the file:
+//!   re-timing seeks through the index to stream the representative's
+//!   chunks ([`AppRun::retime`]), and traces materialize lazily only
+//!   for consumers that need random access;
 //! * **without a cache**, or when the cache directory cannot be
 //!   written, the same generator fills a memory buffer, keyed as the
 //!   cache would key it, and the run reads that buffer the same way.
@@ -165,8 +168,8 @@ impl TraceCache {
     ///
     /// Every chunk record is checksum-verified before the run is
     /// returned, so subsequent streaming from the archive cannot trip
-    /// over damaged data. The run reads the file: traces stream from
-    /// disk on demand.
+    /// over damaged data. The run reads the file through the chunk
+    /// index that pass returns: traces stream from disk on demand.
     pub fn load(&self, app: &str, key: &str) -> Result<AppRun, MissReason> {
         let path = self.path_for(app, key);
         let file = match fs::File::open(&path) {
@@ -184,14 +187,15 @@ impl TraceCache {
             let _ = fs::remove_file(&path);
             return Err(MissReason::KeyMismatch { found: info.key });
         }
-        validate_archive_chunks(&mut r, &info).map_err(evict)?;
-        Ok(AppRun::from_archive(path, info))
+        let index = validate_archive_chunks(&mut r, &info).map_err(evict)?;
+        Ok(AppRun::from_archive(path, info, index))
     }
 }
 
 /// Generates `workload` into the cache: the simulator's chunks stream
 /// into a temporary file, which is synced and renamed into place once
-/// the workload's self-check passes. The returned run reads the file.
+/// the workload's self-check passes. The returned run reads the file
+/// through the writer's chunk index.
 fn generate_streamed(
     cache: &TraceCache,
     key: &str,
@@ -204,23 +208,27 @@ fn generate_streamed(
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
     let written = (|| {
         let file = fs::File::create(&tmp).map_err(Io)?;
-        let w = write_generated(BufWriter::new(file), key, workload, config)?;
+        let (w, index) = write_generated(BufWriter::new(file), key, workload, config)?;
         let file = w.into_inner().map_err(|e| Io(e.into_error()))?;
         file.sync_all()
             .and_then(|()| fs::rename(&tmp, &path))
-            .map_err(Io)
+            .map_err(Io)?;
+        Ok(index)
     })();
-    if let Err(e) = written {
-        let _ = fs::remove_file(&tmp);
-        return Err(e);
-    }
+    let index = match written {
+        Ok(index) => index,
+        Err(e) => {
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
+        }
+    };
     // Re-read the header and trailer (cheap: no chunk scan) so the run
     // reads exactly what landed on disk.
     let reread = fs::File::open(&path).and_then(|file| {
         read_archive_info(BufReader::new(file))
             .map_err(|e| std::io::Error::other(format!("re-reading just-written archive: {e}")))
     });
-    Ok(AppRun::from_archive(path, reread.map_err(Io)?))
+    Ok(AppRun::from_archive(path, reread.map_err(Io)?, index))
 }
 
 /// Serves `workload` under `config` from the cache when possible,

@@ -5,9 +5,11 @@
 //! and nothing else. One generator streams the simulator's chunks
 //! into an [`ArchiveWriter`] over any writer: the trace cache points it
 //! at a temporary file ([`crate::cache`]), and a run without a cache at
-//! a buffer in memory. Either way an [`AppRun`] reads its traces back
-//! through a [`ChunkReader`], and materializes a processor's trace only
-//! for a consumer that needs random access.
+//! a buffer in memory. Either way an [`AppRun`] keeps the archive's
+//! [`ChunkIndex`] (from the writer, or from the cache's validation
+//! pass), reads its traces back through a [`ChunkReader`] that seeks
+//! through it, and materializes a processor's trace only for a
+//! consumer that needs random access.
 
 use crate::cache::cache_key;
 use lookahead_core::base::Base;
@@ -15,12 +17,14 @@ use lookahead_core::{ExecutionResult, ProcessorModel};
 use lookahead_isa::Program;
 use lookahead_multiproc::{SimConfig, SimError, Simulator};
 use lookahead_obs::span;
-use lookahead_trace::storage::{read_archive_info, ArchiveInfo, ArchiveWriter, ChunkReader};
+use lookahead_trace::storage::{
+    read_archive_info, ArchiveInfo, ArchiveWriter, ChunkIndex, ChunkReader,
+};
 use lookahead_trace::{collect_source, Breakdown, SliceSource, StreamError, Trace, TraceSource};
 use lookahead_workloads::Workload;
 use std::fmt;
 use std::fs;
-use std::io::{self, BufReader, Cursor, Write};
+use std::io::{self, Cursor, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
@@ -79,13 +83,14 @@ pub(crate) enum GenerateError {
 /// self-check passes. The representative processor is the one that
 /// executed the most instructions (the paper picks "one of the
 /// processes"; the busiest one avoids an unluckily idle pick). Returns
-/// the writer, for the caller to flush, sync or keep.
+/// the writer, for the caller to flush, sync or keep, and the archive's
+/// chunk index.
 pub(crate) fn write_generated<W: Write>(
     w: W,
     key: &str,
     workload: &dyn Workload,
     config: &SimConfig,
-) -> Result<W, GenerateError> {
+) -> Result<(W, ChunkIndex), GenerateError> {
     use GenerateError::{Io, Pipeline};
     let built = workload.build(config.num_procs);
     let mut writer = ArchiveWriter::new(w, key, workload.name(), config.num_procs, &built.program)
@@ -102,14 +107,16 @@ pub(crate) fn write_generated<W: Write>(
             reason,
         })
     })?;
-    span::record_current("archive.finish", || {
+    let index = writer.index().clone();
+    let w = span::record_current("archive.finish", || {
         writer.finish(
             outcome.busiest_proc(),
             outcome.total_cycles,
             &outcome.breakdowns,
         )
     })
-    .map_err(Io)
+    .map_err(Io)?;
+    Ok((w, index))
 }
 
 /// Where an [`AppRun`]'s archive bytes live.
@@ -200,6 +207,7 @@ pub struct AppRun {
     /// Total multiprocessor cycles of the generating run.
     pub mp_cycles: u64,
     info: ArchiveInfo,
+    index: ChunkIndex,
     bytes: ArchiveBytes,
     /// Each processor's trace, materialized on first access.
     traces: Vec<OnceLock<Arc<Trace>>>,
@@ -233,26 +241,28 @@ impl AppRun {
         workload: &dyn Workload,
         config: &SimConfig,
     ) -> Result<AppRun, PipelineError> {
-        let bytes = write_generated(Vec::new(), key, workload, config).map_err(|e| match e {
-            GenerateError::Pipeline(e) => e,
-            GenerateError::Io(e) => unreachable!("writing an archive into memory failed: {e}"),
-        })?;
+        let (bytes, index) =
+            write_generated(Vec::new(), key, workload, config).map_err(|e| match e {
+                GenerateError::Pipeline(e) => e,
+                GenerateError::Io(e) => unreachable!("writing an archive into memory failed: {e}"),
+            })?;
         let info =
             read_archive_info(Cursor::new(bytes.as_slice())).expect("a fresh archive reads back");
-        Ok(AppRun::new(info, ArchiveBytes::Memory(bytes)))
+        Ok(AppRun::new(info, index, ArchiveBytes::Memory(bytes)))
     }
 
-    /// A run backed by a validated v3 archive at `path`. Traces stream
+    /// A run backed by a validated v3 archive at `path`, with the chunk
+    /// index its writer or its validation pass produced. Traces stream
     /// from the file on demand; nothing is materialized up front.
-    pub fn from_archive(path: PathBuf, info: ArchiveInfo) -> AppRun {
+    pub fn from_archive(path: PathBuf, info: ArchiveInfo, index: ChunkIndex) -> AppRun {
         let file = SharedFile {
             path,
             handle: OnceLock::new(),
         };
-        AppRun::new(info, ArchiveBytes::File(file))
+        AppRun::new(info, index, ArchiveBytes::File(file))
     }
 
-    fn new(info: ArchiveInfo, bytes: ArchiveBytes) -> AppRun {
+    fn new(info: ArchiveInfo, index: ChunkIndex, bytes: ArchiveBytes) -> AppRun {
         AppRun {
             app: info.app.clone(),
             program: info.program.clone(),
@@ -261,6 +271,7 @@ impl AppRun {
             mp_cycles: info.mp_cycles,
             traces: (0..info.num_procs()).map(|_| OnceLock::new()).collect(),
             info,
+            index,
             bytes,
             base: OnceLock::new(),
         }
@@ -314,16 +325,20 @@ impl AppRun {
     }
 
     /// A chunk reader over processor `p`'s trace in the run's archive.
+    /// It makes one positioned read per record of `p`, so it needs no
+    /// buffer of its own.
     fn chunks(&self, p: usize) -> Result<Box<dyn TraceSource + Send + '_>, StreamError> {
         Ok(match &self.bytes {
             ArchiveBytes::File(file) => Box::new(ChunkReader::new(
-                BufReader::new(file.reader()?),
+                file.reader()?,
                 &self.info,
+                &self.index,
                 p,
             )?),
             ArchiveBytes::Memory(bytes) => Box::new(ChunkReader::new(
                 Cursor::new(bytes.as_slice()),
                 &self.info,
+                &self.index,
                 p,
             )?),
         })

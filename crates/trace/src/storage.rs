@@ -12,15 +12,19 @@
 //! [`TraceChunk`] records (interleavable
 //! across processors, so the writer can run concurrently with trace
 //! generation), and a checksummed trailer (run statistics) found via a
-//! trailing length word. Readers stream one processor's chunks
-//! straight off disk without decoding the whole archive. Files in the
-//! retired version-1 (bare trace) and version-2 (whole-archive)
-//! layouts share the magic and are refused with
+//! trailing length word. A [`ChunkIndex`] says where each processor's
+//! records lie; the writer builds it as it writes and the validation
+//! pass as it checks a file, and readers seek through it to stream one
+//! processor's chunks straight off disk without reading the others.
+//! Files in the retired version-1 (bare trace) and version-2
+//! (whole-archive) layouts share the magic and are refused with
 //! [`DecodeError::BadVersion`].
 
 use crate::breakdown::Breakdown;
-use crate::record::{MemAccess, SyncAccess, TraceEntry, TraceOp};
-use crate::stream::{ChunkMeta, StreamError, TraceChunk, TraceSink, TraceSource};
+use crate::record::{TraceEntry, TraceOp};
+use crate::stream::{
+    kind_byte, ChunkMeta, OpClass, StreamError, TraceChunk, TraceSink, TraceSource,
+};
 use lookahead_isa::{
     AluOp, BranchCond, FpCmpOp, FpReg, FpuOp, Instruction, IntReg, Program, SyncKind,
 };
@@ -176,61 +180,6 @@ fn read_exact<R: Read, const N: usize>(r: &mut R) -> io::Result<[u8; N]> {
     Ok(buf)
 }
 
-fn read_entry<R: Read>(r: &mut R) -> Result<TraceEntry, DecodeError> {
-    let pc = u32::from_le_bytes(read_exact(r)?);
-    let [tag] = read_exact::<_, 1>(r)?;
-    let op = match tag {
-        TAG_COMPUTE => TraceOp::Compute,
-        TAG_LOAD | TAG_STORE => {
-            let [miss] = read_exact::<_, 1>(r)?;
-            let addr = u64::from_le_bytes(read_exact(r)?);
-            let latency = u32::from_le_bytes(read_exact(r)?);
-            if latency == 0 {
-                return Err(DecodeError::BadLatency);
-            }
-            let m = MemAccess {
-                addr,
-                miss: miss != 0,
-                latency,
-            };
-            if tag == TAG_LOAD {
-                TraceOp::Load(m)
-            } else {
-                TraceOp::Store(m)
-            }
-        }
-        TAG_BRANCH => {
-            let [taken] = read_exact::<_, 1>(r)?;
-            let target = u32::from_le_bytes(read_exact(r)?);
-            TraceOp::Branch {
-                taken: taken != 0,
-                target,
-            }
-        }
-        TAG_JUMP => {
-            let target = u32::from_le_bytes(read_exact(r)?);
-            TraceOp::Jump { target }
-        }
-        TAG_SYNC => {
-            let [kind] = read_exact::<_, 1>(r)?;
-            let addr = u64::from_le_bytes(read_exact(r)?);
-            let wait = u32::from_le_bytes(read_exact(r)?);
-            let access = u32::from_le_bytes(read_exact(r)?);
-            if access == 0 {
-                return Err(DecodeError::BadLatency);
-            }
-            TraceOp::Sync(SyncAccess {
-                kind: sync_kind_from_code(kind)?,
-                addr,
-                wait,
-                access,
-            })
-        }
-        other => return Err(DecodeError::BadTag(other)),
-    };
-    Ok(TraceEntry { pc, op })
-}
-
 // ---------------------------------------------------------------------
 // Checksums and the header/trailer field codecs.
 // ---------------------------------------------------------------------
@@ -248,36 +197,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
-}
-
-/// Writer adapter that folds everything written into an FNV-1a hash.
-struct HashingWriter<W: Write> {
-    inner: W,
-    hash: u64,
-}
-
-impl<W: Write> HashingWriter<W> {
-    fn new(inner: W) -> HashingWriter<W> {
-        HashingWriter {
-            inner,
-            hash: FNV_OFFSET,
-        }
-    }
-}
-
-impl<W: Write> Write for HashingWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        for &b in &buf[..n] {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
 }
 
 /// Reader adapter that folds everything read into an FNV-1a hash.
@@ -776,12 +695,23 @@ fn read_breakdown<R: Read>(r: &mut R) -> Result<Breakdown, DecodeError> {
 // The format is append-only — nothing is backpatched — so a writer can
 // emit chunks while the multiprocessor simulation is still running and
 // only needs the run statistics at `finish` time. The trailing length
-// word lets readers find the trailer with two seeks from the end, and
-// `byte_len` lets a per-processor reader skip foreign chunks without
-// decoding them.
+// word lets readers find the trailer with two seeks from the end.
+// `byte_len` sizes each record, so the writer (counting the bytes it
+// writes) and the validation pass (walking the headers once) can each
+// list every record's offset and length in a `ChunkIndex`; a
+// per-processor reader then seeks from one of its own records to the
+// next and never reads another processor's.
 
 /// End-of-chunks sentinel in the processor field.
 const END_PROC: u32 = u32::MAX;
+
+/// A chunk record's header, and the bytes a record adds around its
+/// payload (the header and the trailing checksum).
+const RECORD_HEADER_LEN: usize = 28;
+const RECORD_OVERHEAD: usize = RECORD_HEADER_LEN + 8;
+
+/// The shortest encoded entry: a compute entry's pc and tag.
+const MIN_ENTRY_LEN: usize = 5;
 
 /// Sanity caps rejecting lengths only corruption can produce.
 const MAX_CHUNK_ENTRIES: u32 = 1 << 24;
@@ -842,6 +772,40 @@ impl ArchiveInfo {
     }
 }
 
+/// Where one chunk record lies in an archive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RecordSpan {
+    /// File offset of the record's header.
+    offset: u64,
+    /// Length of the record's entry payload.
+    byte_len: u32,
+}
+
+/// Where each processor's chunk records lie in a v3 archive: every
+/// record's file offset and payload length, per processor, in trace
+/// order.
+///
+/// [`ArchiveWriter`] builds it as it writes ([`ArchiveWriter::index`]),
+/// and [`validate_archive_chunks`] returns it after checking an
+/// archive; both see every record header once. A [`ChunkReader`] seeks
+/// through it to its processor's records instead of walking the file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChunkIndex {
+    records: Vec<Vec<RecordSpan>>,
+}
+
+impl ChunkIndex {
+    fn new(num_procs: usize) -> ChunkIndex {
+        ChunkIndex {
+            records: vec![Vec::new(); num_procs],
+        }
+    }
+
+    fn push(&mut self, proc: usize, offset: u64, byte_len: u32) {
+        self.records[proc].push(RecordSpan { offset, byte_len });
+    }
+}
+
 /// Incremental v3 archive writer: a [`TraceSink`] that streams chunk
 /// records to `w` as they arrive, then seals the trailer once the run
 /// statistics are known.
@@ -849,6 +813,9 @@ impl ArchiveInfo {
 pub struct ArchiveWriter<W: Write> {
     w: W,
     totals: Vec<ProcTotals>,
+    index: ChunkIndex,
+    /// Bytes written so far: the offset of the next chunk record.
+    pos: u64,
     scratch: Vec<u8>,
 }
 
@@ -865,20 +832,29 @@ impl<W: Write> ArchiveWriter<W> {
         num_procs: usize,
         program: &Program,
     ) -> io::Result<ArchiveWriter<W>> {
+        let mut header = Vec::new();
+        write_str(&mut header, key)?;
+        write_str(&mut header, app)?;
+        header.extend_from_slice(&(num_procs as u32).to_le_bytes());
+        write_program(&mut header, program)?;
         w.write_all(MAGIC)?;
         w.write_all(&[ARCHIVE_VERSION])?;
-        let mut hw = HashingWriter::new(&mut w);
-        write_str(&mut hw, key)?;
-        write_str(&mut hw, app)?;
-        hw.write_all(&(num_procs as u32).to_le_bytes())?;
-        write_program(&mut hw, program)?;
-        let checksum = hw.hash;
-        w.write_all(&checksum.to_le_bytes())?;
+        w.write_all(&header)?;
+        w.write_all(&fnv1a(&header).to_le_bytes())?;
         Ok(ArchiveWriter {
             w,
             totals: vec![ProcTotals::default(); num_procs],
+            index: ChunkIndex::new(num_procs),
+            pos: (MAGIC.len() + 1 + header.len() + 8) as u64,
             scratch: Vec::new(),
         })
+    }
+
+    /// The index of the chunk records written so far. Once every chunk
+    /// is accepted it is the archive's whole index, so read it before
+    /// [`finish`](Self::finish) consumes the writer.
+    pub fn index(&self) -> &ChunkIndex {
+        &self.index
     }
 
     /// Writes the end sentinel and the checksummed trailer, returning
@@ -934,7 +910,7 @@ impl<W: Write> TraceSink for ArchiveWriter<W> {
         for e in chunk.iter() {
             write_entry(&mut self.scratch, &e)?;
         }
-        let mut header = [0u8; 28];
+        let mut header = [0u8; RECORD_HEADER_LEN];
         header[0..4].copy_from_slice(&(proc as u32).to_le_bytes());
         header[4..8].copy_from_slice(&(chunk.len() as u32).to_le_bytes());
         header[8..12].copy_from_slice(&(self.scratch.len() as u32).to_le_bytes());
@@ -945,6 +921,8 @@ impl<W: Write> TraceSink for ArchiveWriter<W> {
         self.w.write_all(&header)?;
         self.w.write_all(&self.scratch)?;
         self.w.write_all(&checksum.to_le_bytes())?;
+        self.index.push(proc, self.pos, self.scratch.len() as u32);
+        self.pos += (RECORD_OVERHEAD + self.scratch.len()) as u64;
         totals.entries = chunk.end_index();
         totals.mem_entries += chunk.meta.mem_entries as u64;
         totals.max_latency = totals.max_latency.max(chunk.meta.max_latency);
@@ -959,22 +937,13 @@ struct ChunkHeader {
     byte_len: u32,
     first_index: u64,
     meta: ChunkMeta,
-    raw: [u8; 28],
+    raw: [u8; RECORD_HEADER_LEN],
 }
 
-/// Reads the next chunk-record header, or `None` at the end sentinel.
-fn read_chunk_header<R: Read>(r: &mut R) -> Result<Option<ChunkHeader>, DecodeError> {
-    let proc_bytes: [u8; 4] = read_exact(r)?;
-    let proc = u32::from_le_bytes(proc_bytes);
-    if proc == END_PROC {
-        return Ok(None);
-    }
-    let rest: [u8; 24] = read_exact(r)?;
-    let mut raw = [0u8; 28];
-    raw[0..4].copy_from_slice(&proc_bytes);
-    raw[4..28].copy_from_slice(&rest);
-    let entry_count = u32::from_le_bytes(rest[0..4].try_into().unwrap());
-    let byte_len = u32::from_le_bytes(rest[4..8].try_into().unwrap());
+/// Decodes a chunk-record header, rejecting lengths past the caps.
+fn parse_chunk_header(raw: [u8; RECORD_HEADER_LEN]) -> Result<ChunkHeader, DecodeError> {
+    let word = |at: usize| u32::from_le_bytes(raw[at..at + 4].try_into().unwrap());
+    let (entry_count, byte_len) = (word(4), word(8));
     if entry_count > MAX_CHUNK_ENTRIES {
         return Err(DecodeError::BadCode {
             what: "chunk entry count",
@@ -987,17 +956,28 @@ fn read_chunk_header<R: Read>(r: &mut R) -> Result<Option<ChunkHeader>, DecodeEr
             code: byte_len as u64,
         });
     }
-    Ok(Some(ChunkHeader {
-        proc,
+    Ok(ChunkHeader {
+        proc: word(0),
         entry_count,
         byte_len,
-        first_index: u64::from_le_bytes(rest[8..16].try_into().unwrap()),
+        first_index: u64::from_le_bytes(raw[12..20].try_into().unwrap()),
         meta: ChunkMeta {
-            mem_entries: u32::from_le_bytes(rest[16..20].try_into().unwrap()),
-            max_latency: u32::from_le_bytes(rest[20..24].try_into().unwrap()),
+            mem_entries: word(20),
+            max_latency: word(24),
         },
         raw,
-    }))
+    })
+}
+
+/// Reads the next chunk-record header, or `None` at the end sentinel.
+fn read_chunk_header<R: Read>(r: &mut R) -> Result<Option<ChunkHeader>, DecodeError> {
+    let mut raw = [0u8; RECORD_HEADER_LEN];
+    r.read_exact(&mut raw[..4])?;
+    if raw[..4] == END_PROC.to_le_bytes() {
+        return Ok(None);
+    }
+    r.read_exact(&mut raw[4..])?;
+    parse_chunk_header(raw).map(Some)
 }
 
 /// Reads and checksum-verifies one record's payload into `buf`.
@@ -1133,7 +1113,8 @@ pub fn read_archive_info<R: Read + Seek>(mut r: R) -> Result<ArchiveInfo, Decode
 /// A cache can therefore establish, in one bounded pass at load time,
 /// that streaming any processor's chunks later cannot fail on damaged
 /// data — corruption is handled by eviction up front, not by surprise
-/// mid-re-timing.
+/// mid-re-timing. The pass sees every record header, so it returns the
+/// archive's [`ChunkIndex`] for the readers.
 ///
 /// # Errors
 ///
@@ -1141,9 +1122,11 @@ pub fn read_archive_info<R: Read + Seek>(mut r: R) -> Result<ArchiveInfo, Decode
 pub fn validate_archive_chunks<R: Read + Seek>(
     mut r: R,
     info: &ArchiveInfo,
-) -> Result<(), DecodeError> {
+) -> Result<ChunkIndex, DecodeError> {
     r.seek(SeekFrom::Start(info.chunks_start))?;
     let mut seen = vec![ProcTotals::default(); info.totals.len()];
+    let mut index = ChunkIndex::new(info.totals.len());
+    let mut pos = info.chunks_start;
     let mut buf = Vec::new();
     while let Some(h) = read_chunk_header(&mut r)? {
         let proc = h.proc as usize;
@@ -1160,11 +1143,13 @@ pub fn validate_archive_chunks<R: Read + Seek>(
             });
         }
         read_chunk_payload(&mut r, &h, &mut buf)?;
+        index.push(proc, pos, h.byte_len);
+        pos += (RECORD_OVERHEAD + buf.len()) as u64;
         acc.entries += h.entry_count as u64;
         acc.mem_entries += h.meta.mem_entries as u64;
         acc.max_latency = acc.max_latency.max(h.meta.max_latency);
     }
-    let sentinel_end = r.stream_position()?;
+    let sentinel_end = pos + 4;
     if sentinel_end != info.trailer_start {
         return Err(DecodeError::BadCode {
             what: "end sentinel offset",
@@ -1177,91 +1162,243 @@ pub fn validate_archive_chunks<R: Read + Seek>(
             code: 0,
         });
     }
-    Ok(())
+    Ok(index)
+}
+
+fn eof() -> DecodeError {
+    DecodeError::Io(io::ErrorKind::UnexpectedEof.into())
+}
+
+/// A record's payload being decoded, with the FNV-1a hash of the record
+/// up to the bytes taken off it so far.
+struct Payload<'a> {
+    rest: &'a [u8],
+    hash: u64,
+}
+
+impl Payload<'_> {
+    /// Splits the next `N` bytes off the payload, folding them into the
+    /// hash.
+    #[inline]
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let (head, rest) = self.rest.split_first_chunk::<N>().ok_or_else(eof)?;
+        self.rest = rest;
+        self.hash = fnv1a_fold(self.hash, head);
+        Ok(*head)
+    }
+}
+
+/// Decodes `count` entries off the front of `p` straight into a chunk's
+/// columns, folding the chunk's metadata, and `p`'s hash, as it goes.
+fn decode_entries(
+    first_index: u64,
+    count: u32,
+    p: &mut Payload<'_>,
+) -> Result<TraceChunk, DecodeError> {
+    let n = count as usize;
+    if n > p.rest.len() / MIN_ENTRY_LEN {
+        return Err(eof());
+    }
+    let (mut pc, mut kind, mut addr) = (vec![0; n], vec![0; n], vec![0; n]);
+    let (mut lat, mut wait) = (vec![0; n], vec![0; n]);
+    let mut meta = ChunkMeta::default();
+    let columns = pc
+        .iter_mut()
+        .zip(&mut kind)
+        .zip(&mut addr)
+        .zip(&mut lat)
+        .zip(&mut wait);
+    for ((((pc, k), a), l), w) in columns {
+        let [p0, p1, p2, p3, tag] = p.take()?;
+        *pc = u32::from_le_bytes([p0, p1, p2, p3]);
+        match tag {
+            TAG_COMPUTE => *k = kind_byte(OpClass::Compute, false),
+            TAG_LOAD | TAG_STORE => {
+                let [miss] = p.take()?;
+                *a = u64::from_le_bytes(p.take()?);
+                *l = u32::from_le_bytes(p.take()?);
+                if *l == 0 {
+                    return Err(DecodeError::BadLatency);
+                }
+                let class = if tag == TAG_LOAD {
+                    OpClass::Load
+                } else {
+                    OpClass::Store
+                };
+                *k = kind_byte(class, miss != 0);
+            }
+            TAG_BRANCH => {
+                let [taken] = p.take()?;
+                *a = u64::from(u32::from_le_bytes(p.take()?));
+                *k = kind_byte(OpClass::Branch, taken != 0);
+            }
+            TAG_JUMP => {
+                *a = u64::from(u32::from_le_bytes(p.take()?));
+                *k = kind_byte(OpClass::Jump, false);
+            }
+            TAG_SYNC => {
+                let [code] = p.take()?;
+                *a = u64::from_le_bytes(p.take()?);
+                *w = u32::from_le_bytes(p.take()?);
+                *l = u32::from_le_bytes(p.take()?);
+                if *l == 0 {
+                    return Err(DecodeError::BadLatency);
+                }
+                *k = kind_byte(OpClass::Sync(sync_kind_from_code(code)?), false);
+            }
+            other => return Err(DecodeError::BadTag(other)),
+        }
+        if *l != 0 {
+            // Loads, stores and syncs, whose latencies are nonzero.
+            meta.mem_entries += 1;
+            meta.max_latency = meta.max_latency.max(*l);
+        }
+    }
+    Ok(TraceChunk::from_columns(
+        first_index,
+        meta,
+        pc,
+        kind,
+        addr,
+        lat,
+        wait,
+    ))
 }
 
 /// A [`TraceSource`] streaming one processor's chunks out of a v3
-/// archive, skipping other processors' records via their length
-/// fields. Each record is checksum-verified as it is read.
+/// archive.
+///
+/// The archive's [`ChunkIndex`] says where the processor's records lie,
+/// so the reader seeks from one of them to the next and never reads a
+/// byte of another processor's record: one read per record fetches its
+/// header, payload and checksum. A record's header must match the index
+/// (its processor, its payload length, and a first entry that continues
+/// the stream); its entries are then decoded straight into the chunk's
+/// columns while its checksum is folded, and the chunk is returned only
+/// if the checksum matches. A damaged archive or an index that does not
+/// fit it is a [`StreamError`], never a different trace.
 #[derive(Debug)]
-pub struct ChunkReader<R: Read + Seek> {
+pub struct ChunkReader<'a, R: Read + Seek> {
     r: R,
     proc: u32,
     totals: ProcTotals,
+    records: &'a [RecordSpan],
+    /// Offsets the chunk records lie between.
+    chunks: std::ops::Range<u64>,
+    next_record: usize,
     next_index: u64,
-    done: bool,
     buf: Vec<u8>,
 }
 
-impl<R: Read + Seek> ChunkReader<R> {
-    /// A source for processor `proc` of the archive described by
-    /// `info`, reading from `r` (typically a buffered clone of the
-    /// archive's file handle).
+impl<'a, R: Read + Seek> ChunkReader<'a, R> {
+    /// A source for processor `proc` of the archive described by `info`
+    /// and `index`, reading from `r` (typically a positioned view of the
+    /// archive's file, or its bytes in memory).
     ///
     /// # Errors
     ///
-    /// Fails if `proc` is out of range or the initial seek fails.
-    pub fn new(mut r: R, info: &ArchiveInfo, proc: usize) -> Result<ChunkReader<R>, DecodeError> {
-        let totals = *info.totals.get(proc).ok_or(DecodeError::BadCode {
-            what: "processor index",
-            code: proc as u64,
-        })?;
-        r.seek(SeekFrom::Start(info.chunks_start))?;
+    /// Fails if `proc` is out of range of `info` or of `index`.
+    pub fn new(
+        r: R,
+        info: &ArchiveInfo,
+        index: &'a ChunkIndex,
+        proc: usize,
+    ) -> Result<ChunkReader<'a, R>, DecodeError> {
+        let (Some(&totals), Some(records)) = (info.totals.get(proc), index.records.get(proc))
+        else {
+            return Err(DecodeError::BadCode {
+                what: "processor index",
+                code: proc as u64,
+            });
+        };
         Ok(ChunkReader {
             r,
             proc: proc as u32,
             totals,
+            records,
+            chunks: info.chunks_start..info.trailer_start,
+            next_record: 0,
             next_index: 0,
-            done: false,
             buf: Vec::new(),
         })
     }
+
+    /// Reads the next record the index names into `buf` and checks its
+    /// header against the index, returning the header.
+    fn read_record(&mut self, rec: RecordSpan) -> Result<ChunkHeader, StreamError> {
+        let len = RECORD_OVERHEAD + rec.byte_len as usize;
+        let misplaced = |what: &str| {
+            StreamError::Corrupt(format!(
+                "processor {} record {} at byte {}: {what}; the chunk index does not fit the archive",
+                self.proc, self.next_record, rec.offset
+            ))
+        };
+        if rec.offset < self.chunks.start || rec.offset + len as u64 > self.chunks.end {
+            return Err(misplaced("outside the chunk records"));
+        }
+        self.r
+            .seek(SeekFrom::Start(rec.offset))
+            .map_err(DecodeError::Io)?;
+        self.buf.resize(len, 0);
+        self.r.read_exact(&mut self.buf).map_err(DecodeError::Io)?;
+        let h = parse_chunk_header(self.buf[..RECORD_HEADER_LEN].try_into().unwrap())?;
+        if h.proc != self.proc || h.byte_len != rec.byte_len || h.first_index != self.next_index {
+            return Err(misplaced(&format!(
+                "the header names processor {}, {} payload bytes and entry {}, \
+                 not {} bytes at entry {}",
+                h.proc, h.byte_len, h.first_index, rec.byte_len, self.next_index
+            )));
+        }
+        Ok(h)
+    }
 }
 
-impl<R: Read + Seek> TraceSource for ChunkReader<R> {
+impl<R: Read + Seek> TraceSource for ChunkReader<'_, R> {
     fn next_chunk(&mut self) -> Result<Option<Arc<TraceChunk>>, StreamError> {
-        if self.done {
+        let Some(&rec) = self.records.get(self.next_record) else {
+            if self.next_index != self.totals.entries {
+                return Err(StreamError::Corrupt(format!(
+                    "processor {} stream ended at entry {} of {}",
+                    self.proc, self.next_index, self.totals.entries
+                )));
+            }
             return Ok(None);
+        };
+        let h = self.read_record(rec)?;
+        self.next_record += 1;
+        let (record, stored) = self.buf.split_at(self.buf.len() - 8);
+        let stored = u64::from_le_bytes(stored.try_into().unwrap());
+        // The checksum is folded as the entries are decoded, so the
+        // decoder works in the shadow of the hash's serial chain. A
+        // checksum mismatch still outranks any decode error.
+        let mut payload = Payload {
+            rest: &record[RECORD_HEADER_LEN..],
+            hash: fnv1a_fold(FNV_OFFSET, &h.raw),
+        };
+        let decoded = decode_entries(h.first_index, h.entry_count, &mut payload);
+        let computed = match decoded {
+            Ok(_) => fnv1a_fold(payload.hash, payload.rest),
+            Err(_) => fnv1a(record),
+        };
+        if stored != computed {
+            return Err(DecodeError::BadChecksum { stored, computed }.into());
         }
-        loop {
-            let Some(h) = read_chunk_header(&mut self.r)? else {
-                self.done = true;
-                if self.next_index != self.totals.entries {
-                    return Err(StreamError::Corrupt(format!(
-                        "processor {} stream ended at entry {} of {}",
-                        self.proc, self.next_index, self.totals.entries
-                    )));
-                }
-                return Ok(None);
-            };
-            if h.proc != self.proc {
-                self.r
-                    .seek(SeekFrom::Current(h.byte_len as i64 + 8))
-                    .map_err(DecodeError::Io)?;
-                continue;
-            }
-            read_chunk_payload(&mut self.r, &h, &mut self.buf)?;
-            let mut chunk = TraceChunk::with_capacity(h.first_index, h.entry_count as usize);
-            let payload = &mut self.buf.as_slice();
-            for _ in 0..h.entry_count {
-                chunk.push(read_entry(payload)?);
-            }
-            if !payload.is_empty() {
-                return Err(StreamError::Corrupt(format!(
-                    "chunk of processor {} has {} trailing bytes",
-                    self.proc,
-                    payload.len()
-                )));
-            }
-            if chunk.meta != h.meta {
-                return Err(StreamError::Corrupt(format!(
-                    "chunk of processor {} declares metadata {:?} but decodes to {:?}",
-                    self.proc, h.meta, chunk.meta
-                )));
-            }
-            self.next_index = chunk.end_index();
-            return Ok(Some(Arc::new(chunk)));
+        let chunk = decoded?;
+        if !payload.rest.is_empty() {
+            return Err(StreamError::Corrupt(format!(
+                "chunk of processor {} has {} trailing bytes",
+                self.proc,
+                payload.rest.len()
+            )));
         }
+        if chunk.meta != h.meta {
+            return Err(StreamError::Corrupt(format!(
+                "chunk of processor {} declares metadata {:?} but decodes to {:?}",
+                self.proc, h.meta, chunk.meta
+            )));
+        }
+        self.next_index = chunk.end_index();
+        Ok(Some(Arc::new(chunk)))
     }
 
     fn entries_hint(&self) -> Option<u64> {
@@ -1280,7 +1417,7 @@ impl<R: Read + Seek> TraceSource for ChunkReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Trace;
+    use crate::record::{MemAccess, SyncAccess, Trace};
     use crate::stream::{collect_source, SliceSource};
     use lookahead_isa::rng::XorShift64;
 
@@ -1298,31 +1435,75 @@ mod tests {
     }
 
     /// Writes `run` through [`ArchiveWriter`], `chunk_len` entries per
-    /// chunk record.
+    /// chunk record, one processor after another.
     fn encode(run: &Run, chunk_len: usize) -> Vec<u8> {
+        encode_indexed(run, chunk_len).0
+    }
+
+    /// [`encode`], and the writer's index.
+    fn encode_indexed(run: &Run, chunk_len: usize) -> (Vec<u8>, ChunkIndex) {
+        encode_in_order(run, chunk_len, &proc_order(run, chunk_len))
+    }
+
+    /// [`encode_indexed`], with the processors' chunk records
+    /// interleaved in a random order.
+    fn encode_interleaved(
+        run: &Run,
+        chunk_len: usize,
+        rng: &mut XorShift64,
+    ) -> (Vec<u8>, ChunkIndex) {
+        let mut order = proc_order(run, chunk_len);
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.range_usize(i + 1));
+        }
+        encode_in_order(run, chunk_len, &order)
+    }
+
+    /// Each processor's number once per chunk record it gets, one
+    /// processor after another.
+    fn proc_order(run: &Run, chunk_len: usize) -> Vec<usize> {
+        (0..run.traces.len())
+            .flat_map(|p| std::iter::repeat_n(p, run.traces[p].len().div_ceil(chunk_len)))
+            .collect()
+    }
+
+    /// Writes `run`, taking each next chunk record from the processor
+    /// `order` names.
+    fn encode_in_order(run: &Run, chunk_len: usize, order: &[usize]) -> (Vec<u8>, ChunkIndex) {
         let mut buf = Vec::new();
         let mut w =
             ArchiveWriter::new(&mut buf, &run.key, &run.app, run.traces.len(), &run.program)
                 .unwrap();
-        for (proc, trace) in run.traces.iter().enumerate() {
-            let mut src = SliceSource::with_chunk_len(trace, chunk_len);
-            while let Some(chunk) = src.next_chunk().unwrap() {
-                w.accept(proc, &chunk).unwrap();
-            }
+        let mut sources: Vec<SliceSource> = run
+            .traces
+            .iter()
+            .map(|t| SliceSource::with_chunk_len(t, chunk_len))
+            .collect();
+        for &proc in order {
+            let chunk = sources[proc].next_chunk().unwrap().unwrap();
+            w.accept(proc, &chunk).unwrap();
         }
+        let index = w.index().clone();
         w.finish(run.proc as usize, run.mp_cycles, &run.breakdowns)
             .unwrap();
-        buf
+        (buf, index)
     }
 
     /// Reads an archive the way the trace cache does: header and
     /// trailer, one validation pass over every chunk, then one chunk
-    /// reader per processor.
+    /// reader per processor through the pass's index.
     fn decode(bytes: &[u8]) -> Result<Run, StreamError> {
         let info = read_archive_info(io::Cursor::new(bytes))?;
-        validate_archive_chunks(io::Cursor::new(bytes), &info)?;
+        let index = validate_archive_chunks(io::Cursor::new(bytes), &info)?;
         let traces = (0..info.num_procs())
-            .map(|p| collect_source(&mut ChunkReader::new(io::Cursor::new(bytes), &info, p)?))
+            .map(|p| {
+                collect_source(&mut ChunkReader::new(
+                    io::Cursor::new(bytes),
+                    &info,
+                    &index,
+                    p,
+                )?)
+            })
             .collect::<Result<_, _>>()?;
         Ok(Run {
             key: info.key,
@@ -1440,7 +1621,7 @@ mod tests {
     fn truncated_stream_is_io_error() {
         let mut t = Trace::new();
         t.push(TraceEntry::compute(1));
-        let buf = encode(&single(t), DEFAULT_TEST_CHUNK);
+        let (buf, index) = encode_indexed(&single(t), DEFAULT_TEST_CHUNK);
         let info = read_archive_info(io::Cursor::new(&buf)).unwrap();
         // The chunk stream ends one byte into its only record's
         // checksum: both chunk passes must hit end-of-file.
@@ -1449,7 +1630,7 @@ mod tests {
             validate_archive_chunks(io::Cursor::new(cut), &info).unwrap_err(),
             DecodeError::Io(_)
         ));
-        let mut src = ChunkReader::new(io::Cursor::new(cut), &info, 0).unwrap();
+        let mut src = ChunkReader::new(io::Cursor::new(cut), &info, &index, 0).unwrap();
         assert!(matches!(
             src.next_chunk().unwrap_err(),
             StreamError::Decode(DecodeError::Io(_))
@@ -1568,10 +1749,10 @@ mod tests {
     fn v3_chunk_reader_hints_and_skip_foreign_procs() {
         let mut rng = XorShift64::seed_from_u64(0xC5);
         let run = sample_run(&mut rng, 4);
-        let buf = encode(&run, 9);
+        let (buf, index) = encode_interleaved(&run, 9, &mut rng);
         let info = read_archive_info(io::Cursor::new(&buf)).unwrap();
         for (p, want) in run.traces.iter().enumerate() {
-            let mut src = ChunkReader::new(io::Cursor::new(&buf), &info, p).unwrap();
+            let mut src = ChunkReader::new(io::Cursor::new(&buf), &info, &index, p).unwrap();
             assert_eq!(src.entries_hint(), Some(want.len() as u64));
             assert_eq!(src.mem_entries_hint(), Some(want.mem_entries() as u64));
             let got = collect_source(&mut src).unwrap();
@@ -1645,17 +1826,31 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
-    /// A reader that records the largest buffer any `read` call asked
-    /// it to fill.
+    /// A reader that logs the offset and length of every `read` call
+    /// and the largest buffer any call asked it to fill.
     struct RecordingReader<'a> {
         inner: io::Cursor<&'a [u8]>,
+        reads: Vec<(u64, usize)>,
         largest_read: usize,
+    }
+
+    impl<'a> RecordingReader<'a> {
+        fn new(bytes: &'a [u8]) -> RecordingReader<'a> {
+            RecordingReader {
+                inner: io::Cursor::new(bytes),
+                reads: Vec::new(),
+                largest_read: 0,
+            }
+        }
     }
 
     impl Read for RecordingReader<'_> {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
             self.largest_read = self.largest_read.max(buf.len());
-            self.inner.read(buf)
+            let at = self.inner.position();
+            let n = self.inner.read(buf)?;
+            self.reads.push((at, n));
+            Ok(n)
         }
     }
 
@@ -1668,7 +1863,7 @@ mod tests {
     #[test]
     fn damaged_chunk_length_allocates_only_what_the_file_holds() {
         let mut rng = XorShift64::seed_from_u64(0xE8);
-        let buf = encode(&sample_run(&mut rng, 2), 8);
+        let (buf, index) = encode_indexed(&sample_run(&mut rng, 2), 8);
         let info = read_archive_info(io::Cursor::new(&buf)).unwrap();
         // Set bit 28 of the first chunk record's byte length: the
         // header still parses (the cap is 1 << 29) but asks for ~256 MiB.
@@ -1676,10 +1871,7 @@ mod tests {
         bad[info.chunks_start as usize + 11] ^= 0x10;
         let file_len = bad.len();
 
-        let mut r = RecordingReader {
-            inner: io::Cursor::new(&bad),
-            largest_read: 0,
-        };
+        let mut r = RecordingReader::new(&bad);
         assert!(validate_archive_chunks(&mut r, &info).is_err());
         assert!(
             r.largest_read <= 2 * file_len,
@@ -1687,12 +1879,9 @@ mod tests {
             r.largest_read
         );
 
-        // `encode` writes processor 0's chunks first.
-        let mut r = RecordingReader {
-            inner: io::Cursor::new(&bad),
-            largest_read: 0,
-        };
-        let mut src = ChunkReader::new(&mut r, &info, 0).unwrap();
+        // `encode_indexed` writes processor 0's chunks first.
+        let mut r = RecordingReader::new(&bad);
+        let mut src = ChunkReader::new(&mut r, &info, &index, 0).unwrap();
         assert!(src.next_chunk().is_err());
         drop(src);
         assert!(
@@ -1700,5 +1889,176 @@ mod tests {
             "the chunk reader asked for {} bytes of a {file_len}-byte file",
             r.largest_read
         );
+    }
+
+    /// Every chunk record of an archive, found by walking its headers:
+    /// `(processor, first byte, one past the last byte)`.
+    fn record_extents(bytes: &[u8], info: &ArchiveInfo) -> Vec<(usize, u64, u64)> {
+        let mut r = io::Cursor::new(bytes);
+        r.set_position(info.chunks_start);
+        let mut extents = Vec::new();
+        while let Some(h) = read_chunk_header(&mut r).unwrap() {
+            let start = r.position() - RECORD_HEADER_LEN as u64;
+            let end = start + (RECORD_OVERHEAD + h.byte_len as usize) as u64;
+            extents.push((h.proc as usize, start, end));
+            r.set_position(end);
+        }
+        extents
+    }
+
+    #[test]
+    fn chunk_reader_reads_each_own_record_once_and_nothing_else() {
+        let mut rng = XorShift64::seed_from_u64(0x1D);
+        let run = sample_run(&mut rng, 16);
+        let (buf, index) = encode_interleaved(&run, 7, &mut rng);
+        let info = read_archive_info(io::Cursor::new(&buf)).unwrap();
+        let extents = record_extents(&buf, &info);
+        for (p, want) in run.traces.iter().enumerate() {
+            let own: Vec<(u64, u64)> = extents
+                .iter()
+                .filter(|&&(proc, ..)| proc == p)
+                .map(|&(_, start, end)| (start, end))
+                .collect();
+            let mut r = RecordingReader::new(&buf);
+            let got = collect_source(&mut ChunkReader::new(&mut r, &info, &index, p).unwrap());
+            assert_eq!(&got.unwrap(), want, "proc {p}");
+            assert_eq!(
+                r.reads.len(),
+                own.len(),
+                "proc {p}: one read per own record"
+            );
+            let read: usize = r.reads.iter().map(|&(_, n)| n).sum();
+            let expected: u64 = own.iter().map(|&(start, end)| end - start).sum();
+            assert_eq!(read as u64, expected, "proc {p}: Σ(28 + byte_len + 8)");
+            for &(at, n) in &r.reads {
+                let end = at + n as u64;
+                assert!(
+                    own.iter().any(|&(s, e)| s <= at && end <= e),
+                    "proc {p}: read of bytes {at}..{end} leaves its own records"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn writer_and_validation_build_the_same_index() {
+        let mut rng = XorShift64::seed_from_u64(0x1E);
+        for chunk_len in [1usize, 7, crate::stream::DEFAULT_CHUNK_LEN] {
+            for _ in 0..4 {
+                let procs = 1 + rng.range_usize(6);
+                let run = sample_run(&mut rng, procs);
+                let (buf, written) = encode_interleaved(&run, chunk_len, &mut rng);
+                let info = read_archive_info(io::Cursor::new(&buf)).unwrap();
+                let validated = validate_archive_chunks(io::Cursor::new(&buf), &info).unwrap();
+                assert_eq!(written, validated, "chunk_len {chunk_len}");
+            }
+        }
+    }
+
+    /// Reads every processor of `bytes` through `index`, appending the
+    /// chunks as they come: unlike `collect_source`, nothing here checks
+    /// that they continue each other, so only the reader's own checks
+    /// stand between a wrong index and a wrong trace.
+    fn read_all(bytes: &[u8], index: &ChunkIndex) -> Result<Vec<Trace>, StreamError> {
+        let info = read_archive_info(io::Cursor::new(bytes))?;
+        (0..info.num_procs())
+            .map(|p| {
+                let mut src = ChunkReader::new(io::Cursor::new(bytes), &info, index, p)?;
+                let mut trace = Trace::new();
+                while let Some(chunk) = src.next_chunk()? {
+                    trace.extend(chunk.iter());
+                }
+                Ok(trace)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_wrong_index_is_an_error_never_another_trace() {
+        let mut rng = XorShift64::seed_from_u64(0x1F);
+        let mut run = sample_run(&mut rng, 4);
+        // Processors 0 and 1 get traces of one length, so their record
+        // lists differ only in the processor their headers name.
+        let twin_len = run.traces[0].len();
+        run.traces[1] = Trace::from_entries((0..twin_len).map(|_| gen_entry(&mut rng)).collect());
+        let (buf, index) = encode_interleaved(&run, 7, &mut rng);
+        assert_eq!(read_all(&buf, &index).unwrap(), run.traces);
+        let other = sample_run(&mut rng, 4);
+        let (_, other_index) = encode_interleaved(&other, 7, &mut rng);
+        let mut swapped = index.clone();
+        swapped.records.swap(0, 1);
+        let mut wrong = vec![
+            ("another archive's", other_index),
+            ("two processors' records swapped", swapped),
+        ];
+        for p in 0..run.traces.len() {
+            if index.records[p].len() < 2 {
+                continue;
+            }
+            let mut shifted = index.clone();
+            let next = shifted.records[p].remove(0);
+            shifted.records[p].push(next);
+            wrong.push(("shifted by one record", shifted));
+            let mut dropped = index.clone();
+            dropped.records[p].remove(rng.range_usize(index.records[p].len()));
+            wrong.push(("one record dropped", dropped));
+            let mut dropped_last = index.clone();
+            dropped_last.records[p].pop();
+            wrong.push(("the last record dropped", dropped_last));
+        }
+        // Every file offset one record later in the file: each record
+        // span now names the next record, of whichever processor.
+        let extents = record_extents(&buf, &read_archive_info(io::Cursor::new(&buf)).unwrap());
+        let mut moved = index.clone();
+        for spans in &mut moved.records {
+            for span in spans.iter_mut() {
+                let i = extents
+                    .iter()
+                    .position(|&(_, s, _)| s == span.offset)
+                    .unwrap();
+                if let Some(&(_, next, end)) = extents.get(i + 1) {
+                    span.offset = next;
+                    span.byte_len = (end - next) as u32 - RECORD_OVERHEAD as u32;
+                }
+            }
+        }
+        wrong.push(("moved one record along the file", moved));
+        for (what, index) in &wrong {
+            assert!(
+                read_all(&buf, index).is_err(),
+                "an index with {what} read the archive without an error"
+            );
+        }
+    }
+
+    #[test]
+    fn a_record_damaged_after_validation_fails_its_checksum() {
+        let mut rng = XorShift64::seed_from_u64(0x20);
+        let run = sample_run(&mut rng, 3);
+        let (clean, index) = encode_interleaved(&run, 7, &mut rng);
+        let info = read_archive_info(io::Cursor::new(&clean)).unwrap();
+        assert_eq!(
+            validate_archive_chunks(io::Cursor::new(&clean), &info).unwrap(),
+            index
+        );
+        // Flip one bit in each record's payload and checksum in turn:
+        // the header still matches the index, so only the checksum can
+        // tell.
+        for (proc, start, end) in record_extents(&clean, &info) {
+            for pos in [start + RECORD_HEADER_LEN as u64, end - 1] {
+                let mut buf = clean.clone();
+                buf[pos as usize] ^= 0x04;
+                let got = collect_source(
+                    &mut ChunkReader::new(io::Cursor::new(&buf), &info, &index, proc).unwrap(),
+                );
+                assert!(
+                    matches!(
+                        got,
+                        Err(StreamError::Decode(DecodeError::BadChecksum { .. }))
+                    ),
+                    "proc {proc}: a flip at byte {pos} gave {got:?}"
+                );
+            }
+        }
     }
 }

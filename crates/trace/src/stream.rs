@@ -93,6 +93,25 @@ const KIND_OP_MASK: u8 = 0x07;
 const KIND_FLAG: u8 = 0x08;
 const KIND_SYNC_SHIFT: u8 = 4;
 
+/// The packed kind byte of an entry of class `class`; `flag` is the
+/// per-op flag (cache miss for loads and stores, taken for branches).
+#[inline]
+pub(crate) fn kind_byte(class: OpClass, flag: bool) -> u8 {
+    let op = match class {
+        OpClass::Compute => KIND_COMPUTE,
+        OpClass::Load => KIND_LOAD,
+        OpClass::Store => KIND_STORE,
+        OpClass::Branch => KIND_BRANCH,
+        OpClass::Jump => KIND_JUMP,
+        OpClass::Sync(kind) => KIND_SYNC | sync_kind_bits(kind),
+    };
+    if flag {
+        op | KIND_FLAG
+    } else {
+        op
+    }
+}
+
 fn sync_kind_bits(kind: SyncKind) -> u8 {
     (match kind {
         SyncKind::Lock => 0u8,
@@ -164,16 +183,33 @@ impl TraceChunk {
         c
     }
 
-    /// Builds a chunk by consuming an owned entry vector — the
-    /// move-only constructor for producers that already own their
-    /// entries (nothing is cloned; the vector is transposed in place
-    /// and dropped).
-    pub fn from_vec(first_index: u64, entries: Vec<TraceEntry>) -> TraceChunk {
-        let mut c = TraceChunk::with_capacity(first_index, entries.len());
-        for e in entries {
-            c.push(e);
+    /// Assembles a chunk from columns a decoder filled directly, with
+    /// the `meta` it folded over them. `kind` holds packed kind bytes
+    /// ([`kind_byte`]); every column has one value per entry.
+    pub(crate) fn from_columns(
+        first_index: u64,
+        meta: ChunkMeta,
+        pc: Vec<u32>,
+        kind: Vec<u8>,
+        addr: Vec<u64>,
+        lat: Vec<u32>,
+        wait: Vec<u32>,
+    ) -> TraceChunk {
+        debug_assert!(
+            [kind.len(), addr.len(), lat.len(), wait.len()]
+                .iter()
+                .all(|&n| n == pc.len()),
+            "columns of one chunk must have equal lengths"
+        );
+        TraceChunk {
+            first_index,
+            meta,
+            pc,
+            kind,
+            addr,
+            lat,
+            wait,
         }
-        c
     }
 
     /// Appends one entry, folding it into the chunk metadata.
@@ -181,27 +217,19 @@ impl TraceChunk {
         self.meta.observe(&e);
         self.pc.push(e.pc);
         let (kind, addr, lat, wait) = match e.op {
-            TraceOp::Compute => (KIND_COMPUTE, 0, 0, 0),
-            TraceOp::Load(m) => (
-                KIND_LOAD | if m.miss { KIND_FLAG } else { 0 },
-                m.addr,
-                m.latency,
-                0,
+            TraceOp::Compute => (kind_byte(OpClass::Compute, false), 0, 0, 0),
+            TraceOp::Load(m) => (kind_byte(OpClass::Load, m.miss), m.addr, m.latency, 0),
+            TraceOp::Store(m) => (kind_byte(OpClass::Store, m.miss), m.addr, m.latency, 0),
+            TraceOp::Branch { taken, target } => {
+                (kind_byte(OpClass::Branch, taken), u64::from(target), 0, 0)
+            }
+            TraceOp::Jump { target } => (kind_byte(OpClass::Jump, false), u64::from(target), 0, 0),
+            TraceOp::Sync(s) => (
+                kind_byte(OpClass::Sync(s.kind), false),
+                s.addr,
+                s.access,
+                s.wait,
             ),
-            TraceOp::Store(m) => (
-                KIND_STORE | if m.miss { KIND_FLAG } else { 0 },
-                m.addr,
-                m.latency,
-                0,
-            ),
-            TraceOp::Branch { taken, target } => (
-                KIND_BRANCH | if taken { KIND_FLAG } else { 0 },
-                u64::from(target),
-                0,
-                0,
-            ),
-            TraceOp::Jump { target } => (KIND_JUMP, u64::from(target), 0, 0),
-            TraceOp::Sync(s) => (KIND_SYNC | sync_kind_bits(s.kind), s.addr, s.access, s.wait),
         };
         self.kind.push(kind);
         self.addr.push(addr);
@@ -1249,8 +1277,6 @@ mod tests {
         let via_iter: Vec<TraceEntry> = chunk.iter().collect();
         assert_eq!(via_iter, entries);
         assert_eq!(chunk.meta, ChunkMeta::of_entries(&entries));
-        // The owned constructor agrees with the borrowing one.
-        assert_eq!(TraceChunk::from_vec(5, entries.clone()), chunk);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The on-disk trace cache trusts the archive read path — header and
 //! trailer ([`read_archive_info`]), one validation pass over every
 //! chunk ([`validate_archive_chunks`]), then one [`ChunkReader`] per
-//! processor — to either reproduce the exact run that was stored or
+//! processor through the index that pass returns — to either reproduce the exact run that was stored or
 //! fail with a typed error so the caller regenerates. These tests
 //! enforce that contract from outside the crate: randomized archives
 //! round-trip exactly, and *every* single-bit flip, *every* truncation
@@ -235,12 +235,12 @@ fn encode_archive(run: &Run) -> Vec<u8> {
 
 /// Reads an archive the way the cache does: header and trailer, one
 /// validation pass over every chunk, then one chunk reader per
-/// processor.
+/// processor through the pass's index.
 fn decode_archive(bytes: &[u8]) -> Result<Run, StreamError> {
     let info = read_archive_info(Cursor::new(bytes))?;
-    validate_archive_chunks(Cursor::new(bytes), &info)?;
+    let index = validate_archive_chunks(Cursor::new(bytes), &info)?;
     let traces = (0..info.num_procs())
-        .map(|p| collect_source(&mut ChunkReader::new(Cursor::new(bytes), &info, p)?))
+        .map(|p| collect_source(&mut ChunkReader::new(Cursor::new(bytes), &info, &index, p)?))
         .collect::<Result<_, _>>()?;
     Ok(Run {
         key: info.key,

@@ -42,11 +42,11 @@ fn retiming_is_deterministic() {
 
 /// Reads processor `proc`'s trace back the way the trace cache does:
 /// header and trailer, one validation pass over every chunk, then a
-/// chunk reader.
+/// chunk reader through the pass's index.
 fn read_back(bytes: &[u8], proc: usize) -> Trace {
     let info = read_archive_info(Cursor::new(bytes)).unwrap();
-    validate_archive_chunks(Cursor::new(bytes), &info).unwrap();
-    collect_source(&mut ChunkReader::new(Cursor::new(bytes), &info, proc).unwrap()).unwrap()
+    let index = validate_archive_chunks(Cursor::new(bytes), &info).unwrap();
+    collect_source(&mut ChunkReader::new(Cursor::new(bytes), &info, &index, proc).unwrap()).unwrap()
 }
 
 #[test]

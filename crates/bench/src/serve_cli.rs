@@ -26,6 +26,8 @@ keep-alive); the server runs on x86_64/aarch64 Linux.
 routes:
   /healthz  /metrics (Prometheus)  /metrics.json  /v1/apps
   /v1/experiments?app=A[&model=M&consistency=C&window=W&width=I&tier=T]
+      window and width configure model=ds only; base, ssbr and ss
+      echo them, and each of their results is re-timed once per run
   /v1/figure3?app=A  /v1/figure4?app=A  /v1/summary
   /v1/debug/trace/<request-id>
 

@@ -75,15 +75,15 @@ pub enum ModelSpec {
 }
 
 impl ModelSpec {
-    /// Runs this model over the run's representative trace; BASE is
-    /// the run's memoized reference ([`AppRun::base`]).
+    /// Runs this model over the run's representative trace. An
+    /// in-order result (BASE, SSBR, SS) is a property of the run: its
+    /// first call re-times it and later calls read the run's memo. A DS
+    /// spec is re-timed on every call.
     #[must_use]
     pub fn retime(&self, run: &AppRun) -> ExecutionResult {
-        match *self {
-            ModelSpec::Base => run.base().clone(),
-            ModelSpec::Ssbr(model) => run.retime(&InOrder::ssbr(model)),
-            ModelSpec::Ss(model) => run.retime(&InOrder::ss(model)),
-            ModelSpec::Ds(config) => run.retime(&Ds::new(config)),
+        match run.in_order(*self) {
+            Some(result) => result.clone(),
+            None => run.retime(self.build().as_ref()),
         }
     }
 

@@ -12,8 +12,8 @@
 //! consumer that needs random access.
 
 use crate::cache::cache_key;
-use lookahead_core::base::Base;
-use lookahead_core::{ExecutionResult, ProcessorModel};
+use crate::experiments::ModelSpec;
+use lookahead_core::{ConsistencyModel, ExecutionResult, ProcessorModel};
 use lookahead_isa::Program;
 use lookahead_multiproc::{SimConfig, SimError, Simulator};
 use lookahead_obs::span;
@@ -211,9 +211,14 @@ pub struct AppRun {
     bytes: ArchiveBytes,
     /// Each processor's trace, materialized on first access.
     traces: Vec<OnceLock<Arc<Trace>>>,
-    /// The BASE reference result, re-timed on first use.
-    base: OnceLock<ExecutionResult>,
+    /// The in-order results, each re-timed on first use: BASE, then
+    /// SSBR and SS under each consistency model.
+    in_order: [OnceLock<ExecutionResult>; IN_ORDER_RESULTS],
 }
+
+/// How many in-order results a run memoizes: BASE, then SSBR and SS
+/// under each of the four consistency models.
+const IN_ORDER_RESULTS: usize = 1 + 2 * ConsistencyModel::ALL.len();
 
 impl AppRun {
     /// Generates a verified run of `workload` under `config` into
@@ -273,7 +278,7 @@ impl AppRun {
             info,
             index,
             bytes,
-            base: OnceLock::new(),
+            in_order: Default::default(),
         }
     }
 
@@ -409,19 +414,38 @@ impl AppRun {
         })
     }
 
+    /// The run's result under `spec` if it is an in-order model (BASE,
+    /// SSBR or SS). The lookahead window and the issue width configure
+    /// only the DS processor, so the run has one such result per model
+    /// and consistency model: the first call re-times it through
+    /// [`retime`](Self::retime), later calls return the same result, and
+    /// concurrent first calls wait for one pass. `None` for a DS spec,
+    /// which is not memoized. Gangs re-time every model as an ordinary
+    /// cell and neither read nor fill this.
+    pub(crate) fn in_order(&self, spec: ModelSpec) -> Option<&ExecutionResult> {
+        let slot = match spec {
+            ModelSpec::Base => 0,
+            ModelSpec::Ssbr(model) => 1 + model as usize,
+            ModelSpec::Ss(model) => 1 + ConsistencyModel::ALL.len() + model as usize,
+            ModelSpec::Ds(_) => return None,
+        };
+        Some(self.in_order[slot].get_or_init(|| self.retime(spec.build().as_ref())))
+    }
+
     /// The run's BASE reference result, which every other model is
-    /// normalized to: re-timed through [`retime`](Self::retime) on the
-    /// first call, the same result afterwards. Concurrent first calls
-    /// wait for one pass. Gangs re-time BASE as an ordinary cell and
-    /// neither read nor fill this.
+    /// normalized to: the BASE slot of the run's in-order memo, re-timed
+    /// through [`retime`](Self::retime) on the first call and the same
+    /// result afterwards.
     pub fn base(&self) -> &ExecutionResult {
-        self.base.get_or_init(|| self.retime(&Base))
+        self.in_order(ModelSpec::Base)
+            .expect("BASE is an in-order model")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lookahead_core::base::Base;
     use lookahead_workloads::lu::Lu;
 
     #[test]
@@ -468,5 +492,38 @@ mod tests {
         }
         assert_eq!(archived.base(), memory.base());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn each_in_order_spec_has_its_own_memo_slot() {
+        use lookahead_core::ds::DsConfig;
+        let config = SimConfig {
+            num_procs: 4,
+            ..SimConfig::default()
+        };
+        let run = AppRun::generate(&Lu { n: 12 }, &config).expect("pipeline succeeds");
+        let mut specs = vec![ModelSpec::Base];
+        for model in ConsistencyModel::ALL {
+            specs.extend([ModelSpec::Ssbr(model), ModelSpec::Ss(model)]);
+        }
+        assert_eq!(specs.len(), IN_ORDER_RESULTS);
+        let memoized: Vec<&ExecutionResult> = specs
+            .iter()
+            .map(|&spec| run.in_order(spec).expect("an in-order spec is memoized"))
+            .collect();
+        for (i, (spec, &result)) in specs.iter().zip(&memoized).enumerate() {
+            assert_eq!(*result, run.retime(spec.build().as_ref()), "{spec:?}");
+            assert!(
+                std::ptr::eq(result, run.in_order(*spec).unwrap()),
+                "{spec:?}: the second call re-timed"
+            );
+            assert!(
+                memoized[..i]
+                    .iter()
+                    .all(|&other| !std::ptr::eq(result, other)),
+                "{spec:?} shares a slot"
+            );
+        }
+        assert!(run.in_order(ModelSpec::Ds(DsConfig::rc())).is_none());
     }
 }

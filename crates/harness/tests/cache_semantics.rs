@@ -328,6 +328,55 @@ fn vanished_archive_panics_naming_the_archive() {
     }
 }
 
+/// A run re-times each in-order result once: after that,
+/// `ModelSpec::retime` answers from the run's memo without reading the
+/// archive, while an in-order model not yet re-timed, and every DS
+/// spec, still needs a pass.
+#[test]
+fn memoized_in_order_results_answer_without_the_archive() {
+    use lookahead_core::ds::DsConfig;
+    use lookahead_core::ConsistencyModel::{Pc, Sc};
+    use lookahead_harness::experiments::ModelSpec;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let (_dir, cache) = temp_cache("memo");
+    let wl = workload();
+    let config = small_config();
+    let (_, _) = load_or_generate(Some(&cache), &wl, "small", &config).unwrap();
+    let (run, warm) = load_or_generate(Some(&cache), &wl, "small", &config).unwrap();
+    assert!(warm.is_hit());
+    let path = cache.path_for(&run.app, &cache_key(&run.app, "small", &config));
+    let ssbr = ModelSpec::Ssbr(Pc).retime(&run);
+    // The run's shared handle is open now, so a real pass reads the
+    // truncated file and fails.
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .and_then(|file| file.set_len(0))
+        .unwrap();
+    assert_eq!(
+        ModelSpec::Ssbr(Pc).retime(&run),
+        ssbr,
+        "a memoized result must not need the archive"
+    );
+    for spec in [
+        ModelSpec::Ssbr(Sc),
+        ModelSpec::Ds(DsConfig::rc().window(16)),
+    ] {
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            let _ = spec.retime(&run);
+        }))
+        .expect_err("a pass over a truncated archive must panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("the panic carries a formatted message");
+        assert!(
+            msg.contains(&path.display().to_string()) && msg.contains("can no longer be read"),
+            "{spec:?}: {msg}"
+        );
+    }
+}
+
 #[test]
 fn disabled_cache_always_generates() {
     let wl = workload();

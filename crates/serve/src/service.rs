@@ -19,10 +19,13 @@
 //!    content-addressed on-disk trace cache — so each distinct trace
 //!    generation runs **exactly once per process** no matter how many
 //!    clients ask;
-//! 4. `/v1/experiments` re-times the requested model in one per-cell
-//!    pass and normalizes it to the run's memoized BASE result
-//!    ([`AppRun::base`], re-timed once per run); a figure route runs
-//!    its run's cells as one gang on the handler thread
+//! 4. `/v1/experiments` maps the query to a [`ModelSpec`] and
+//!    normalizes [`ModelSpec::retime`]'s result to the run's BASE
+//!    result ([`AppRun::base`]). `window` and `width` configure only
+//!    DS, so the run re-times each in-order result (BASE, and SSBR and
+//!    SS under each consistency model) once and every later query
+//!    reads it back; a DS query is one per-cell pass. A figure route
+//!    runs its run's cells as one gang on the handler thread
 //!    ([`run_cell_specs`]: a single streamed traversal feeds every
 //!    cell's engine), and `/v1/summary` runs its five gangs on the DAG
 //!    executor ([`retime_matrix`]). Results come out in spec order, so
@@ -33,14 +36,12 @@
 //! connection workers; identical ones never duplicate work.
 
 use crate::http::{Request, Response};
-use lookahead_core::ds::{Ds, DsConfig};
-use lookahead_core::inorder::InOrder;
-use lookahead_core::model::ExecutionResult;
+use lookahead_core::ds::DsConfig;
 use lookahead_core::ConsistencyModel;
 use lookahead_harness::dag::Scheduler;
 use lookahead_harness::experiments::{
     figure3_cells, figure4_cells, hidden_row, retime_matrix, run_cell_specs, summary_cells,
-    PAPER_WINDOWS,
+    ModelSpec, PAPER_WINDOWS,
 };
 use lookahead_harness::pipeline::AppRun;
 use lookahead_harness::singleflight::{FlightOutcome, SharedRuns, SingleFlight};
@@ -184,6 +185,22 @@ struct ExperimentQuery {
     consistency: ConsistencyModel,
     window: usize,
     width: usize,
+}
+
+impl ExperimentQuery {
+    /// The processor model the query re-times. `window` and `width`
+    /// configure only DS; the in-order models ignore them.
+    fn spec(&self) -> ModelSpec {
+        match self.model {
+            ModelKind::Base => ModelSpec::Base,
+            ModelKind::Ssbr => ModelSpec::Ssbr(self.consistency),
+            ModelKind::Ss => ModelSpec::Ss(self.consistency),
+            ModelKind::Ds => ModelSpec::Ds(DsConfig {
+                issue_width: self.width,
+                ..DsConfig::with_model(self.consistency).window(self.window)
+            }),
+        }
+    }
 }
 
 /// The experiment service: shared run resolution, single-flight body
@@ -646,22 +663,10 @@ impl ExperimentService {
         let q = self.parse_experiment_query(request)?;
         let run = self.resolve(q.app, q.tier)?;
 
-        // BASE is a property of the run, not of the query: the run's
-        // first query re-times it once and every later one reuses it.
-        let (base, result): (&ExecutionResult, ExecutionResult) =
-            span::record_current("retime", || {
-                let base = run.base();
-                let result = match q.model {
-                    ModelKind::Base => base.clone(),
-                    ModelKind::Ssbr => run.retime(&InOrder::ssbr(q.consistency)),
-                    ModelKind::Ss => run.retime(&InOrder::ss(q.consistency)),
-                    ModelKind::Ds => run.retime(&Ds::new(DsConfig {
-                        issue_width: q.width,
-                        ..DsConfig::with_model(q.consistency).window(q.window)
-                    })),
-                };
-                (base, result)
-            });
+        // BASE, SSBR and SS are properties of the run, not of the query:
+        // the run's first query for each re-times it once and every later
+        // one reuses it (`ModelSpec::retime`).
+        let (base, result) = span::record_current("retime", || (run.base(), q.spec().retime(&run)));
 
         Ok(span::record_current("render", || {
             JsonObject::render(|o| {

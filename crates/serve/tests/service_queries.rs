@@ -195,6 +195,8 @@ fn bodies_over_a_memoized_base_equal_cold_bodies() {
         "/v1/experiments?app=lu&model=ssbr&consistency=pc",
         "/v1/experiments?app=lu&model=ss&consistency=sc",
         "/v1/experiments?app=lu&model=ds&window=32&width=2",
+        "/v1/experiments?app=lu&model=ssbr&consistency=pc&window=256&width=16",
+        "/v1/experiments?app=lu&model=ss&consistency=sc&window=16&width=7",
     ] {
         let served = handle_target(&warm, target);
         let cold = handle_target(&small_service(), target);

@@ -324,6 +324,37 @@ fn experiment_queries_retime_base_once_per_run() {
         0,
         "a fresh BASE body reads the run's memo"
     );
+    // Window and width configure DS only: an in-order result is one
+    // pass per run and consistency model, whatever they say.
+    for (id, target, expected) in [
+        (
+            "ssbr-pc-1",
+            "/v1/experiments?app=lu&model=ssbr&consistency=pc&window=16&width=1",
+            1,
+        ),
+        (
+            "ssbr-pc-2",
+            "/v1/experiments?app=lu&model=ssbr&consistency=pc&window=256&width=16",
+            0,
+        ),
+        (
+            "ssbr-sc",
+            "/v1/experiments?app=lu&model=ssbr&consistency=sc&window=16&width=1",
+            1,
+        ),
+        (
+            "ds-2",
+            "/v1/experiments?app=lu&model=ds&window=16&width=2",
+            1,
+        ),
+        (
+            "ds-3",
+            "/v1/experiments?app=lu&model=ds&window=16&width=3",
+            1,
+        ),
+    ] {
+        assert_eq!(passes(id, target), expected, "{target}");
+    }
 }
 
 #[test]
